@@ -1,5 +1,5 @@
 // Package repro's root benchmark suite: one testing.B benchmark per
-// experiment of EXPERIMENTS.md (each regenerates the corresponding table in
+// experiment of cmd/gpsbench (each regenerates the corresponding table in
 // the quick configuration), plus micro-benchmarks for the performance-
 // critical primitives (RPQ evaluation, learning, neighbourhood extraction,
 // path enumeration).

@@ -22,8 +22,7 @@ import (
 
 // indexBenchQueries is the /evaluate workload: star-heavy reachability
 // queries (where the closure jumps collapse the grid diameter) plus
-// concatenation-only ones (where only the viability prune and the bitset
-// sweep help), so the median speedup reflects a mixed diet rather than the
+// concatenation-only ones (where only the bitset sweep helps), so the median speedup reflects a mixed diet rather than the
 // index's best case.
 var indexBenchQueries = []string{
 	"(tram+bus)*.cinema",
@@ -77,8 +76,7 @@ func runIndexBench(outPath string, seed int64) error {
 	idx := index.Build(g.Indexed(), index.Options{})
 	fmt.Printf("index built in %.0fms: %s\n", time.Since(buildStart).Seconds()*1000, func() string {
 		st := idx.Stats()
-		return fmt.Sprintf("%d bytes, %d closed labels, %d landmarks, %d masks",
-			st.Bytes, st.ClosedLabels, st.Landmarks, st.DistinctMasks)
+		return fmt.Sprintf("%d bytes, %d closed labels", st.Bytes, st.ClosedLabels)
 	}())
 
 	results := make([]indexQueryResult, 0, len(indexBenchQueries))

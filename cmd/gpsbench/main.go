@@ -1,8 +1,9 @@
-// Command gpsbench regenerates every experiment of EXPERIMENTS.md: the
+// Command gpsbench regenerates every experiment table: the
 // figure-level reproductions of the demo paper (F1, F2, F3a, F3c), the
 // companion-style quantitative evaluation (E1, E2, E3) and the ablations
 // (AB1-AB3). By default it runs the quick configuration used in CI; -full
-// switches to the larger graphs reported in EXPERIMENTS.md.
+// switches to the larger graphs. README "Running" and "Benchmarks" list
+// the invocations.
 //
 // Usage:
 //

@@ -1,6 +1,6 @@
 // A companion-paper-style scenario on a biological-looking network: a
-// scale-free protein-interaction graph (generated in-repo, see DESIGN.md's
-// substitution table) on which a biologist specifies the query
+// scale-free protein-interaction graph (generated in-repo, standing in for
+// a real interactome) on which a biologist specifies the query
 // (interacts+regulates)*.binds by labelling a handful of proteins —
 // including a run with a noisy user in the static-labelling scenario, where
 // the system detects the inconsistent labels.

@@ -3,7 +3,7 @@
 // synthetic transport-network generator in the spirit of the Transpole
 // dataset the demo used, and random/scale-free labelled graphs standing in
 // for the biological and synthetic datasets of the companion research
-// paper (see the substitution table in DESIGN.md).
+// paper, all generated in-repo so every run is reproducible offline.
 package dataset
 
 import (

@@ -1,8 +1,8 @@
 // Package experiment is the harness that regenerates every figure-level
-// artefact of the paper and the companion-style quantitative evaluation
-// described in DESIGN.md. Each experiment returns a stats.Table whose rows
-// are the series reported in EXPERIMENTS.md; cmd/gpsbench prints them and
-// bench_test.go wraps them in testing.B benchmarks.
+// artefact of the paper and the companion-style quantitative evaluation.
+// Each experiment returns a stats.Table of one series; cmd/gpsbench prints
+// them (README "Running") and bench_test.go wraps them in testing.B
+// benchmarks.
 package experiment
 
 import (

@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// Stats summarises a graph. It backs the dataset tables in EXPERIMENTS.md
-// and the `gps stats` subcommand.
+// Stats summarises a graph. It backs the dataset tables cmd/gpsbench
+// prints and the `gps stats` subcommand.
 type Stats struct {
 	Nodes        int
 	Edges        int

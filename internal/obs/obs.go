@@ -97,14 +97,14 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // Histogram is a fixed-bucket distribution. Bounds are inclusive upper
 // bounds in the histogram's native integer unit; an implicit overflow
 // bucket catches everything above the last bound. Observe is lock-free:
-// one bucket increment, a count and sum add, and a CAS loop for the max.
+// one bucket increment, a sum add, and a CAS loop for the max. There is no
+// separate count: Snapshot derives it from the buckets.
 type Histogram struct {
 	bounds []int64
 	// scale converts the native unit to the exposed unit at render time
 	// (1e-6 for microsecond-native, second-exposed latency histograms).
 	scale   float64
 	buckets []atomic.Int64
-	count   atomic.Int64
 	sum     atomic.Int64
 	max     atomic.Int64
 }
@@ -123,7 +123,6 @@ func (h *Histogram) Observe(v int64) {
 		}
 	}
 	h.buckets[lo].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 	for {
 		cur := h.max.Load()
@@ -141,8 +140,10 @@ func (h *Histogram) ObserveSince(start time.Time) {
 
 // HistogramSnapshot is a point-in-time view of a histogram. Buckets are
 // per-bucket (non-cumulative) counts aligned with Bounds; the final entry
-// is the overflow bucket. The snapshot races concurrent observes one
-// atomic at a time, which is fine for monitoring.
+// is the overflow bucket. Count is the sum of the loaded buckets, so the
+// bucket counts and Count always agree; Sum and Max are loaded separately
+// and may trail or lead them by a concurrent observe, which is fine for
+// monitoring.
 type HistogramSnapshot struct {
 	Bounds  []int64
 	Buckets []int64
@@ -156,12 +157,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds:  h.bounds,
 		Buckets: make([]int64, len(h.buckets)),
-		Count:   h.count.Load(),
 		Sum:     h.sum.Load(),
 		Max:     h.max.Load(),
 	}
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	return s
 }

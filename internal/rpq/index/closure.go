@@ -1,7 +1,5 @@
 package index
 
-import "math/bits"
-
 // Closure is the reflexive-transitive reachability closure of one
 // single-label subgraph, stored as one bitset row per strongly connected
 // component. Row sharing matters: on transport-style graphs most
@@ -23,16 +21,6 @@ type Closure struct {
 	// inside a couple of words of a much wider bitset.
 	rowLo []int32
 	rowHi []int32
-}
-
-// Row returns the closure bitset of v as a shared slice, or nil when the
-// closure of v is the trivial {v}. Callers must not modify it.
-func (c *Closure) Row(v int32) []uint64 {
-	r := c.rowOf[v]
-	if r < 0 {
-		return nil
-	}
-	return c.rows[int(r)*c.words : (int(r)+1)*c.words]
 }
 
 // RowSpan returns the populated word span of v's closure row: a shared
@@ -234,14 +222,4 @@ func buildClosureSet(n int, labels []int32, edges func(v, l int32) []int32) *Clo
 		}
 	}
 	return buildClosure(n, func(v int32) []int32 { return dst[off[v]:off[v+1]] })
-}
-
-// forEachSetBit calls fn for every set bit index in ascending order.
-func forEachSetBit(set []uint64, fn func(i int32)) {
-	for wi, w := range set {
-		for w != 0 {
-			fn(int32(wi<<6 + bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
 }

@@ -8,19 +8,16 @@
 //     reflexive-transitive closures of each single-label subgraph, so a
 //     label-star subquery (a DFA self-loop) is answered by ORing closure
 //     rows instead of running a diameter-deep BFS;
-//   - a label-constrained landmark (2-hop-style) labelling over the
-//     top-degree nodes: per label, a bitmask of which landmarks each node
-//     reaches (and is reached by) via paths of that single label, giving
-//     an O(1) positive certificate for label-star reachability between
-//     any two nodes, with an exact BFS fallback;
-//   - per-node reachable-label masks: the set of edge labels on any path
-//     leaving (entering) each node, which lets the engine prune product
-//     configurations whose graph node can never supply the labels an
-//     accepting DFA path still requires.
+//   - lazily built closures over the union of a label set, for DFA states
+//     that self-loop on several labels (an alternation star), cached on
+//     the index under the same budget;
+//   - per-label source bitsets (the nodes with an outgoing edge of the
+//     label), which turn the first backward step out of an accepting
+//     state into one word-parallel OR.
 //
-// An Index never changes results — every structure is an exact or
-// one-sided (sound-to-prune) certificate — and the unindexed engine
-// remains the equivalence oracle in the tests.
+// An Index never changes results — every structure is an exact
+// reachability relation — and the unindexed engine remains the
+// equivalence oracle in the tests.
 package index
 
 import (
@@ -40,17 +37,6 @@ const (
 	// DefaultMaxClosureLabels caps how many labels get closures, budget
 	// permitting; labels are considered in descending edge count.
 	DefaultMaxClosureLabels = 4
-	// DefaultLandmarks is the number of top-degree landmark nodes per
-	// label; it is capped at 64 so a landmark set fits one uint64 mask.
-	DefaultLandmarks = 16
-	// DefaultMaxDistinctMasks bounds the distinct reachable-label masks
-	// the viability prune tabulates; beyond it the prune is disabled
-	// (masks stay available for direct queries).
-	DefaultMaxDistinctMasks = 1024
-	// overflowLabelBit is the mask bit shared by all label indexes >= 63,
-	// keeping the mask lossy-inclusive (never lossy-exclusive) on graphs
-	// with huge alphabets.
-	overflowLabelBit = 63
 	// maxSetClosures caps how many distinct label-set closures the lazy
 	// cache holds; the engine requests one per DFA state with multiple
 	// self-loop labels, so real workloads need a handful at most.
@@ -65,12 +51,6 @@ type Options struct {
 	// MaxClosureLabels caps how many labels get closures; 0 means
 	// DefaultMaxClosureLabels, negative disables closures.
 	MaxClosureLabels int
-	// Landmarks is the landmark count per label (capped at 64); 0 means
-	// DefaultLandmarks, negative disables the landmark labelling.
-	Landmarks int
-	// MaxDistinctMasks is the distinct-mask cap for the viability table;
-	// 0 means DefaultMaxDistinctMasks.
-	MaxDistinctMasks int
 }
 
 func (o Options) withDefaults() Options {
@@ -80,56 +60,20 @@ func (o Options) withDefaults() Options {
 	if o.MaxClosureLabels == 0 {
 		o.MaxClosureLabels = DefaultMaxClosureLabels
 	}
-	if o.Landmarks == 0 {
-		o.Landmarks = DefaultLandmarks
-	}
-	if o.Landmarks > 64 {
-		o.Landmarks = 64
-	}
-	if o.MaxDistinctMasks <= 0 {
-		o.MaxDistinctMasks = DefaultMaxDistinctMasks
-	}
 	return o
 }
 
-// LabelBit returns the reachable-label-mask bit of a graph label index.
-// Labels beyond 62 share the overflow bit, so a mask test can claim a
-// label is present when it is not (harmless for pruning) but never the
-// reverse.
-func LabelBit(gl int32) uint64 {
-	if gl >= overflowLabelBit {
-		return 1 << overflowLabelBit
-	}
-	return 1 << uint(gl)
-}
-
 // Index is the precomputed reachability layer of one graph version. It is
-// immutable after Build apart from the hit/prune counters and safe for
+// immutable after Build apart from the hit counter and safe for
 // concurrent use.
 type Index struct {
 	ix *graph.Indexed
-
-	// outMask[v] / inMask[v] are the labels on edges of any path leaving /
-	// entering v (LabelBit encoding).
-	outMask []uint64
-	inMask  []uint64
-	// maskID[v] indexes masks, the distinct outMask values in first-seen
-	// order; nil when the distinct count exceeded the cap.
-	maskID []int32
-	masks  []uint64
 
 	// pred[l] / succ[l] are the per-label closures (nil when the label was
 	// not closed): pred rows answer "which nodes reach v via l-paths",
 	// succ rows "which nodes does v reach".
 	pred []*Closure
 	succ []*Closure
-
-	// landmarks are the top-degree nodes; landFw[l][v] has bit k set when
-	// v reaches landmarks[k] via l-paths, landBw[l][v] when landmarks[k]
-	// reaches v.
-	landmarks []int32
-	landFw    [][]uint64
-	landBw    [][]uint64
 
 	// srcBits[l] is the bitset of nodes with at least one outgoing l-edge
 	// — the exact predecessor set of a full frontier under l, which lets
@@ -149,8 +93,7 @@ type Index struct {
 	memBytes  int64
 	buildTime time.Duration
 
-	hits   atomic.Uint64
-	prunes atomic.Uint64
+	hits atomic.Uint64
 }
 
 // Build constructs the index for one Indexed view. It only reads the view
@@ -158,7 +101,6 @@ type Index struct {
 func Build(ix *graph.Indexed, opts Options) *Index {
 	opts = opts.withDefaults()
 	start := time.Now()
-	n := ix.NumNodes()
 	numLabels := ix.NumLabels()
 	x := &Index{
 		ix:      ix,
@@ -167,11 +109,8 @@ func Build(ix *graph.Indexed, opts Options) *Index {
 		succ:    make([]*Closure, numLabels),
 		setPred: make(map[string]*Closure),
 	}
-	x.buildLabelMasks(opts)
 	x.buildClosures(opts)
-	x.buildLandmarks(opts)
 	x.buildSourceBits()
-	x.memBytes += int64(n) * 8 * 2 // outMask + inMask
 	x.buildTime = time.Since(start)
 	return x
 }
@@ -233,117 +172,6 @@ func (x *Index) PredStarSet(gls []int32) *Closure {
 	return cl
 }
 
-// OutMask returns the reachable-label mask of node v (labels on edges of
-// paths leaving v, LabelBit encoding).
-func (x *Index) OutMask(v int32) uint64 { return x.outMask[v] }
-
-// InMask returns the co-reachable-label mask of node v (labels on edges
-// of paths entering v).
-func (x *Index) InMask(v int32) uint64 { return x.inMask[v] }
-
-// Masks returns the distinct out-label masks in maskID order, or nil when
-// the distinct count exceeded Options.MaxDistinctMasks (the viability
-// prune is then disabled).
-func (x *Index) Masks() []uint64 { return x.masks }
-
-// MaskID returns the index of node v's out-label mask into Masks. Only
-// valid when Masks() is non-nil.
-func (x *Index) MaskID(v int32) int32 { return x.maskID[v] }
-
-// buildLabelMasks computes outMask/inMask by a worklist fixpoint: the
-// mask of a node is the union of the label bits of its incident edges and
-// the masks of their far endpoints. Each node re-enters the worklist at
-// most 64 times (once per new bit), so the sweep is O(E * popcount).
-func (x *Index) buildLabelMasks(opts Options) {
-	ix := x.ix
-	n := ix.NumNodes()
-	numLabels := int32(ix.NumLabels())
-	x.outMask = make([]uint64, n)
-	x.inMask = make([]uint64, n)
-	x.fixpointMasks(x.outMask, func(v int32, visit func(nbr int32)) {
-		for l := int32(0); l < numLabels; l++ {
-			for _, u := range ix.In(v, l) {
-				visit(u)
-			}
-		}
-	}, func(v int32) uint64 {
-		var m uint64
-		for l := int32(0); l < numLabels; l++ {
-			if len(ix.Out(v, l)) > 0 {
-				m |= LabelBit(l)
-			}
-		}
-		return m
-	})
-	x.fixpointMasks(x.inMask, func(v int32, visit func(nbr int32)) {
-		for l := int32(0); l < numLabels; l++ {
-			for _, u := range ix.Out(v, l) {
-				visit(u)
-			}
-		}
-	}, func(v int32) uint64 {
-		var m uint64
-		for l := int32(0); l < numLabels; l++ {
-			if len(ix.In(v, l)) > 0 {
-				m |= LabelBit(l)
-			}
-		}
-		return m
-	})
-
-	// Intern the distinct out masks for the engine's viability table.
-	ids := make(map[uint64]int32, 64)
-	maskID := make([]int32, n)
-	var masks []uint64
-	for v := 0; v < n; v++ {
-		m := x.outMask[v]
-		id, ok := ids[m]
-		if !ok {
-			if len(masks) >= opts.MaxDistinctMasks {
-				maskID = nil
-				masks = nil
-				break
-			}
-			id = int32(len(masks))
-			masks = append(masks, m)
-			ids[m] = id
-		}
-		maskID[v] = id
-	}
-	x.maskID, x.masks = maskID, masks
-}
-
-// fixpointMasks seeds mask[v] from seed(v) and propagates masks against
-// edge direction: when mask[v] grows, every neighbour reported by
-// visitSources(v) absorbs it.
-func (x *Index) fixpointMasks(mask []uint64, visitSources func(v int32, visit func(nbr int32)), seed func(v int32) uint64) {
-	n := len(mask)
-	inQueue := make([]bool, n)
-	queue := make([]int32, 0, n)
-	for v := 0; v < n; v++ {
-		if m := seed(int32(v)); m != 0 {
-			mask[v] = m
-			inQueue[v] = true
-			queue = append(queue, int32(v))
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		inQueue[v] = false
-		m := mask[v]
-		visitSources(v, func(u int32) {
-			if mask[u]|m != mask[u] {
-				mask[u] |= m
-				if !inQueue[u] {
-					inQueue[u] = true
-					queue = append(queue, u)
-				}
-			}
-		})
-	}
-}
-
 // buildClosures closes the most frequent labels (by edge count) under the
 // byte budget, predecessor direction first: the backward product sweep
 // consumes pred closures, so they take priority when the budget is tight.
@@ -399,85 +227,6 @@ func (x *Index) buildClosures(opts Options) {
 	x.memBytes += spent
 }
 
-// buildLandmarks picks the top-degree nodes as landmarks and runs one
-// forward and one backward BFS per (landmark, label), recording per-node
-// landmark masks. The masks are a positive 2-hop certificate: if some
-// landmark is forward-reachable from v and backward-reaches w under label
-// l, then v reaches w via l-paths.
-func (x *Index) buildLandmarks(opts Options) {
-	if opts.Landmarks <= 0 {
-		return
-	}
-	ix := x.ix
-	n := ix.NumNodes()
-	numLabels := ix.NumLabels()
-	if n == 0 || numLabels == 0 {
-		return
-	}
-	k := opts.Landmarks
-	if k > n {
-		k = n
-	}
-	// Degree order: total degree, ties by node index for determinism.
-	deg := make([]int, n)
-	for v := int32(0); v < int32(n); v++ {
-		d := ix.OutDegree(v)
-		for l := int32(0); l < int32(numLabels); l++ {
-			d += len(ix.In(v, l))
-		}
-		deg[v] = d
-	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if deg[order[i]] != deg[order[j]] {
-			return deg[order[i]] > deg[order[j]]
-		}
-		return order[i] < order[j]
-	})
-	x.landmarks = append([]int32(nil), order[:k]...)
-
-	x.landFw = make([][]uint64, numLabels)
-	x.landBw = make([][]uint64, numLabels)
-	queue := make([]int32, 0, n)
-	for l := 0; l < numLabels; l++ {
-		fw := make([]uint64, n)
-		bw := make([]uint64, n)
-		for ki, lm := range x.landmarks {
-			bit := uint64(1) << uint(ki)
-			// Backward BFS over l-edges: nodes that reach the landmark.
-			queue = append(queue[:0], lm)
-			fw[lm] |= bit
-			for head := 0; head < len(queue); head++ {
-				v := queue[head]
-				for _, u := range x.ix.In(v, int32(l)) {
-					if fw[u]&bit == 0 {
-						fw[u] |= bit
-						queue = append(queue, u)
-					}
-				}
-			}
-			// Forward BFS: nodes the landmark reaches.
-			queue = append(queue[:0], lm)
-			bw[lm] |= bit
-			for head := 0; head < len(queue); head++ {
-				v := queue[head]
-				for _, w := range x.ix.Out(v, int32(l)) {
-					if bw[w]&bit == 0 {
-						bw[w] |= bit
-						queue = append(queue, w)
-					}
-				}
-			}
-		}
-		x.landFw[l] = fw
-		x.landBw[l] = bw
-	}
-	x.memBytes += int64(numLabels) * int64(n) * 16
-}
-
 // buildSourceBits records, per label, which nodes have an outgoing edge of
 // that label. One word per 64 nodes per label — negligible next to the
 // closures — and always built.
@@ -512,52 +261,9 @@ func (x *Index) SourceBits(gl int32) []uint64 {
 	return x.srcBits[gl]
 }
 
-// ReachesViaLabel reports whether v reaches w by a (possibly empty) path
-// using only edges of label gl — the single-label / label-star subquery
-// answered directly from the index: an exact closure row when the label
-// is closed, a landmark certificate when one covers the pair, and an
-// exact bounded BFS fallback otherwise.
-func (x *Index) ReachesViaLabel(v, w, gl int32) bool {
-	if v == w {
-		return true
-	}
-	if cl := x.succ[gl]; cl != nil {
-		x.hits.Add(1)
-		return cl.Reaches(v, w)
-	}
-	if cl := x.pred[gl]; cl != nil {
-		x.hits.Add(1)
-		return cl.Reaches(w, v) // pred rows are the transposed relation
-	}
-	if x.landFw != nil {
-		if x.landFw[gl][v]&x.landBw[gl][w] != 0 {
-			x.hits.Add(1)
-			return true
-		}
-	}
-	// Exact fallback: forward BFS over gl-edges.
-	n := x.ix.NumNodes()
-	seen := make([]uint64, (n+63)/64)
-	seen[v>>6] |= 1 << (uint(v) & 63)
-	queue := []int32{v}
-	for head := 0; head < len(queue); head++ {
-		for _, t := range x.ix.Out(queue[head], gl) {
-			if t == w {
-				return true
-			}
-			if seen[t>>6]&(1<<(uint(t)&63)) == 0 {
-				seen[t>>6] |= 1 << (uint(t) & 63)
-				queue = append(queue, t)
-			}
-		}
-	}
-	return false
-}
-
-// AddHits / AddPrunes bump the consultation counters; the engine batches
-// them per sweep so the hot loops touch no atomics.
-func (x *Index) AddHits(n uint64)   { x.hits.Add(n) }
-func (x *Index) AddPrunes(n uint64) { x.prunes.Add(n) }
+// AddHits bumps the consultation counter; the engine batches it per sweep
+// so the hot loops touch no atomics.
+func (x *Index) AddHits(n uint64) { x.hits.Add(n) }
 
 // Stats is a point-in-time snapshot of the index for /v1/stats and the
 // gpsd_index_* metric families.
@@ -570,16 +276,8 @@ type Stats struct {
 	ClosedLabels int `json:"closed_labels"`
 	// SetClosures counts the lazily built label-set closures resident.
 	SetClosures int `json:"set_closures"`
-	// Landmarks is the landmark count of the 2-hop labelling.
-	Landmarks int `json:"landmarks"`
-	// DistinctMasks is the interned out-label mask count (0 when the
-	// viability table was disabled by cardinality).
-	DistinctMasks int `json:"distinct_masks"`
 	// Hits counts index consultations that answered or jumped a subquery.
 	Hits uint64 `json:"hits"`
-	// Prunes counts product configurations discarded by the viability
-	// check.
-	Prunes uint64 `json:"prunes"`
 }
 
 // Stats returns the current snapshot.
@@ -599,13 +297,10 @@ func (x *Index) Stats() Stats {
 	}
 	x.setMu.Unlock()
 	return Stats{
-		Bytes:         x.memBytes + x.setBytes.Load(),
-		SetClosures:   sets,
-		BuildMs:       float64(x.buildTime.Microseconds()) / 1e3,
-		ClosedLabels:  closed,
-		Landmarks:     len(x.landmarks),
-		DistinctMasks: len(x.masks),
-		Hits:          x.hits.Load(),
-		Prunes:        x.prunes.Load(),
+		Bytes:        x.memBytes + x.setBytes.Load(),
+		SetClosures:  sets,
+		BuildMs:      float64(x.buildTime.Microseconds()) / 1e3,
+		ClosedLabels: closed,
+		Hits:         x.hits.Load(),
 	}
 }

@@ -49,28 +49,6 @@ func refReaches(ix *graph.Indexed, v, w, gl int32) bool {
 	return false
 }
 
-// refOutMask is the reference reachable-label mask: DFS collecting the
-// labels of every edge reachable from v.
-func refOutMask(ix *graph.Indexed, v int32) uint64 {
-	seen := make([]bool, ix.NumNodes())
-	seen[v] = true
-	queue := []int32{v}
-	var mask uint64
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for l := int32(0); l < int32(ix.NumLabels()); l++ {
-			for _, t := range ix.Out(u, l) {
-				mask |= LabelBit(l)
-				if !seen[t] {
-					seen[t] = true
-					queue = append(queue, t)
-				}
-			}
-		}
-	}
-	return mask
-}
-
 // TestIndexClosureMatchesBFS pins every closed label's closure rows (both
 // directions) to the reference BFS on randomized graphs.
 func TestIndexClosureMatchesBFS(t *testing.T) {
@@ -79,7 +57,7 @@ func TestIndexClosureMatchesBFS(t *testing.T) {
 		g := randomGraph(rng, 14)
 		ix := g.Indexed()
 		// Close every label: large budget, no label cap pressure.
-		x := Build(ix, Options{MaxClosureLabels: 8, Landmarks: 4})
+		x := Build(ix, Options{MaxClosureLabels: 8})
 		n := int32(ix.NumNodes())
 		for gl := int32(0); gl < int32(ix.NumLabels()); gl++ {
 			succ, pred := x.SuccStar(gl), x.PredStar(gl)
@@ -95,9 +73,6 @@ func TestIndexClosureMatchesBFS(t *testing.T) {
 						if got := pred.Reaches(w, v); got != want {
 							t.Fatalf("case %d label %d: pred.Reaches(%d,%d)=%v want %v (transposed)", c, gl, w, v, got, want)
 						}
-					}
-					if got := x.ReachesViaLabel(v, w, gl); got != want {
-						t.Fatalf("case %d label %d: ReachesViaLabel(%d,%d)=%v want %v", c, gl, v, w, got, want)
 					}
 				}
 			}
@@ -189,51 +164,8 @@ func TestIndexPredStarSet(t *testing.T) {
 	}
 }
 
-// TestIndexReachesViaLabelWithoutClosures forces the landmark + BFS
-// fallback path and pins it to the reference.
-func TestIndexReachesViaLabelWithoutClosures(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for c := 0; c < 60; c++ {
-		g := randomGraph(rng, 12)
-		ix := g.Indexed()
-		x := Build(ix, Options{MaxClosureBytes: -1, MaxClosureLabels: -1, Landmarks: 3})
-		n := int32(ix.NumNodes())
-		for gl := int32(0); gl < int32(ix.NumLabels()); gl++ {
-			for v := int32(0); v < n; v++ {
-				for w := int32(0); w < n; w++ {
-					if got, want := x.ReachesViaLabel(v, w, gl), refReaches(ix, v, w, gl); got != want {
-						t.Fatalf("case %d label %d: ReachesViaLabel(%d,%d)=%v want %v", c, gl, v, w, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestIndexLabelMasks pins the out/in reachable-label masks and the mask
-// interning to the reference DFS.
-func TestIndexLabelMasks(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for c := 0; c < 80; c++ {
-		g := randomGraph(rng, 14)
-		ix := g.Indexed()
-		x := Build(ix, Options{})
-		for v := int32(0); v < int32(ix.NumNodes()); v++ {
-			want := refOutMask(ix, v)
-			if got := x.OutMask(v); got != want {
-				t.Fatalf("case %d: OutMask(%d) = %b, want %b", c, v, got, want)
-			}
-			if x.Masks() != nil {
-				if got := x.Masks()[x.MaskID(v)]; got != want {
-					t.Fatalf("case %d: interned mask of %d = %b, want %b", c, v, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestIndexClosureBudget checks that a tiny byte budget suppresses
-// closures without breaking the exact fallbacks.
+// TestIndexClosureBudget checks that a tiny byte budget suppresses every
+// closure while the always-built source bitsets stay exact.
 func TestIndexClosureBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomGraph(rng, 14)
@@ -244,12 +176,12 @@ func TestIndexClosureBudget(t *testing.T) {
 			t.Fatalf("label %d closed despite 1-byte budget", gl)
 		}
 	}
-	for v := int32(0); v < int32(ix.NumNodes()); v++ {
-		for w := int32(0); w < int32(ix.NumNodes()); w++ {
-			for gl := int32(0); gl < int32(ix.NumLabels()); gl++ {
-				if got, want := x.ReachesViaLabel(v, w, gl), refReaches(ix, v, w, gl); got != want {
-					t.Fatalf("ReachesViaLabel(%d,%d,%d)=%v want %v", v, w, gl, got, want)
-				}
+	for gl := int32(0); gl < int32(ix.NumLabels()); gl++ {
+		src := x.SourceBits(gl)
+		for v := int32(0); v < int32(ix.NumNodes()); v++ {
+			got := src[v>>6]&(1<<(uint(v)&63)) != 0
+			if want := len(ix.Out(v, gl)) > 0; got != want {
+				t.Fatalf("SourceBits(%d) bit %d = %v, want %v", gl, v, got, want)
 			}
 		}
 	}
@@ -267,17 +199,12 @@ func TestIndexStats(t *testing.T) {
 	if st.Bytes <= 0 {
 		t.Fatalf("Stats.Bytes = %d, want > 0", st.Bytes)
 	}
-	if st.Landmarks <= 0 {
-		t.Fatalf("Stats.Landmarks = %d, want > 0", st.Landmarks)
-	}
-	if st.DistinctMasks <= 0 {
-		t.Fatalf("Stats.DistinctMasks = %d, want > 0", st.DistinctMasks)
+	if st.ClosedLabels <= 0 {
+		t.Fatalf("Stats.ClosedLabels = %d, want > 0", st.ClosedLabels)
 	}
 	x.AddHits(2)
-	x.AddPrunes(3)
-	st = x.Stats()
-	if st.Hits != 2 || st.Prunes != 3 {
-		t.Fatalf("counters = %d/%d, want 2/3", st.Hits, st.Prunes)
+	if st = x.Stats(); st.Hits != 2 {
+		t.Fatalf("Stats.Hits = %d, want 2", st.Hits)
 	}
 	if x.GraphVersion() != g.Version() {
 		t.Fatalf("GraphVersion = %d, want %d", x.GraphVersion(), g.Version())

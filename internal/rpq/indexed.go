@@ -312,64 +312,3 @@ func fullFrontier(frontier []uint64, n int) bool {
 	}
 	return true
 }
-
-// buildViability tabulates, per distinct out-label mask and DFA state,
-// whether the DFA can still accept using only labels in the mask. A
-// product configuration (v, s) with viab[maskID(v)][s] == false can never
-// reach acceptance — every edge on a path from v carries a label in v's
-// out mask — so forward searches (SelectsWithin, PairsFrom) drop it. The
-// check is one-sided: the overflow label bit and mask unions only ever
-// widen the allowed set, so a viable verdict can be wrong but an
-// unviable one never is, and results are unchanged.
-func (e *Engine) buildViability() {
-	masks := e.idx.Masks()
-	if masks == nil {
-		return
-	}
-	S := e.numStates
-	rev := e.dfa.Reverse()
-	numLabels := e.ix.NumLabels()
-	viab := make([]bool, len(masks)*S)
-	seen := make([]bool, S)
-	queue := make([]automaton.State, 0, S)
-	for mi, mask := range masks {
-		row := viab[mi*S : (mi+1)*S]
-		for i := range seen {
-			seen[i] = false
-		}
-		queue = queue[:0]
-		for s := 0; s < S; s++ {
-			if e.accepting[s] {
-				row[s] = true
-				seen[s] = true
-				queue = append(queue, automaton.State(s))
-			}
-		}
-		for head := 0; head < len(queue); head++ {
-			s := queue[head]
-			for gl := 0; gl < numLabels; gl++ {
-				if e.dfaLabel[gl] < 0 || mask&index.LabelBit(int32(gl)) == 0 {
-					continue
-				}
-				for _, p := range rev.Pred(s, e.dfaLabel[gl]) {
-					if !seen[p] {
-						seen[p] = true
-						row[p] = true
-						queue = append(queue, p)
-					}
-				}
-			}
-		}
-	}
-	e.viab = viab
-}
-
-// viable reports whether configuration (node v, state s) can still reach
-// acceptance according to the label-viability table; true when the table
-// is absent.
-func (e *Engine) viable(v int32, s automaton.State) bool {
-	if e.viab == nil {
-		return true
-	}
-	return e.viab[int(e.idx.MaskID(v))*e.numStates+int(s)]
-}

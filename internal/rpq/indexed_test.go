@@ -94,17 +94,15 @@ func TestIndexedEquivalenceRandomized(t *testing.T) {
 }
 
 // TestIndexedEquivalenceConstrainedIndexes re-runs the equivalence suite
-// under index configurations that stress individual layers: closures
-// suppressed (viability prune + landmarks only), landmarks suppressed, and
-// a tiny mask-interning cap that disables the viability prune.
+// with closures suppressed, so every step runs the generic backward OR or
+// the source-bitset shortcut (TestIndexedEquivalenceRandomized covers the
+// default index).
 func TestIndexedEquivalenceConstrainedIndexes(t *testing.T) {
 	configs := []struct {
 		name string
 		opts index.Options
 	}{
 		{"no-closures", index.Options{MaxClosureBytes: -1, MaxClosureLabels: -1}},
-		{"no-landmarks", index.Options{Landmarks: -1}},
-		{"tiny-mask-cap", index.Options{MaxDistinctMasks: 1}},
 	}
 	for _, cfg := range configs {
 		rng := rand.New(rand.NewSource(17))

@@ -40,7 +40,6 @@ func (e *Engine) PairsFrom(from graph.NodeID) []graph.NodeID {
 	}
 	queue := append(es.queue[:0], int32(startCfg))
 	numLabels := e.ix.NumLabels()
-	var pruned uint64
 	for head := 0; head < len(queue); head++ {
 		c := int(queue[head])
 		u := int32(c / S)
@@ -57,14 +56,6 @@ func (e *Engine) PairsFrom(from graph.NodeID) []graph.NodeID {
 				if seen[nc>>6]&(1<<(uint(nc)&63)) != 0 {
 					continue
 				}
-				// Unviable configurations cannot contribute answers (an
-				// accepting state is always viable, so no answer is ever
-				// skipped). Left unmarked on purpose: the seen cleanup
-				// below only walks the queue.
-				if !e.viable(v, ns) {
-					pruned++
-					continue
-				}
 				seen[nc>>6] |= 1 << (uint(nc) & 63)
 				if acc && !answers[v] {
 					answers[v] = true
@@ -73,9 +64,6 @@ func (e *Engine) PairsFrom(from graph.NodeID) []graph.NodeID {
 				queue = append(queue, int32(nc))
 			}
 		}
-	}
-	if pruned > 0 {
-		e.idx.AddPrunes(pruned)
 	}
 	out := make([]graph.NodeID, 0, count)
 	n := e.ix.NumNodes()

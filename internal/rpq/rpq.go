@@ -58,12 +58,8 @@ type Engine struct {
 	selectedIDs []graph.NodeID
 	// idx is the optional precomputed reachability index the engine was
 	// built with (see indexed.go); nil engines behave identically, the
-	// index only changes how fast the fixpoint and the forward searches
-	// run.
+	// index only changes how fast the backward fixpoint runs.
 	idx *index.Index
-	// viab is the per-(out-label-mask, state) acceptance-viability table
-	// derived from idx; nil disables the forward-search prune.
-	viab []bool
 	// scratch pools per-call BFS state (parent pointers, queue) so that
 	// repeated Witness calls do not reallocate product-sized arrays.
 	scratch sync.Pool
@@ -396,12 +392,6 @@ func (e *Engine) SelectsWithin(node graph.NodeID, maxLen int) bool {
 	if e.accepting[e.start] {
 		return true
 	}
-	if !e.viable(ni, e.start) {
-		// The labels reachable from the node cannot spell any accepted
-		// word, bounded or not.
-		e.idx.AddPrunes(1)
-		return false
-	}
 	S := e.numStates
 	es := e.getEval()
 	seen := es.seen
@@ -412,7 +402,6 @@ func (e *Engine) SelectsWithin(node graph.NodeID, maxLen int) bool {
 	next := es.next[:0]
 	numLabels := e.ix.NumLabels()
 	found := false
-	var pruned uint64
 search:
 	for depth := 0; depth < maxLen && len(frontier) > 0; depth++ {
 		next = next[:0]
@@ -435,21 +424,12 @@ search:
 					if seen[nc>>6]&(1<<(uint(nc)&63)) == 0 {
 						seen[nc>>6] |= 1 << (uint(nc) & 63)
 						touched = append(touched, int32(nc))
-						if !e.viable(v, ns) {
-							// Sound to drop: no path from v supplies the
-							// labels an accepting run from ns still needs.
-							pruned++
-							continue
-						}
 						next = append(next, int32(nc))
 					}
 				}
 			}
 		}
 		frontier, next = next, frontier
-	}
-	if pruned > 0 {
-		e.idx.AddPrunes(pruned)
 	}
 	// Restore the all-zero invariant before pooling: every set bit was
 	// recorded in touched.

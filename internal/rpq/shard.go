@@ -29,9 +29,8 @@ type Options struct {
 	Workers int
 	// Index, when non-nil and built on the graph's current Indexed view,
 	// switches the sweep to the index-assisted state-wise bitset fixpoint
-	// (see indexed.go) and arms the label-viability prune of the forward
-	// searches. A stale or foreign index is ignored. Results are always
-	// byte-identical to an index-less engine.
+	// (see indexed.go). A stale or foreign index is ignored. Results are
+	// always byte-identical to an index-less engine.
 	Index *index.Index
 }
 
@@ -57,7 +56,6 @@ func NewWith(g *graph.Graph, query *regex.Expr, opts Options) *Engine {
 	e := newEngine(g, query)
 	if e.usableIndex(opts.Index) {
 		e.idx = opts.Index
-		e.buildViability()
 		e.computeReachabilityIndexed()
 		return e
 	}

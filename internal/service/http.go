@@ -132,10 +132,8 @@ func (s *Server) registerObs() {
 		indexStat(func(st index.Stats) float64 { return float64(st.Bytes) }))
 	graphFamily("gpsd_index_build_seconds", "Wall-clock build time of the reachability index, by graph.", obs.KindGauge,
 		indexStat(func(st index.Stats) float64 { return float64(st.BuildMs) / 1000 }))
-	graphFamily("gpsd_index_hits_total", "Reachability-index assisted answers (closure jumps and direct label probes), by graph.", obs.KindCounter,
+	graphFamily("gpsd_index_hits_total", "Reachability-index closure jumps taken by the indexed sweep, by graph.", obs.KindCounter,
 		indexStat(func(st index.Stats) float64 { return float64(st.Hits) }))
-	graphFamily("gpsd_index_prunes_total", "Frontier configurations pruned by the index viability check, by graph.", obs.KindCounter,
-		indexStat(func(st index.Stats) float64 { return float64(st.Prunes) }))
 	reg.GaugeFunc("gpsd_recovery_graphs", "Graph snapshots restored by the last recovery.",
 		func() float64 { return float64(s.recovery.Graphs) })
 	reg.GaugeFunc("gpsd_recovery_sessions_resumed", "In-flight sessions resumed by the last recovery.",

@@ -105,8 +105,7 @@ func (h *GraphHandle) buildIndex(ix *graph.Indexed, logger *slog.Logger) {
 		"graph", h.name,
 		"bytes", st.Bytes,
 		"build_ms", st.BuildMs,
-		"closed_labels", st.ClosedLabels,
-		"landmarks", st.Landmarks)
+		"closed_labels", st.ClosedLabels)
 }
 
 // Check verifies the snapshot invariant: the graph has not been mutated

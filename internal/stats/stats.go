@@ -1,6 +1,6 @@
 // Package stats provides the small numeric and tabular toolkit used by the
 // experiment harness: aggregation of repeated measurements and fixed-width
-// result tables matching the series reported in EXPERIMENTS.md.
+// result tables for the series cmd/gpsbench prints.
 package stats
 
 import (

@@ -4,8 +4,7 @@
 // validated path of interest for a positive node, and whether she is
 // satisfied with the currently learned query. Simulated users implement
 // exactly that interface, parameterised by a goal query, which makes the
-// demo's human-in-the-loop scenario reproducible (see DESIGN.md,
-// substitution table).
+// demo's human-in-the-loop scenario reproducible.
 package user
 
 import (
