@@ -1,6 +1,6 @@
-// Command apicheck enforces the v1 API error contract statically: every
-// wire error written inside internal/service must carry one of the
-// registered stable error codes.
+// Command apicheck enforces two v1 API contracts statically: every wire
+// error written inside internal/service must carry one of the registered
+// stable error codes, and every success body must be a declared type.
 //
 // The contract is cheap to check because writeError folds all dynamic
 // status upgrades (ErrStore -> 500 store_failure) inside itself, so every
@@ -14,6 +14,12 @@
 // writeError/writeRateLimited call passes anything else — a raw string, a
 // variable, a computed expression. That turns "every error response has a
 // stable machine-readable code" from a review convention into a CI gate.
+//
+// Success bodies are declared structs (see internal/service/api.go) that
+// pkg/client aliases, so the server and the client share one definition.
+// apicheck fails on any map[string]any (or map[string]interface{})
+// composite literal in a non-test file of the package: an ad-hoc map body
+// would drift from the client's type unnoticed.
 //
 // Usage:
 //
@@ -62,7 +68,10 @@ func main() {
 	var offences []string
 	calls := 0
 	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
+		for name, file := range pkg.Files {
+			if !strings.HasSuffix(name, "_test.go") {
+				offences = append(offences, untypedBodies(fset, file)...)
+			}
 			for _, decl := range file.Decls {
 				// The writer functions' own bodies forward code variables
 				// internally; the contract binds their call sites.
@@ -110,8 +119,39 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("apicheck: %d error-writing calls in %s all carry registered codes (%d codes declared)\n",
+	fmt.Printf("apicheck: %d error-writing calls in %s all carry registered codes (%d codes declared); no map[string]any bodies\n",
 		calls, dir, len(codes))
+}
+
+// untypedBodies reports every map[string]any composite literal in the
+// file.
+func untypedBodies(fset *token.FileSet, file *ast.File) []string {
+	var out []string
+	ast.Inspect(file, func(n ast.Node) bool {
+		lit, ok := n.(*ast.CompositeLit)
+		if !ok {
+			return true
+		}
+		if mt, ok := lit.Type.(*ast.MapType); ok && isIdent(mt.Key, "string") && isAny(mt.Value) {
+			out = append(out, fmt.Sprintf("%s: map[string]any literal: declare a response type instead",
+				fset.Position(lit.Pos())))
+		}
+		return true
+	})
+	return out
+}
+
+func isIdent(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
+}
+
+// isAny reports whether e is any or an empty interface{}.
+func isAny(e ast.Expr) bool {
+	if it, ok := e.(*ast.InterfaceType); ok {
+		return len(it.Methods.List) == 0
+	}
+	return isIdent(e, "any")
 }
 
 // collectCodes records every constant of type ErrorCode declared in the

@@ -27,11 +27,11 @@ var (
 )
 
 // compiledDFA returns the minimal complete DFA of the query over the given
-// alphabet, memoised by (canonical query string, alphabet). The returned
-// DFA is shared and must be treated as immutable.
-func compiledDFA(query *regex.Expr, alphabet []string) *automaton.DFA {
+// alphabet, memoised by (canonical query string text, alphabet). The
+// returned DFA is shared and must be treated as immutable.
+func compiledDFA(text string, query *regex.Expr, alphabet []string) *automaton.DFA {
 	var sb strings.Builder
-	sb.WriteString(query.String())
+	sb.WriteString(text)
 	for _, l := range alphabet {
 		sb.WriteByte(0)
 		sb.WriteString(l)
@@ -83,7 +83,11 @@ type EngineCache struct {
 	// builds, later missers wait on done and share the result instead of
 	// burning a full product sweep each. Flushed alongside entries on a
 	// version change so nobody joins a stale build.
-	inflight  map[string]*inflightBuild
+	inflight map[string]*inflightBuild
+	// spellings maps query text seen by GetText to the element of the entry
+	// that text parses to, so a repeated text skips the parse. Each entry
+	// lists its spellings and takes them along when it is evicted.
+	spellings map[string]*list.Element
 	hits      uint64
 	misses    uint64
 	evictions uint64
@@ -96,12 +100,17 @@ type inflightBuild struct {
 	e    *Engine
 }
 
-// cacheEntry is one resident engine together with its key, so that
-// evicting the list tail can also delete the map entry.
+// cacheEntry is one resident engine together with its key and spellings,
+// so that evicting the list tail can also delete its map entries.
 type cacheEntry struct {
-	key    string
-	engine *Engine
+	key       string
+	engine    *Engine
+	spellings []string
 }
+
+// maxSpellings bounds the query texts remembered per entry: a client that
+// spells one query in ever new ways keeps paying the parse, not memory.
+const maxSpellings = 4
 
 // DefaultCacheCapacity bounds the number of cached engines per graph when
 // CacheOptions.Capacity is zero.
@@ -138,14 +147,15 @@ func NewCacheWith(g *graph.Graph, opts CacheOptions) *EngineCache {
 		opts.Capacity = DefaultCacheCapacity
 	}
 	return &EngineCache{
-		g:        g,
-		cap:      opts.Capacity,
-		workers:  opts.Workers,
-		index:    opts.Index,
-		version:  g.Version(),
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-		inflight: make(map[string]*inflightBuild),
+		g:         g,
+		cap:       opts.Capacity,
+		workers:   opts.Workers,
+		index:     opts.Index,
+		version:   g.Version(),
+		entries:   make(map[string]*list.Element),
+		lru:       list.New(),
+		inflight:  make(map[string]*inflightBuild),
+		spellings: make(map[string]*list.Element),
 	}
 }
 
@@ -159,6 +169,48 @@ func (c *EngineCache) flushLocked() {
 	c.entries = make(map[string]*list.Element)
 	c.lru.Init()
 	c.inflight = make(map[string]*inflightBuild)
+	c.spellings = make(map[string]*list.Element)
+}
+
+// syncVersionLocked flushes every entry once the graph has moved past the
+// version they were built at. Caller holds c.mu.
+func (c *EngineCache) syncVersionLocked() {
+	if v := c.g.Version(); v != c.version {
+		c.version = v
+		c.flushLocked()
+	}
+}
+
+// GetText returns the evaluated engine for the query spelled text, which
+// parse turns into an expression: the engine Get(parse(text)) returns.
+// Once text has been parsed while its engine is resident, later calls with
+// the same text are served without parsing it again.
+func (c *EngineCache) GetText(text string, parse func(string) (*regex.Expr, error)) (*Engine, error) {
+	c.mu.Lock()
+	c.syncVersionLocked()
+	if el, ok := c.spellings[text]; ok {
+		c.hits++
+		c.lru.MoveToFront(el)
+		e := el.Value.(*cacheEntry).engine
+		c.mu.Unlock()
+		return e, nil
+	}
+	c.mu.Unlock()
+	query, err := parse(text)
+	if err != nil {
+		return nil, err
+	}
+	e := c.Get(query)
+	c.mu.Lock()
+	if el, ok := c.entries[e.text]; ok {
+		ent := el.Value.(*cacheEntry)
+		if _, dup := c.spellings[text]; !dup && len(ent.spellings) < maxSpellings {
+			ent.spellings = append(ent.spellings, text)
+			c.spellings[text] = el
+		}
+	}
+	c.mu.Unlock()
+	return e, nil
 }
 
 // Get returns the evaluated engine for the query, building and caching it
@@ -166,10 +218,7 @@ func (c *EngineCache) flushLocked() {
 func (c *EngineCache) Get(query *regex.Expr) *Engine {
 	key := query.String()
 	c.mu.Lock()
-	if v := c.g.Version(); v != c.version {
-		c.version = v
-		c.flushLocked()
-	}
+	c.syncVersionLocked()
 	if el, ok := c.entries[key]; ok {
 		c.hits++
 		c.lru.MoveToFront(el)
@@ -227,7 +276,11 @@ func (c *EngineCache) Get(query *regex.Expr) *Engine {
 	for c.lru.Len() > c.cap {
 		tail := c.lru.Back()
 		c.lru.Remove(tail)
-		delete(c.entries, tail.Value.(*cacheEntry).key)
+		ent := tail.Value.(*cacheEntry)
+		delete(c.entries, ent.key)
+		for _, text := range ent.spellings {
+			delete(c.spellings, text)
+		}
 		c.evictions++
 	}
 	return e

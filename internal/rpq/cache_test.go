@@ -1,6 +1,8 @@
 package rpq
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"sync"
 	"testing"
@@ -164,5 +166,68 @@ func TestConsistentThroughCache(t *testing.T) {
 	}
 	if c.Consistent(q, []graph.NodeID{"C1"}, nil) {
 		t.Fatal("facility node is not selected and cannot be a positive")
+	}
+}
+
+func TestEngineCacheGetText(t *testing.T) {
+	g := figure1(t)
+	c := NewCacheWith(g, CacheOptions{Capacity: 2})
+	parses := 0
+	parse := func(s string) (*regex.Expr, error) {
+		parses++
+		return regex.Parse(s)
+	}
+	// Two spellings of one query share the engine Get returns; each is
+	// parsed once, then served from the cache.
+	want := c.Get(regex.MustParse("(tram+bus)*.cinema"))
+	for _, text := range []string{"(tram+bus)*.cinema", "(bus+tram)*.cinema", "(tram+bus)*.cinema", "(bus+tram)*.cinema"} {
+		e, err := c.GetText(text, parse)
+		if err != nil || e != want {
+			t.Fatalf("GetText(%q) = %p, %v; want the cached engine %p", text, e, err, want)
+		}
+	}
+	if parses != 2 {
+		t.Fatalf("two spellings parsed %d times, want 2", parses)
+	}
+	if _, err := c.GetText("((", parse); err == nil {
+		t.Fatal("a malformed query must return the parse error")
+	}
+	// Evicting the entry forgets its spellings: the next call parses again
+	// and gets the rebuilt engine.
+	c.Get(regex.MustParse("bus"))
+	c.Get(regex.MustParse("tram"))
+	e, err := c.GetText("(tram+bus)*.cinema", parse)
+	if err != nil || e == want || parses != 4 {
+		t.Fatalf("after eviction: engine reused %v, err %v, %d parses; want a rebuilt engine after 4 parses", e == want, err, parses)
+	}
+	// A graph mutation flushes spellings with the entries.
+	g.MustAddEdge("N5", "cinema", "C1")
+	e2, _ := c.GetText("(tram+bus)*.cinema", parse)
+	if e2 == e || !e2.Selects("N5") {
+		t.Fatal("GetText must not serve an engine of an older graph version")
+	}
+}
+
+func TestSelectedJSON(t *testing.T) {
+	g := figure1(t)
+	for _, q := range []string{"(tram+bus)*.cinema", "metro"} {
+		e := New(g, regex.MustParse(q))
+		want, _ := json.Marshal(e.Selected())
+		// Concurrent first calls build the encoding once and share it.
+		got := make([][]byte, 8)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = e.SelectedJSON()
+			}()
+		}
+		wg.Wait()
+		for _, b := range got {
+			if !bytes.Equal(b, want) || &b[0] != &got[0][0] {
+				t.Fatalf("%s: SelectedJSON = %s (shared %v), want %s built once", q, b, &b[0] == &got[0][0], want)
+			}
+		}
 	}
 }

@@ -17,6 +17,7 @@
 package rpq
 
 import (
+	"encoding/json"
 	"sync"
 	"sync/atomic"
 
@@ -33,7 +34,9 @@ type Engine struct {
 	g     *graph.Graph
 	ix    *graph.Indexed
 	query *regex.Expr
-	dfa   *automaton.DFA
+	// text is query's canonical spelling, query.String().
+	text string
+	dfa  *automaton.DFA
 
 	numStates int
 	start     automaton.State
@@ -56,6 +59,11 @@ type Engine struct {
 	accFill  func() []uint64
 	// selectedIDs caches the sorted answer set.
 	selectedIDs []graph.NodeID
+	// selectedJSON is selectedIDs encoded as a JSON array, built through
+	// selectedOnce on the first SelectedJSON call. It lives and dies with
+	// the engine, so an EngineCache eviction drops it too.
+	selectedOnce sync.Once
+	selectedJSON []byte
 	// idx is the optional precomputed reachability index the engine was
 	// built with (see indexed.go); nil engines behave identically, the
 	// index only changes how fast the backward fixpoint runs.
@@ -157,11 +165,13 @@ func newEngine(g *graph.Graph, query *regex.Expr) *Engine {
 	for l := range alphabet {
 		alphabet[l] = string(ix.LabelAt(int32(l)))
 	}
-	dfa := compiledDFA(query, alphabet)
+	text := query.String()
+	dfa := compiledDFA(text, query, alphabet)
 	e := &Engine{
 		g:         g,
 		ix:        ix,
 		query:     query,
+		text:      text,
 		dfa:       dfa,
 		numStates: dfa.NumStates(),
 		start:     dfa.Start(),
@@ -183,6 +193,10 @@ func newEngine(g *graph.Graph, query *regex.Expr) *Engine {
 
 // Query returns the compiled query expression.
 func (e *Engine) Query() *regex.Expr { return e.query }
+
+// QueryString returns the canonical spelling of the query, Query().String(),
+// computed once when the engine was built.
+func (e *Engine) QueryString() string { return e.text }
 
 // computeReachability marks every configuration (node, state) from which an
 // accepting DFA state is reachable in the product graph, by a backward
@@ -279,6 +293,24 @@ func (e *Engine) Selected() []graph.NodeID {
 	out := make([]graph.NodeID, len(e.selectedIDs))
 	copy(out, e.selectedIDs)
 	return out
+}
+
+// NumSelected returns the size of the answer set without copying it.
+func (e *Engine) NumSelected() int { return len(e.selectedIDs) }
+
+// SelectedJSON returns the sorted answer set as a JSON array of strings,
+// byte for byte what encoding/json writes for Selected() (an empty set is
+// "[]", never "null"). The encoding is built once, on the first call, and
+// shared by every caller, who must not modify it.
+func (e *Engine) SelectedJSON() []byte {
+	e.selectedOnce.Do(func() {
+		ids := e.selectedIDs
+		if ids == nil {
+			ids = []graph.NodeID{}
+		}
+		e.selectedJSON, _ = json.Marshal(ids) // a []string cannot fail to encode
+	})
+	return e.selectedJSON
 }
 
 // Witness returns a shortest path (sequence of edges) starting at node

@@ -68,7 +68,7 @@ func TestRequestTimeout(t *testing.T) {
 
 	var errResp errorEnvelope
 	code := do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate",
-		evaluateRequest{Query: "(tram+bus)*.cinema", Witnesses: true}, &errResp)
+		EvaluateRequest{Query: "(tram+bus)*.cinema", Witnesses: true}, &errResp)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("evaluate under expired deadline returned %d, want 503", code)
 	}
@@ -99,7 +99,7 @@ func TestRequestTimeoutGenerous(t *testing.T) {
 		Count int `json:"count"`
 	}
 	if code := do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate",
-		evaluateRequest{Query: "(tram+bus)*.cinema", Witnesses: true}, &eval); code != http.StatusOK {
+		EvaluateRequest{Query: "(tram+bus)*.cinema", Witnesses: true}, &eval); code != http.StatusOK {
 		t.Fatalf("evaluate returned %d", code)
 	}
 	if eval.Count != 4 {

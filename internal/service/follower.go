@@ -267,14 +267,11 @@ func (f *Follower) baseHandler() http.Handler {
 		// A read-only view over the replicated snapshots: names only, no
 		// engine is open to serve structure or evaluation.
 		names := f.replica.GraphNames()
-		type item struct {
-			Name string `json:"name"`
-		}
-		items := make([]item, 0, len(names))
+		list := ReplicaGraphs{Graphs: make([]ReplicaGraph, 0, len(names))}
 		for _, n := range names {
-			items = append(items, item{Name: n})
+			list.Graphs = append(list.Graphs, ReplicaGraph{Name: n})
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"graphs": items})
+		writeJSON(w, http.StatusOK, list)
 	})
 	mux.HandleFunc("POST /v1/admin/promote", func(w http.ResponseWriter, r *http.Request) {
 		if kr := f.opts.Keyring; kr != nil {

@@ -226,12 +226,12 @@ func (s *Server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rep)
 }
 
+// writeJSON answers with v as compact JSON (pipe it through jq to read
+// it).
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -288,22 +288,12 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted"})
 }
 
-// evaluateRequest is the body of POST /v1/graphs/{name}/evaluate.
-type evaluateRequest struct {
-	// Query is the path query in the paper's syntax.
-	Query string `json:"query"`
-	// Witnesses requests one shortest witness path per selected node.
-	Witnesses bool `json:"witnesses,omitempty"`
-	// Limit truncates the returned node (and witness) lists; 0 means all.
-	Limit int `json:"limit,omitempty"`
-}
-
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	h, ok := s.graphOr404(w, r)
 	if !ok {
 		return
 	}
-	var req evaluateRequest
+	var req EvaluateRequest
 	if !readJSON(w, r, &req) {
 		return
 	}
@@ -317,19 +307,26 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if deadlineHit(w, ctx) {
 		return
 	}
+	count := engine.NumSelected()
+	if !req.Witnesses && (req.Limit <= 0 || req.Limit >= count) {
+		writeEvaluate(w, engine.QueryString(), count, time.Since(started).Microseconds(), engine.SelectedJSON())
+		return
+	}
+	// A truncated or witnessed answer is encoded per request; it never
+	// builds the memo, so a cold miss with a small limit pays only for the
+	// nodes it sends.
 	nodes := engine.Selected()
-	total := len(nodes)
-	if req.Limit > 0 && len(nodes) > req.Limit {
+	if req.Limit > 0 && count > req.Limit {
 		nodes = nodes[:req.Limit]
 	}
-	resp := map[string]any{
-		"query":       engine.Query().String(),
-		"nodes":       nodes,
-		"count":       total,
-		"duration_us": time.Since(started).Microseconds(),
+	resp := EvaluateResult{
+		Query:      engine.QueryString(),
+		Count:      count,
+		DurationUs: time.Since(started).Microseconds(),
+		Nodes:      nodes,
 	}
 	if req.Witnesses {
-		resp["witnesses"] = witnessFanOut(ctx, engine, nodes, s.opts.EvalWorkers)
+		resp.Witnesses = witnessFanOut(ctx, engine, nodes, s.opts.EvalWorkers)
 		// A fan-out cut short by the deadline would return a silently
 		// partial witness map; fail the request instead.
 		if deadlineHit(w, ctx) {
@@ -337,6 +334,30 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// writeEvaluate answers an evaluate that sends the whole answer set and
+// no witnesses. It encodes the EvaluateResult head by hand, splices in the
+// engine's memoised node array without re-scanning it, and sends the body
+// in one Write with its Content-Length. The bytes are exactly what
+// writeJSON would send for the same EvaluateResult.
+func writeEvaluate(w http.ResponseWriter, query string, count int, durationUs int64, nodes []byte) {
+	q, _ := json.Marshal(query)
+	body := make([]byte, 0, len(q)+len(nodes)+96)
+	body = append(body, `{"query":`...)
+	body = append(body, q...)
+	body = append(body, `,"count":`...)
+	body = strconv.AppendInt(body, int64(count), 10)
+	body = append(body, `,"duration_us":`...)
+	body = strconv.AppendInt(body, durationUs, 10)
+	body = append(body, `,"nodes":`...)
+	body = append(body, nodes...)
+	body = append(body, "}\n"...)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // deadlineHit answers 503 when the per-request deadline (or the client)
@@ -465,7 +486,7 @@ func (s *Server) handleHypothesis(w http.ResponseWriter, r *http.Request) {
 	}
 	learned := sess.Learned()
 	if learned == "" {
-		writeJSON(w, http.StatusOK, map[string]any{"learned": nil})
+		writeJSON(w, http.StatusOK, HypothesisResult{Nodes: []graph.NodeID{}})
 		return
 	}
 	engine, err := sess.handle.Engine(learned)
@@ -473,18 +494,15 @@ func (s *Server) handleHypothesis(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err)
 		return
 	}
-	resp := map[string]any{
-		"learned": learned,
-		"nodes":   engine.Selected(),
-		"count":   len(engine.Selected()),
-	}
+	nodes := engine.Selected()
+	resp := HypothesisResult{Learned: learned, Nodes: nodes, Count: len(nodes)}
 	if witnessNode := r.URL.Query().Get("witness"); witnessNode != "" {
 		path, ok := engine.Witness(graph.NodeID(witnessNode))
 		if !ok {
 			writeError(w, http.StatusNotFound, CodeNodeNotFound, fmt.Errorf("node %q is not selected by the hypothesis", witnessNode))
 			return
 		}
-		resp["witness"] = path
+		resp.Witness = path
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -560,11 +578,7 @@ func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	graphs, next := page(s.registry.List(), p, "graphs", func(g GraphInfo) string { return g.Name })
-	resp := map[string]any{"graphs": graphs}
-	if next != "" {
-		resp["next_cursor"] = next
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, GraphPage{Graphs: graphs, NextCursor: next})
 }
 
 // handleListSessions serves GET /v1/sessions with optional ?limit=&cursor=
@@ -591,29 +605,26 @@ func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 		views = filtered
 	}
 	sessions, next := page(views, p, "sessions", func(v SessionView) string { return v.ID })
-	resp := map[string]any{"sessions": sessions}
-	if next != "" {
-		resp["next_cursor"] = next
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, SessionPage{Sessions: sessions, NextCursor: next})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := map[string]any{
-		"uptime_seconds": int64(time.Since(s.start).Seconds()),
-		"eval_workers":   s.opts.EvalWorkers,
-		"index_enabled":  !s.opts.DisableIndex,
-		"cache_capacity": s.opts.CacheCapacity,
-		"max_sessions":   s.opts.MaxSessions,
-		"graphs":         s.registry.List(),
-		"sessions":       s.manager.Counts(),
-		"backpressure":   s.manager.Backpressure(),
-		"tenants":        s.manager.TenantStats(),
-		"http":           s.metrics.Snapshot(),
+	resp := ServerStats{
+		UptimeSeconds: int64(time.Since(s.start).Seconds()),
+		EvalWorkers:   s.opts.EvalWorkers,
+		IndexEnabled:  !s.opts.DisableIndex,
+		CacheCapacity: s.opts.CacheCapacity,
+		MaxSessions:   s.opts.MaxSessions,
+		Graphs:        s.registry.List(),
+		Sessions:      s.manager.Counts(),
+		Backpressure:  s.manager.Backpressure(),
+		Tenants:       s.manager.TenantStats(),
+		HTTP:          s.metrics.Snapshot(),
 	}
 	if st := s.opts.Store; st != nil {
-		resp["store"] = st.Metrics()
-		resp["recovery"] = s.recovery
+		m := st.Metrics()
+		resp.Store = &m
+		resp.Recovery = &s.recovery
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -119,8 +119,8 @@ func TestMetricsEndpointCoversAllSurfaces(t *testing.T) {
 	loadFigure1(t, ts, "demo")
 
 	// Same query twice: one cache miss, one hit.
-	do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate", evaluateRequest{Query: "bus"}, nil)
-	do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate", evaluateRequest{Query: "bus"}, nil)
+	do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate", EvaluateRequest{Query: "bus"}, nil)
+	do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate", EvaluateRequest{Query: "bus"}, nil)
 
 	var v SessionView
 	if code := do(t, http.MethodPost, ts.URL+"/v1/sessions", SessionConfig{

@@ -128,7 +128,7 @@ func TestGraphPersistenceAcrossRestart(t *testing.T) {
 		Count int `json:"count"`
 	}
 	do(t, http.MethodPost, tsB.URL+"/v1/graphs/demo/evaluate",
-		evaluateRequest{Query: "(tram+bus)*.cinema"}, &eval)
+		EvaluateRequest{Query: "(tram+bus)*.cinema"}, &eval)
 	if eval.Count != 4 {
 		t.Fatalf("recovered demo graph evaluates to %d nodes, want 4", eval.Count)
 	}

@@ -123,11 +123,7 @@ func (h *GraphHandle) Engine(queryStr string) (*rpq.Engine, error) {
 	if err := h.Check(); err != nil {
 		return nil, err
 	}
-	q, err := parseQuery(queryStr)
-	if err != nil {
-		return nil, err
-	}
-	return h.cache.Get(q), nil
+	return h.cache.GetText(queryStr, parseQuery)
 }
 
 // GraphInfo is the JSON-facing summary of one registered graph. Owner uses

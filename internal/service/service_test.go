@@ -7,6 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -33,6 +36,19 @@ func newHTTPServer(t *testing.T, srv *Server) *httptest.Server {
 // out is nil). It returns the status code.
 func do(t *testing.T, method, url string, body any, out any) int {
 	t.Helper()
+	code, data := doRaw(t, method, url, body)
+	if out != nil {
+		if err := json.Unmarshal(data, out); err != nil {
+			t.Fatalf("%s %s: decode %q: %v", method, url, data, err)
+		}
+	}
+	return code
+}
+
+// doRaw issues a JSON request and returns the status code and the raw
+// response body.
+func doRaw(t *testing.T, method, url string, body any) (int, []byte) {
+	t.Helper()
 	var buf io.Reader
 	if body != nil {
 		data, err := json.Marshal(body)
@@ -54,12 +70,7 @@ func do(t *testing.T, method, url string, body any, out any) int {
 	if err != nil {
 		t.Fatalf("read response: %v", err)
 	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			t.Fatalf("%s %s: decode %q: %v", method, url, data, err)
-		}
-	}
-	return resp.StatusCode
+	return resp.StatusCode, data
 }
 
 func loadFigure1(t *testing.T, ts *httptest.Server, name string) {
@@ -113,17 +124,12 @@ func TestLoadGraphFormats(t *testing.T) {
 }
 
 func TestEvaluateEndpoint(t *testing.T) {
-	_, ts := newTestServer(t)
+	srv, ts := newTestServer(t)
 	loadFigure1(t, ts, "demo")
 
-	var resp struct {
-		Query     string                        `json:"query"`
-		Nodes     []graph.NodeID                `json:"nodes"`
-		Count     int                           `json:"count"`
-		Witnesses map[graph.NodeID][]graph.Edge `json:"witnesses"`
-	}
+	var resp EvaluateResult
 	code := do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate",
-		evaluateRequest{Query: "(tram+bus)*.cinema", Witnesses: true}, &resp)
+		EvaluateRequest{Query: "(tram+bus)*.cinema", Witnesses: true}, &resp)
 	if code != http.StatusOK {
 		t.Fatalf("evaluate returned %d", code)
 	}
@@ -137,14 +143,150 @@ func TestEvaluateEndpoint(t *testing.T) {
 
 	// Limit truncates the list but keeps the total count.
 	code = do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate",
-		evaluateRequest{Query: "(tram+bus)*.cinema", Limit: 2}, &resp)
+		EvaluateRequest{Query: "(tram+bus)*.cinema", Limit: 2}, &resp)
 	if code != http.StatusOK || len(resp.Nodes) != 2 || resp.Count != len(want) {
 		t.Fatalf("limited evaluate: code %d, nodes %v, count %d", code, resp.Nodes, resp.Count)
 	}
 
 	if code := do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate",
-		evaluateRequest{Query: "(("}, nil); code != http.StatusBadRequest {
+		EvaluateRequest{Query: "(("}, nil); code != http.StatusBadRequest {
 		t.Fatalf("malformed query must 400, got %d", code)
+	}
+
+	// On the wire every evaluate body is exactly encoding/json's encoding of
+	// the EvaluateResult plus json.Encoder's newline, whether the handler
+	// spliced in the engine's memoised node array (whole answer set, no
+	// witnesses) or encoded the nodes per request. Node IDs that need
+	// escaping check the memo against encoding/json's escaping rules.
+	escapes := graph.New()
+	for _, id := range []graph.NodeID{`q"uote`, `back\slash`, "<b>&amp;", "café", "line\u2028sep", "plain"} {
+		escapes.MustAddEdge(id, "bus", "stop")
+	}
+	escapes.MustAddEdge("stop", "cinema", "screen")
+	if _, err := srv.Registry().Register("escapes", escapes); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		graph string
+		req   EvaluateRequest
+	}{
+		{"escapes", EvaluateRequest{Query: "bus.cinema"}},                  // limit 0: memo
+		{"escapes", EvaluateRequest{Query: "bus.cinema", Limit: 6}},        // limit = count: memo
+		{"escapes", EvaluateRequest{Query: "bus.cinema", Limit: 2}},        // limit < count: per request
+		{"escapes", EvaluateRequest{Query: "tram"}},                        // empty selection
+		{"escapes", EvaluateRequest{Query: "bus.cinema", Witnesses: true}}, // witnesses: per request
+		{"demo", EvaluateRequest{Query: "(tram+bus)*.cinema"}},
+		{"demo", EvaluateRequest{Query: "(tram+bus)*.cinema", Limit: 3, Witnesses: true}},
+	} {
+		code, body := doRaw(t, http.MethodPost, ts.URL+"/v1/graphs/"+c.graph+"/evaluate", c.req)
+		var got EvaluateResult
+		if err := json.Unmarshal(body, &got); code != http.StatusOK || err != nil {
+			t.Fatalf("%s %+v: code %d, decode %v: %s", c.graph, c.req, code, err, body)
+		}
+		h, _ := srv.Registry().Get(c.graph)
+		e := rpq.New(h.Graph(), regex.MustParse(c.req.Query))
+		want := EvaluateResult{Query: e.QueryString(), Count: e.NumSelected(), DurationUs: got.DurationUs, Nodes: e.Selected()}
+		if c.req.Limit > 0 && c.req.Limit < len(want.Nodes) {
+			want.Nodes = want.Nodes[:c.req.Limit]
+		}
+		if c.req.Witnesses {
+			want.Witnesses = map[graph.NodeID][]graph.Edge{}
+			for _, n := range want.Nodes {
+				want.Witnesses[n], _ = e.Witness(n)
+			}
+		}
+		wantBody, _ := json.Marshal(want)
+		if wantBody = append(wantBody, '\n'); !bytes.Equal(body, wantBody) {
+			t.Errorf("%s %+v:\n got %s\nwant %s", c.graph, c.req, body, wantBody)
+		}
+	}
+	if _, body := doRaw(t, http.MethodPost, ts.URL+"/v1/graphs/escapes/evaluate", EvaluateRequest{Query: "tram"}); !bytes.Contains(body, []byte(`"nodes":[]`)) {
+		t.Errorf("an empty selection must encode as \"nodes\":[], got %s", body)
+	}
+
+	// Concurrent first hits on one engine race to build its memo; each
+	// must get the whole body (the race detector checks the rest).
+	h := srv.Handler()
+	bodies := make([][]byte, 8)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/graphs/escapes/evaluate", strings.NewReader(`{"query":"bus"}`)))
+			bodies[i] = zeroDuration(rec.Body.Bytes())
+		}()
+	}
+	wg.Wait()
+	for _, b := range bodies[1:] {
+		if !bytes.Equal(b, bodies[0]) || !bytes.Contains(b, []byte(`"count":6,`)) {
+			t.Fatalf("concurrent first hits answered differently:\n%s\n%s", bodies[0], b)
+		}
+	}
+}
+
+// zeroDuration replaces the digits of an evaluate body's duration_us with
+// 0, the one field that differs between two answers to one request.
+func zeroDuration(body []byte) []byte {
+	return regexp.MustCompile(`"duration_us":[0-9]+`).ReplaceAll(body, []byte(`"duration_us":0`))
+}
+
+// discardWriter is a ResponseWriter that keeps the header and status and
+// counts the body bytes without storing them.
+type discardWriter struct {
+	header http.Header
+	code   int
+	n      int
+}
+
+func (d *discardWriter) Header() http.Header         { return d.header }
+func (d *discardWriter) WriteHeader(code int)        { d.code = code }
+func (d *discardWriter) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
+
+// A warm /evaluate on the eval-warm benchmark graph (transport 60x60, seed
+// 1) allocated 122 times per request through the handler when the body was
+// indented JSON built from a map, re-encoded on every hit, and the query
+// was parsed on every hit; the budget is half of that. The body length is
+// pinned too, with duration_us zeroed: it was 49166 bytes indented, and
+// byte counts do not depend on the machine.
+const (
+	warmEvaluateAllocBudget = 122 / 2
+	warmEvaluateBodyBytes   = 31191
+)
+
+func TestWarmEvaluateBudget(t *testing.T) {
+	srv := NewServer(Options{EvalWorkers: 2, CacheCapacity: 64})
+	g, err := BuildGraph(LoadSpec{Format: "dataset", Dataset: DatasetSpec{Kind: "transport", Rows: 60, Cols: 60, Seed: 1, FacilityRate: 0.3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No index: its background build would allocate during the count.
+	if _, err := srv.Registry().RegisterForWith(TenantInfo{Name: DefaultTenant}, "city", g, RegisterOptions{NoIndex: true}); err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	query := []byte(`{"query":"(tram+bus)*.cinema"}`)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/graphs/city/evaluate", bytes.NewReader(query)))
+	if body := zeroDuration(rec.Body.Bytes()); rec.Code != http.StatusOK || len(body) != warmEvaluateBodyBytes {
+		t.Fatalf("warm body: code %d, %d bytes, want %d", rec.Code, len(body), warmEvaluateBodyBytes)
+	}
+
+	body := bytes.NewReader(query)
+	req := httptest.NewRequest(http.MethodPost, "/v1/graphs/city/evaluate", body)
+	w := &discardWriter{header: http.Header{}}
+	allocs := testing.AllocsPerRun(100, func() {
+		body.Reset(query)
+		clear(w.header)
+		h.ServeHTTP(w, req)
+	})
+	if w.code != http.StatusOK {
+		t.Fatalf("warm evaluate answered %d", w.code)
+	}
+	t.Logf("warm evaluate: %.0f allocations per request, budget %d", allocs, warmEvaluateAllocBudget)
+	if allocs > warmEvaluateAllocBudget {
+		t.Fatalf("warm evaluate allocates %.0f times per request, budget %d", allocs, warmEvaluateAllocBudget)
 	}
 }
 
@@ -156,7 +298,7 @@ func TestSnapshotGuardRejectsMutatedGraph(t *testing.T) {
 	// snapshot guard must surface it instead of serving mixed revisions.
 	h.Graph().MustAddEdge("N9", "bus", "N1")
 	if code := do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate",
-		evaluateRequest{Query: "bus"}, nil); code != http.StatusBadRequest {
+		EvaluateRequest{Query: "bus"}, nil); code != http.StatusBadRequest {
 		t.Fatalf("evaluate on a mutated snapshot must fail, got %d", code)
 	}
 }
@@ -304,8 +446,8 @@ func TestAnswerValidation(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	loadFigure1(t, ts, "demo")
-	do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate", evaluateRequest{Query: "bus"}, nil)
-	do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate", evaluateRequest{Query: "bus"}, nil)
+	do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate", EvaluateRequest{Query: "bus"}, nil)
+	do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate", EvaluateRequest{Query: "bus"}, nil)
 
 	var stats struct {
 		EvalWorkers int                   `json:"eval_workers"`
@@ -326,7 +468,7 @@ func TestStatsEndpoint(t *testing.T) {
 func TestStatsBackpressureAndLatency(t *testing.T) {
 	srv, ts := newTestServer(t)
 	loadFigure1(t, ts, "demo")
-	do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate", evaluateRequest{Query: "bus"}, nil)
+	do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate", EvaluateRequest{Query: "bus"}, nil)
 
 	// A manual session parks on its first label question: one live loop
 	// occupying one slot while waiting for a client — queue depth 1.

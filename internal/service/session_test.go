@@ -98,7 +98,7 @@ func TestConcurrentSessionsAndEvaluations(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				q := queries[(w+i)%len(queries)]
 				if code := do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate",
-					evaluateRequest{Query: q}, nil); code != http.StatusOK {
+					EvaluateRequest{Query: q}, nil); code != http.StatusOK {
 					t.Errorf("evaluate %s returned %d", q, code)
 					return
 				}

@@ -41,7 +41,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -432,11 +431,7 @@ func (c *Client) DeleteGraph(ctx context.Context, name string) error {
 }
 
 // GraphPage is one page of GET /v1/graphs.
-type GraphPage struct {
-	Graphs []service.GraphInfo `json:"graphs"`
-	// NextCursor is "" on the last page; pass it back to continue.
-	NextCursor string `json:"next_cursor"`
-}
+type GraphPage = service.GraphPage
 
 // GraphsPage lists graphs with pagination (stable order: name). limit 0
 // with cursor "" is the unpaged listing.
@@ -464,23 +459,10 @@ func (c *Client) Graphs(ctx context.Context) ([]service.GraphInfo, error) {
 }
 
 // EvaluateRequest is the body of POST /v1/graphs/{name}/evaluate.
-type EvaluateRequest struct {
-	// Query is the path query in the paper's syntax.
-	Query string `json:"query"`
-	// Witnesses requests one shortest witness path per selected node.
-	Witnesses bool `json:"witnesses,omitempty"`
-	// Limit truncates the returned node (and witness) lists; 0 means all.
-	Limit int `json:"limit,omitempty"`
-}
+type EvaluateRequest = service.EvaluateRequest
 
 // EvaluateResult is the evaluation response.
-type EvaluateResult struct {
-	Query      string                        `json:"query"`
-	Nodes      []graph.NodeID                `json:"nodes"`
-	Count      int                           `json:"count"`
-	DurationUs int64                         `json:"duration_us"`
-	Witnesses  map[graph.NodeID][]graph.Edge `json:"witnesses,omitempty"`
-}
+type EvaluateResult = service.EvaluateResult
 
 // Evaluate runs a query on a registered graph.
 func (c *Client) Evaluate(ctx context.Context, graphName string, req EvaluateRequest) (EvaluateResult, error) {
@@ -504,11 +486,7 @@ func (c *Client) Session(ctx context.Context, id string) (service.SessionView, e
 }
 
 // SessionPage is one page of GET /v1/sessions.
-type SessionPage struct {
-	Sessions []service.SessionView `json:"sessions"`
-	// NextCursor is "" on the last page; pass it back to continue.
-	NextCursor string `json:"next_cursor"`
-}
+type SessionPage = service.SessionPage
 
 // SessionFilter narrows GET /v1/sessions. Zero values select everything.
 type SessionFilter struct {
@@ -564,12 +542,7 @@ func (c *Client) DeleteSession(ctx context.Context, id string) error {
 
 // HypothesisResult is the current hypothesis and its answer set. Learned
 // is "" while the session has no hypothesis yet.
-type HypothesisResult struct {
-	Learned string         `json:"learned"`
-	Nodes   []graph.NodeID `json:"nodes"`
-	Count   int            `json:"count"`
-	Witness []graph.Edge   `json:"witness,omitempty"`
-}
+type HypothesisResult = service.HypothesisResult
 
 // Hypothesis fetches a session's current hypothesis; witnessNode, when
 // non-empty, also requests a shortest witness path for that node.
