@@ -167,7 +167,8 @@ type HostedSession struct {
 	tenant string
 	cfg    SessionConfig
 	cancel context.CancelFunc
-	// done is closed when the learning goroutine exits.
+	// done is closed when the learning goroutine exits, after the manager
+	// has accounted for the finished session.
 	done chan struct{}
 	// journal records every state transition; see the rec* constants.
 	journal *store.Journal
@@ -730,8 +731,11 @@ func (m *Manager) launch(s *HostedSession, strat interactive.Strategy, goal *reg
 	}
 	sess := interactive.NewSession(h.Graph(), &observedUser{inner: inner, s: s}, opts)
 	go func() {
-		defer m.noteFinished(s)
+		// Deferred calls run last-in first-out: done closes only after
+		// noteFinished has freed the slot and enrolled the session for
+		// retention, so a Done waiter sees the manager already updated.
 		defer close(s.done)
+		defer m.noteFinished(s)
 		tr, err := sess.RunContext(ctx)
 		s.mu.Lock()
 		fatal := s.fatal
