@@ -324,35 +324,3 @@ func BenchmarkLearnTransportReference(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkLearnMergeCheck measures the steady-state candidate-merge check
-// of the dense generalization engine in isolation. The merge fold runs it
-// O(n²) times per Learn call; it must report 0 allocs/op.
-func BenchmarkLearnMergeCheck(b *testing.B) {
-	g := benchTransport(b, 10)
-	sample := learn.NewSample()
-	goal := regex.MustParse("(tram+bus)*.cinema")
-	engine := rpq.New(g, goal)
-	posSeen, negSeen := 0, 0
-	for _, n := range g.Nodes() {
-		if engine.Selects(n) && posSeen < 6 {
-			if w, ok := user.WitnessWord(g, goal, n, 6); ok {
-				sample.AddPositive(n, w)
-				posSeen++
-			}
-		} else if !engine.Selects(n) && negSeen < 6 {
-			sample.AddNegative(n)
-			negSeen++
-		}
-	}
-	check, err := learn.NewMergeCheck(g, sample, learn.Options{MaxPathLength: 6})
-	if err != nil {
-		b.Fatal(err)
-	}
-	check.Run() // warm-up grows the pooled scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		check.Run()
-	}
-}

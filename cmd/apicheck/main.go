@@ -1,6 +1,8 @@
-// Command apicheck enforces two v1 API contracts statically: every wire
-// error written inside internal/service must carry one of the registered
-// stable error codes, and every success body must be a declared type.
+// Command apicheck enforces two v1 API contracts and one code-size
+// contract statically: every wire error written inside internal/service
+// must carry one of the registered stable error codes, every success body
+// must be a declared type, and every exported function under internal/
+// must have a production reader.
 //
 // The contract is cheap to check because writeError folds all dynamic
 // status upgrades (ErrStore -> 500 store_failure) inside itself, so every
@@ -21,9 +23,24 @@
 // composite literal in a non-test file of the package: an ad-hoc map body
 // would drift from the client's type unnoticed.
 //
+// Every exported top-level function or method declared in a non-test file
+// under internal/ must be referenced by name in some non-test file of the
+// module other than its own declaration (see surface.go). Files under
+// bench/ and cmd/gpsbench/ do not count as readers: a benchmark that times
+// code production never calls measures nothing a user sees. A test-only
+// oracle belongs in the _test.go file that uses it. The check matches
+// names, not types, so it misses a dead method whose name another type's
+// method shares, but it never reports a function some file calls by name.
+//
+// The allowlist policy: an exception goes into noReaderNeeded with the
+// reason production has no reader, and is keyed by package and receiver,
+// so it exempts exactly one declaration. The only blanket exemption is
+// interfaceMethods, for method names the standard library calls through
+// an interface. pkg/client is a public library and out of scope.
+//
 // Usage:
 //
-//	apicheck [dir]    # dir defaults to internal/service
+//	apicheck [dir]    # run from the module root; dir defaults to internal/service
 package main
 
 import (
@@ -47,11 +64,34 @@ func main() {
 	if len(os.Args) > 1 {
 		dir = os.Args[1]
 	}
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, nil, 0)
+	summary, offences, err := serviceContract(dir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "apicheck: %v\n", err)
 		os.Exit(2)
+	}
+	dead, err := deadSurface(".")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "apicheck: %v\n", err)
+		os.Exit(2)
+	}
+	offences = append(offences, dead...)
+	if len(offences) > 0 {
+		for _, o := range offences {
+			fmt.Fprintf(os.Stderr, "apicheck: %s\n", o)
+		}
+		os.Exit(1)
+	}
+	fmt.Printf("apicheck: %s; every exported function under internal/ has a production reader\n", summary)
+}
+
+// serviceContract checks the error-code and typed-body contracts of the
+// service package in dir and returns a one-line summary plus one line per
+// offence.
+func serviceContract(dir string) (string, []string, error) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, nil, 0)
+	if err != nil {
+		return "", nil, err
 	}
 
 	codes := map[string]bool{}
@@ -61,8 +101,7 @@ func main() {
 		}
 	}
 	if len(codes) == 0 {
-		fmt.Fprintf(os.Stderr, "apicheck: no ErrorCode constants found under %s\n", dir)
-		os.Exit(2)
+		return "", nil, fmt.Errorf("no ErrorCode constants found under %s", dir)
 	}
 
 	var offences []string
@@ -110,17 +149,10 @@ func main() {
 		}
 	}
 	if calls == 0 {
-		fmt.Fprintf(os.Stderr, "apicheck: no writeError/writeRateLimited calls found under %s — wrong directory?\n", dir)
-		os.Exit(2)
+		return "", nil, fmt.Errorf("no writeError/writeRateLimited calls found under %s — wrong directory?", dir)
 	}
-	if len(offences) > 0 {
-		for _, o := range offences {
-			fmt.Fprintf(os.Stderr, "apicheck: %s\n", o)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("apicheck: %d error-writing calls in %s all carry registered codes (%d codes declared); no map[string]any bodies\n",
-		calls, dir, len(codes))
+	return fmt.Sprintf("%d error-writing calls in %s all carry registered codes (%d codes declared); no map[string]any bodies",
+		calls, dir, len(codes)), offences, nil
 }
 
 // untypedBodies reports every map[string]any composite literal in the

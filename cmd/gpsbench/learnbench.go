@@ -6,7 +6,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"testing"
 	"time"
 
 	"repro/internal/dataset"
@@ -24,7 +23,7 @@ import (
 // machine-readable summary so the learner's performance trajectory is
 // tracked across PRs like the RPQ core's and the store's.
 //
-// Three axes are measured:
+// Two axes are measured:
 //
 //   - full Learn calls on 10x10 and 60x60 transport networks with a
 //     12-positive / 12-negative sample whose witness words form a bushy
@@ -35,9 +34,6 @@ import (
 //     engine and the map-based reference oracle (learn.Options.Reference);
 //     the headline number is the median reference/dense speedup on the
 //     60x60 workload, and -learngate enforces a same-machine floor in CI;
-//   - the steady-state candidate-merge check alone (learn.NewMergeCheck)
-//     through testing.Benchmark, whose allocs/op must be 0 — the merge
-//     fold of a Learn call runs it O(n²) times;
 //   - interactive-session convergence: one simulated session driven to
 //     user-satisfied on each transport graph, as wall time and label
 //     count (every learner round runs a full Learn call, so this is the
@@ -85,16 +81,12 @@ type learnBenchSummary struct {
 	LargeGraph string `json:"large_graph"`
 	// Positives and Negatives are the realised sample sizes of the gated
 	// 60x60 workload (see the per-row counts for the other graphs).
-	Positives        int                   `json:"positives"`
-	Negatives        int                   `json:"negatives"`
-	PTAStates        int                   `json:"pta_states"`
-	Rows             []learnBenchRow       `json:"results"`
-	Speedup10        float64               `json:"speedup_10x10"`
-	Speedup60        float64               `json:"speedup_60x60"`
-	MergeCheckNs     float64               `json:"merge_check_ns_per_op"`
-	MergeCheckAllocs int64                 `json:"merge_check_allocs_per_op"`
-	MergeCheckBytes  int64                 `json:"merge_check_bytes_per_op"`
-	Convergence      []learnConvergenceRow `json:"convergence"`
+	Positives   int                   `json:"positives"`
+	Negatives   int                   `json:"negatives"`
+	Rows        []learnBenchRow       `json:"results"`
+	Speedup10   float64               `json:"speedup_10x10"`
+	Speedup60   float64               `json:"speedup_60x60"`
+	Convergence []learnConvergenceRow `json:"convergence"`
 }
 
 // buildLearnSample derives a deterministic sample from the goal query:
@@ -144,14 +136,13 @@ func buildLearnSample(g *graph.Graph, engine *rpq.Engine) (*learn.Sample, error)
 	return sample, nil
 }
 
-// medianLearn runs Learn repeatedly on clones of the sample and returns
-// the median and minimum wall time per call.
+// medianLearn runs Learn repeatedly on the sample (Learn does not modify
+// it) and returns the median and minimum wall time per call.
 func medianLearn(g *graph.Graph, sample *learn.Sample, opts learn.Options, runs int) (median, minimum float64, err error) {
 	times := make([]float64, 0, runs)
 	for r := 0; r < runs; r++ {
-		clone := sample.Clone()
 		start := time.Now()
-		if _, err := learn.Learn(g, clone, opts); err != nil {
+		if _, err := learn.Learn(g, sample, opts); err != nil {
 			return 0, 0, err
 		}
 		times = append(times, float64(time.Since(start).Nanoseconds()))
@@ -199,8 +190,6 @@ func runLearnBench(outPath string, seed int64) error {
 		name   string
 		target *float64
 	}
-	var sample60 *learn.Sample
-	var graph60 *graph.Graph
 	for _, wl := range []workload{
 		{10, "Learn10x10", &summary.Speedup10},
 		{60, "Learn60x60", &summary.Speedup60},
@@ -216,7 +205,6 @@ func runLearnBench(outPath string, seed int64) error {
 			summary.Graph = desc
 		} else {
 			summary.LargeGraph = desc
-			sample60, graph60 = sample, g
 			summary.Positives = len(sample.Positives)
 			summary.Negatives = len(sample.Negatives)
 		}
@@ -242,25 +230,6 @@ func runLearnBench(outPath string, seed int64) error {
 			*wl.target = perEngine["reference"] / d
 		}
 	}
-
-	// The steady-state merge check: the inner loop of the fold, pinned at
-	// zero allocations. One warm-up call grows the pooled scratch.
-	check, err := learn.NewMergeCheck(graph60, sample60.Clone(), learn.Options{MaxPathLength: learnBenchMaxLen})
-	if err != nil {
-		return fmt.Errorf("learnbench: merge check: %w", err)
-	}
-	summary.PTAStates = check.States()
-	check.Run()
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			check.Run()
-		}
-	})
-	summary.MergeCheckNs = float64(r.T.Nanoseconds()) / float64(r.N)
-	summary.MergeCheckAllocs = r.AllocsPerOp()
-	summary.MergeCheckBytes = r.AllocedBytesPerOp()
-	fmt.Printf("%-12s %-10s        %10.0f ns/op  %d B/op  %d allocs/op (PTA %d states)\n",
-		"MergeCheck", "dense", summary.MergeCheckNs, summary.MergeCheckBytes, summary.MergeCheckAllocs, summary.PTAStates)
 
 	for _, size := range []int{10, 20} {
 		row, err := runConvergence(size, seed)
@@ -288,8 +257,7 @@ func runLearnBench(outPath string, seed int64) error {
 
 // runLearnGate is the regression gate over a -learnbench summary: the
 // dense engine must keep its advantage over the reference oracle on the
-// 60x60 workload, and the steady-state merge check must stay
-// allocation-free. Like -storegate, the check is a same-machine ratio
+// 60x60 workload. Like -storegate, the check is a same-machine ratio
 // produced in the same job, so it is robust to absolute runner speed.
 func runLearnGate(path string, minSpeedup float64) error {
 	data, err := os.ReadFile(path)
@@ -303,16 +271,11 @@ func runLearnGate(path string, minSpeedup float64) error {
 	if len(summary.Rows) == 0 {
 		return fmt.Errorf("learngate: %s has no benchmark rows", path)
 	}
-	fmt.Printf("learngate: 60x60 Learn speedup %.2fx (floor %.2fx), merge check %d allocs/op\n",
-		summary.Speedup60, minSpeedup, summary.MergeCheckAllocs)
+	fmt.Printf("learngate: 60x60 Learn speedup %.2fx (floor %.2fx)\n", summary.Speedup60, minSpeedup)
 	printTrend(path, "speedup_60x60", "x", false, floatFieldFromSummary("speedup_60x60"))
 	if summary.Speedup60 < minSpeedup {
 		return fmt.Errorf("learngate: dense/reference 60x60 speedup %.2fx is below the %.2fx floor",
 			summary.Speedup60, minSpeedup)
-	}
-	if summary.MergeCheckAllocs != 0 {
-		return fmt.Errorf("learngate: steady-state merge check allocates %d objects per op, want 0",
-			summary.MergeCheckAllocs)
 	}
 	return nil
 }

@@ -10,7 +10,6 @@
 //	gpsbench              # run every experiment, quick configuration
 //	gpsbench -exp f1,e2   # run a subset
 //	gpsbench -full        # full-size graphs (minutes)
-//	gpsbench -csv         # also emit each table as CSV
 //	gpsbench -list        # list experiment identifiers
 //	gpsbench -rpqbench    # RPQ micro-benchmarks -> BENCH_rpq.json
 //	gpsbench -rpqgate BENCH_rpq.json    # same-machine cached/sharded ratio gate
@@ -41,7 +40,6 @@ func main() {
 		expList    = flag.String("exp", "", "comma-separated experiment ids to run (default: all)")
 		full       = flag.Bool("full", false, "run the full-size configuration instead of the quick one")
 		seed       = flag.Int64("seed", 1, "seed for all pseudo-random choices")
-		csv        = flag.Bool("csv", false, "also print each result table as CSV")
 		list       = flag.Bool("list", false, "list the available experiments and exit")
 		rpqBench   = flag.Bool("rpqbench", false, "run the RPQ evaluation micro-benchmarks and write a JSON summary")
 		rpqOut     = flag.String("rpqbench-out", "BENCH_rpq.json", "output path of the -rpqbench JSON summary")
@@ -50,9 +48,9 @@ func main() {
 		storeIvl   = flag.Duration("storebench-commit-interval", 0, "group-commit batch window for -storebench's binary engine")
 		storeGate  = flag.String("storegate", "", "check this -storebench summary and fail if the binary/text 16-session append speedup is below -storegate-min")
 		storeMin   = flag.Float64("storegate-min", 3, "minimum binary/text 16-session append speedup for -storegate")
-		learnBench = flag.Bool("learnbench", false, "run the learner benchmarks (dense vs reference generalization on the transport graphs, merge-check allocations, session convergence) and write a JSON summary")
+		learnBench = flag.Bool("learnbench", false, "run the learner benchmarks (dense vs reference generalization on the transport graphs, session convergence) and write a JSON summary")
 		learnOut   = flag.String("learnbench-out", "BENCH_learn.json", "output path of the -learnbench JSON summary")
-		learnGate  = flag.String("learngate", "", "check this -learnbench summary and fail if the dense/reference 60x60 Learn speedup is below -learngate-min or the merge check allocates")
+		learnGate  = flag.String("learngate", "", "check this -learnbench summary and fail if the dense/reference 60x60 Learn speedup is below -learngate-min")
 		learnMin   = flag.Float64("learngate-min", 3, "minimum dense/reference 60x60 Learn speedup for -learngate")
 		chaosBench = flag.Bool("chaosbench", false, "run the crash-anywhere chaos harness: torture a real gpsd subprocess with SIGKILLs and in-compaction crashes, then prove equivalence against a text-engine oracle")
 		chaosGpsd  = flag.String("chaos-gpsd", "", "path to the gpsd binary to torture (required with -chaosbench)")
@@ -263,9 +261,6 @@ func main() {
 		table := r.Run(cfg)
 		fmt.Printf("=== %s — %s ===\n", strings.ToUpper(r.ID), r.Paper)
 		fmt.Println(table.String())
-		if *csv {
-			fmt.Println(table.CSV())
-		}
 		fmt.Printf("(%s in %.1fs)\n\n", r.ID, time.Since(start).Seconds())
 	}
 }

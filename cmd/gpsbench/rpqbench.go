@@ -75,17 +75,6 @@ func runRPQBench(outPath string, seed int64) error {
 				}
 			}
 		}},
-		{"RPQSelectsWithin", func(b *testing.B) {
-			nodes := g.Nodes()
-			for i := 0; i < b.N; i++ {
-				engine.SelectsWithin(nodes[i%len(nodes)], 5)
-			}
-		}},
-		{"RPQPairsFrom", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				engine.PairsFrom(selected[i%len(selected)])
-			}
-		}},
 		{"RPQEvaluationLargeSequential", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if len(rpq.New(largeG, q).Selected()) == 0 {

@@ -8,6 +8,66 @@ import (
 	"repro/internal/regex"
 )
 
+// The double-reversal minimiser below is an oracle for the partition
+// refinement in Minimize; production code only uses Minimize.
+
+// Reverse returns an NFA accepting the reversal of the language: every
+// transition is flipped, the accepting states become start states (joined
+// through a fresh ε-source) and the old start state becomes the single
+// accepting state.
+func (n *NFA) Reverse() *NFA {
+	rev := NewNFA()
+	// Allocate matching states 1..numStates so that original state s maps
+	// to rev state s+1 (state 0 of rev is the fresh start).
+	for i := 0; i < n.numStates; i++ {
+		rev.AddState()
+	}
+	mapState := func(s State) State { return s + 1 }
+	for from := State(0); from < State(n.numStates); from++ {
+		for label, targets := range n.trans[from] {
+			for _, to := range targets {
+				rev.AddTransition(mapState(to), label, mapState(from))
+			}
+		}
+	}
+	for s := range n.accepting {
+		rev.AddTransition(rev.Start(), Epsilon, mapState(s))
+	}
+	rev.SetAccepting(mapState(n.start), true)
+	return rev
+}
+
+// MinimizeBrzozowski returns the minimal DFA for the NFA's language using
+// Brzozowski's double-reversal construction: determinise the reversal, then
+// determinise the reversal of that.
+func (n *NFA) MinimizeBrzozowski(alphabet []string) *DFA {
+	first := n.Reverse().Determinize(alphabet)
+	second := dfaToNFA(first).Reverse().Determinize(alphabet)
+	// The double-reversal result is deterministic and minimal up to
+	// unreachable states; a final reachability-restricted refinement pass
+	// also merges the dead states introduced by completion sinks.
+	return second.Minimize()
+}
+
+// dfaToNFA converts a DFA into an equivalent NFA (a trivial embedding).
+func dfaToNFA(d *DFA) *NFA {
+	n := NewNFA()
+	for i := 1; i < d.NumStates(); i++ {
+		n.AddState()
+	}
+	n.SetStart(d.Start())
+	for s := State(0); s < State(d.NumStates()); s++ {
+		if d.IsAccepting(s) {
+			n.SetAccepting(s, true)
+		}
+		for _, l := range d.Alphabet() {
+			next, _ := d.Next(s, l)
+			n.AddTransition(s, l, next)
+		}
+	}
+	return n
+}
+
 func reverseWord(w []string) []string {
 	out := make([]string, len(w))
 	for i, x := range w {

@@ -93,20 +93,6 @@ func (d *DFA) Next(from State, label string) (State, bool) {
 	return d.trans[int(from)*len(d.alphabet)+idx], true
 }
 
-// Accepts reports whether the DFA accepts the word. Words containing labels
-// outside the alphabet are rejected.
-func (d *DFA) Accepts(word []string) bool {
-	cur := d.start
-	for _, label := range word {
-		next, ok := d.Next(cur, label)
-		if !ok {
-			return false
-		}
-		cur = next
-	}
-	return d.accepting[cur]
-}
-
 // String renders the DFA for debugging.
 func (d *DFA) String() string {
 	var sb strings.Builder
@@ -347,31 +333,4 @@ func (d *DFA) IsEmpty() bool {
 		}
 	}
 	return true
-}
-
-// SomeWord returns a shortest accepted word and ok=false if the language is
-// empty.
-func (d *DFA) SomeWord() ([]string, bool) {
-	type entry struct {
-		state State
-		word  []string
-	}
-	seen := map[State]bool{d.start: true}
-	queue := []entry{{d.start, nil}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if d.accepting[cur.state] {
-			return cur.word, true
-		}
-		for _, l := range d.alphabet {
-			next, _ := d.Next(cur.state, l)
-			if !seen[next] {
-				seen[next] = true
-				word := append(append([]string(nil), cur.word...), l)
-				queue = append(queue, entry{next, word})
-			}
-		}
-	}
-	return nil, false
 }

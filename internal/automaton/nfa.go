@@ -149,33 +149,6 @@ func (n *NFA) EpsilonClosure(states []State) []State {
 	return out
 }
 
-// Accepts reports whether the NFA accepts the word.
-func (n *NFA) Accepts(word []string) bool {
-	current := n.EpsilonClosure([]State{n.start})
-	for _, label := range word {
-		nextSet := make(map[State]bool)
-		for _, s := range current {
-			for _, t := range n.trans[s][label] {
-				nextSet[t] = true
-			}
-		}
-		if len(nextSet) == 0 {
-			return false
-		}
-		next := make([]State, 0, len(nextSet))
-		for s := range nextSet {
-			next = append(next, s)
-		}
-		current = n.EpsilonClosure(next)
-	}
-	for _, s := range current {
-		if n.accepting[s] {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders the NFA for debugging.
 func (n *NFA) String() string {
 	var sb strings.Builder
@@ -196,27 +169,6 @@ func (n *NFA) String() string {
 		}
 	}
 	return sb.String()
-}
-
-// Clone returns a deep copy of the NFA.
-func (n *NFA) Clone() *NFA {
-	c := &NFA{
-		numStates: n.numStates,
-		start:     n.start,
-		accepting: make(map[State]bool, len(n.accepting)),
-		trans:     make(map[State]map[string][]State, len(n.trans)),
-	}
-	for s := range n.accepting {
-		c.accepting[s] = true
-	}
-	for s, m := range n.trans {
-		cm := make(map[string][]State, len(m))
-		for l, targets := range m {
-			cm[l] = append([]State(nil), targets...)
-		}
-		c.trans[s] = cm
-	}
-	return c
 }
 
 // FromRegex builds an NFA accepting exactly the language of the expression

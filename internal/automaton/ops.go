@@ -68,9 +68,10 @@ func containsLabel(labels []string, l string) bool {
 	return false
 }
 
-// product builds the product DFA of a and b with the given acceptance
-// combinator.
-func product(a, b *DFA, accept func(bool, bool) bool) *DFA {
+// Difference returns a DFA accepting L(a) \ L(b): the product of a and b
+// over the union of their alphabets, accepting where a accepts and b does
+// not.
+func Difference(a, b *DFA) *DFA {
 	alphabet := mergedAlphabet(a.alphabet, b.alphabet)
 	a = a.expand(alphabet)
 	b = b.expand(alphabet)
@@ -79,7 +80,7 @@ func product(a, b *DFA, accept func(bool, bool) bool) *DFA {
 	ids := map[pair]State{{a.start, b.start}: out.start}
 	queue := []pair{{a.start, b.start}}
 	setAccept := func(p pair, s State) {
-		if accept(a.accepting[p.x], b.accepting[p.y]) {
+		if a.accepting[p.x] && !b.accepting[p.y] {
 			out.SetAccepting(s, true)
 		}
 	}
@@ -105,43 +106,6 @@ func product(a, b *DFA, accept func(bool, bool) bool) *DFA {
 	return out
 }
 
-// Intersect returns a DFA accepting the intersection of the two languages.
-func Intersect(a, b *DFA) *DFA {
-	return product(a, b, func(x, y bool) bool { return x && y })
-}
-
-// UnionDFA returns a DFA accepting the union of the two languages.
-func UnionDFA(a, b *DFA) *DFA {
-	return product(a, b, func(x, y bool) bool { return x || y })
-}
-
-// Difference returns a DFA accepting L(a) \ L(b).
-func Difference(a, b *DFA) *DFA {
-	return product(a, b, func(x, y bool) bool { return x && !y })
-}
-
-// Complement returns a DFA accepting the complement of d's language with
-// respect to the given alphabet (words over that alphabet not in L(d)).
-func (d *DFA) Complement(alphabet []string) *DFA {
-	full := mergedAlphabet(d.alphabet, alphabet)
-	e := d.expand(full)
-	out := NewDFA(full)
-	for out.NumStates() < e.NumStates() {
-		out.AddState()
-	}
-	for s := State(0); s < State(e.NumStates()); s++ {
-		if !e.accepting[s] {
-			out.SetAccepting(s, true)
-		}
-		for _, l := range full {
-			next, _ := e.Next(s, l)
-			out.SetTransition(s, l, next)
-		}
-	}
-	out.SetStart(e.start)
-	return out
-}
-
 // Subset reports whether L(a) ⊆ L(b).
 func Subset(a, b *DFA) bool {
 	return Difference(a, b).IsEmpty()
@@ -156,13 +120,4 @@ func Equivalent(a, b *DFA) bool {
 func EquivalentNFA(a, b *NFA) bool {
 	alphabet := mergedAlphabet(a.Labels(), b.Labels())
 	return Equivalent(a.Determinize(alphabet), b.Determinize(alphabet))
-}
-
-// CounterExample returns a word accepted by exactly one of the DFAs, and
-// ok=false if the DFAs are equivalent.
-func CounterExample(a, b *DFA) ([]string, bool) {
-	if w, ok := Difference(a, b).SomeWord(); ok {
-		return w, true
-	}
-	return Difference(b, a).SomeWord()
 }

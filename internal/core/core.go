@@ -108,11 +108,6 @@ func (s *System) LearnFromExamples(sample *learn.Sample) (*learn.Result, error) 
 	return learn.Learn(s.g, sample, learn.Options{})
 }
 
-// LearnFromExamplesWith runs the learner with explicit options.
-func (s *System) LearnFromExamplesWith(sample *learn.Sample, opts learn.Options) (*learn.Result, error) {
-	return learn.Learn(s.g, sample, opts)
-}
-
 // SessionConfig configures an interactive specification session.
 type SessionConfig struct {
 	// Strategy names the node-proposal strategy: "informative" (default),

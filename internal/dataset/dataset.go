@@ -274,26 +274,3 @@ func ScaleFree(opts ScaleFreeOptions) *graph.Graph {
 	}
 	return g
 }
-
-// GoalQueries returns a workload of goal queries of increasing size over
-// the given alphabet, mirroring the query classes of the companion paper:
-// a single label, a concatenation, a disjunction under a star followed by a
-// label, and longer combinations.
-func GoalQueries(alphabet []string) []*regex.Expr {
-	if len(alphabet) < 3 {
-		panic("dataset: GoalQueries needs at least 3 labels")
-	}
-	a, b, c := alphabet[0], alphabet[1], alphabet[2]
-	d := c
-	if len(alphabet) > 3 {
-		d = alphabet[3]
-	}
-	return []*regex.Expr{
-		regex.Sym(a),                                         // size 1
-		regex.Concat(regex.Sym(a), regex.Sym(b)),             // size 2
-		regex.Concat(regex.Star(regex.Sym(a)), regex.Sym(b)), // a*.b
-		regex.Concat(regex.Star(regex.Union(regex.Sym(a), regex.Sym(b))), regex.Sym(c)),                          // (a+b)*.c
-		regex.Union(regex.Concat(regex.Sym(a), regex.Sym(c)), regex.Concat(regex.Sym(b), regex.Sym(d))),          // a.c + b.d
-		regex.Concat(regex.Star(regex.Union(regex.Sym(a), regex.Sym(b))), regex.Sym(c), regex.Opt(regex.Sym(d))), // (a+b)*.c.d?
-	}
-}

@@ -7,7 +7,6 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/stats"
 )
@@ -21,9 +20,6 @@ type Config struct {
 	// Seed drives every pseudo-random choice, making runs reproducible.
 	Seed int64
 }
-
-// DefaultConfig is a quick, seeded configuration.
-func DefaultConfig() Config { return Config{Quick: true, Seed: 1} }
 
 // repetitions returns how many seeds each measured point is averaged over.
 func (c Config) repetitions() int {
@@ -119,16 +115,6 @@ func Lookup(id string) (Runner, bool) {
 		}
 	}
 	return Runner{}, false
-}
-
-// IDs returns the sorted experiment identifiers.
-func IDs() []string {
-	var ids []string
-	for _, r := range Registry() {
-		ids = append(ids, r.ID)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // boolCell renders a boolean for a table cell.

@@ -29,9 +29,6 @@ func TestRegistryAndLookup(t *testing.T) {
 	if _, ok := Lookup("nope"); ok {
 		t.Fatal("Lookup of unknown id should fail")
 	}
-	if len(IDs()) != len(reg) {
-		t.Fatal("IDs length mismatch")
-	}
 }
 
 func TestFigure1LearningTable(t *testing.T) {

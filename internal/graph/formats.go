@@ -127,17 +127,3 @@ func trimTerm(term string) string {
 	}
 	return term
 }
-
-// WriteCSV serialises the graph as a "from,label,to" CSV edge list.
-// Isolated nodes and attributes are not representable in this format; use
-// the text format to preserve them.
-func (g *Graph) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	for _, e := range g.Edges() {
-		if err := cw.Write([]string{string(e.From), string(e.Label), string(e.To)}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

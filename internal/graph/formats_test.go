@@ -14,7 +14,7 @@ func TestReadCSVBasics(t *testing.T) {
 	if g.NumNodes() != 4 || g.NumEdges() != 3 {
 		t.Fatalf("got %d nodes %d edges", g.NumNodes(), g.NumEdges())
 	}
-	if g.LabelCount("tram") != 1 {
+	if g.ComputeStats().LabelHistogram["tram"] != 1 {
 		t.Fatal("tram edge missing")
 	}
 }
@@ -51,21 +51,6 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
-func TestWriteCSVRoundTrip(t *testing.T) {
-	g := buildFigure1(t)
-	var sb strings.Builder
-	if err := g.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(strings.NewReader(sb.String()), CSVOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.Equal(back) {
-		t.Fatalf("round trip mismatch:\n%s\nvs\n%s", g.Text(), back.Text())
-	}
-}
-
 func TestReadTriples(t *testing.T) {
 	in := `
 # a small RDF-ish export
@@ -81,7 +66,7 @@ N2 bus N3
 	if !g.HasNode("N1") || !g.HasNode("C1") || !g.HasNode("N3") {
 		t.Fatalf("IRI local names not extracted: %s", g.Text())
 	}
-	if g.LabelCount("tram") != 1 || g.LabelCount("bus") != 2 {
+	if counts := g.ComputeStats().LabelHistogram; counts["tram"] != 1 || counts["bus"] != 2 {
 		t.Fatalf("labels wrong: %s", g.Text())
 	}
 	if g.NumEdges() != 4 {

@@ -237,18 +237,6 @@ func (g *Graph) Out(id NodeID) []Edge { return g.out[id] }
 // returned slice must not be modified.
 func (g *Graph) In(id NodeID) []Edge { return g.in[id] }
 
-// OutWithLabel returns the outgoing edges of a node carrying the given
-// label, in sorted order. The returned slice must not be modified.
-func (g *Graph) OutWithLabel(id NodeID, label Label) []Edge {
-	edges := g.out[id]
-	lo := sort.Search(len(edges), func(i int) bool { return edges[i].Label >= label })
-	hi := lo
-	for hi < len(edges) && edges[hi].Label == label {
-		hi++
-	}
-	return edges[lo:hi]
-}
-
 // OutDegree returns the number of outgoing edges of a node.
 func (g *Graph) OutDegree(id NodeID) int { return len(g.out[id]) }
 
@@ -263,130 +251,4 @@ func (g *Graph) Alphabet() []Label {
 	}
 	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
 	return labels
-}
-
-// LabelCount returns the number of edges with the given label.
-func (g *Graph) LabelCount(l Label) int { return g.labels[l] }
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := New()
-	for id := range g.nodes {
-		c.MustAddNode(id)
-	}
-	for id, attrs := range g.attrs {
-		for k, v := range attrs {
-			if err := c.SetAttr(id, k, v); err != nil {
-				panic(err) // unreachable: source attrs are valid
-			}
-		}
-	}
-	for _, e := range g.Edges() {
-		c.MustAddEdge(e.From, e.Label, e.To)
-	}
-	return c
-}
-
-// RemoveNode deletes a node and all incident edges. Removing a missing
-// node is a no-op.
-func (g *Graph) RemoveNode(id NodeID) {
-	if !g.HasNode(id) {
-		return
-	}
-	for _, e := range g.out[id] {
-		g.removeFromIn(e)
-		g.labels[e.Label]--
-		if g.labels[e.Label] == 0 {
-			delete(g.labels, e.Label)
-		}
-		g.edgeCount--
-	}
-	delete(g.out, id)
-	// Incoming edges from other nodes.
-	for _, e := range append([]Edge(nil), g.in[id]...) {
-		if e.From == id {
-			continue // already handled via out
-		}
-		g.removeFromOut(e)
-		g.labels[e.Label]--
-		if g.labels[e.Label] == 0 {
-			delete(g.labels, e.Label)
-		}
-		g.edgeCount--
-	}
-	delete(g.in, id)
-	delete(g.nodes, id)
-	delete(g.attrs, id)
-	g.version++
-}
-
-func (g *Graph) removeFromIn(e Edge) {
-	edges := g.in[e.To]
-	for i, x := range edges {
-		if x == e {
-			g.in[e.To] = append(edges[:i], edges[i+1:]...)
-			return
-		}
-	}
-}
-
-func (g *Graph) removeFromOut(e Edge) {
-	edges := g.out[e.From]
-	for i, x := range edges {
-		if x == e {
-			g.out[e.From] = append(edges[:i], edges[i+1:]...)
-			return
-		}
-	}
-}
-
-// Equal reports whether two graphs have the same nodes and edges
-// (attributes are ignored).
-func (g *Graph) Equal(other *Graph) bool {
-	if g.NumNodes() != other.NumNodes() || g.NumEdges() != other.NumEdges() {
-		return false
-	}
-	for id := range g.nodes {
-		if !other.HasNode(id) {
-			return false
-		}
-	}
-	ge, oe := g.Edges(), other.Edges()
-	for i := range ge {
-		if ge[i] != oe[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Validate checks internal consistency (every edge endpoint is a node and
-// the in/out indexes agree). It is primarily used by tests and the
-// property-based suite.
-func (g *Graph) Validate() error {
-	seenOut := 0
-	for from, edges := range g.out {
-		for _, e := range edges {
-			if e.From != from {
-				return fmt.Errorf("graph: edge %v indexed under wrong source %q", e, from)
-			}
-			if !g.HasNode(e.From) || !g.HasNode(e.To) {
-				return fmt.Errorf("graph: edge %v has missing endpoint", e)
-			}
-			seenOut++
-		}
-	}
-	seenIn := 0
-	for to, edges := range g.in {
-		for _, e := range edges {
-			if e.To != to {
-				return fmt.Errorf("graph: edge %v indexed under wrong target %q", e, to)
-			}
-			seenIn++
-		}
-	}
-	if seenOut != g.edgeCount || seenIn != g.edgeCount {
-		return fmt.Errorf("graph: edge count mismatch out=%d in=%d count=%d", seenOut, seenIn, g.edgeCount)
-	}
-	return nil
 }

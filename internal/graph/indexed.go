@@ -84,7 +84,7 @@ func (g *Graph) Indexed() *Indexed {
 }
 
 // Version returns a counter that increases on every structural mutation
-// (node or edge added or removed). Caches keyed on a graph — the Indexed
+// (node or edge added). Caches keyed on a graph — the Indexed
 // view, compiled query engines — use it to detect staleness.
 func (g *Graph) Version() uint64 { return g.version }
 

@@ -65,7 +65,12 @@ func TestIndexedAdjacencyMatchesGraph(t *testing.T) {
 			ni, _ := ix.IndexOf(id)
 			for _, lab := range g.Alphabet() {
 				li, _ := ix.LabelIndexOf(lab)
-				want := g.OutWithLabel(id, lab)
+				var want []Edge
+				for _, e := range g.Out(id) {
+					if e.Label == lab {
+						want = append(want, e)
+					}
+				}
 				got := ix.Out(ni, li)
 				if len(got) != len(want) {
 					t.Fatalf("Out(%s, %s): %d successors, want %d", id, lab, len(got), len(want))
@@ -123,9 +128,5 @@ func TestIndexedCacheInvalidation(t *testing.T) {
 	}
 	if g.Indexed() != ix3 {
 		t.Fatal("no-op mutations must keep the cached view")
-	}
-	g.RemoveNode("iso")
-	if g.Indexed() == ix3 {
-		t.Fatal("RemoveNode must invalidate the cached view")
 	}
 }

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -112,65 +111,4 @@ func ReadText(r io.Reader) (*Graph, error) {
 // ParseText parses a graph from a string in the text format.
 func ParseText(s string) (*Graph, error) {
 	return ReadText(strings.NewReader(s))
-}
-
-// jsonGraph is the JSON wire form.
-type jsonGraph struct {
-	Nodes []jsonNode `json:"nodes"`
-	Edges []jsonEdge `json:"edges"`
-}
-
-type jsonNode struct {
-	ID    string            `json:"id"`
-	Attrs map[string]string `json:"attrs,omitempty"`
-}
-
-type jsonEdge struct {
-	From  string `json:"from"`
-	Label string `json:"label"`
-	To    string `json:"to"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (g *Graph) MarshalJSON() ([]byte, error) {
-	jg := jsonGraph{}
-	for _, id := range g.Nodes() {
-		n := jsonNode{ID: string(id)}
-		if attrs := g.attrs[id]; len(attrs) > 0 {
-			n.Attrs = make(map[string]string, len(attrs))
-			for k, v := range attrs {
-				n.Attrs[k] = v
-			}
-		}
-		jg.Nodes = append(jg.Nodes, n)
-	}
-	for _, e := range g.Edges() {
-		jg.Edges = append(jg.Edges, jsonEdge{From: string(e.From), Label: string(e.Label), To: string(e.To)})
-	}
-	return json.Marshal(jg)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (g *Graph) UnmarshalJSON(data []byte) error {
-	var jg jsonGraph
-	if err := json.Unmarshal(data, &jg); err != nil {
-		return fmt.Errorf("graph: unmarshal: %w", err)
-	}
-	*g = *New()
-	for _, n := range jg.Nodes {
-		if err := g.AddNode(NodeID(n.ID)); err != nil {
-			return err
-		}
-		for k, v := range n.Attrs {
-			if err := g.SetAttr(NodeID(n.ID), k, v); err != nil {
-				return err
-			}
-		}
-	}
-	for _, e := range jg.Edges {
-		if err := g.AddEdge(NodeID(e.From), Label(e.Label), NodeID(e.To)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -137,31 +137,3 @@ func (g *Graph) ReachableFrom(start NodeID) map[NodeID]bool {
 	}
 	return reached
 }
-
-// ShortestPathLength returns the minimum number of edges on a directed path
-// from src to dst, and ok=false if dst is unreachable.
-func (g *Graph) ShortestPathLength(src, dst NodeID) (int, bool) {
-	if !g.HasNode(src) || !g.HasNode(dst) {
-		return 0, false
-	}
-	if src == dst {
-		return 0, true
-	}
-	dist := map[NodeID]int{src: 0}
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, e := range g.Out(cur) {
-			if _, seen := dist[e.To]; seen {
-				continue
-			}
-			dist[e.To] = dist[cur] + 1
-			if e.To == dst {
-				return dist[e.To], true
-			}
-			queue = append(queue, e.To)
-		}
-	}
-	return 0, false
-}

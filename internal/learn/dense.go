@@ -24,8 +24,6 @@ package learn
 // at any Parallelism; dense_test.go pins that on randomized graphs.
 
 import (
-	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -311,41 +309,4 @@ func generalizeDense(g *graph.Graph, pta *automaton.NFA, dense *automaton.DenseN
 	// candidates never changed the partition, so this is the same automaton
 	// the reference path's last accepted Quotient produced.
 	return pta.Quotient(dg.partitionMap())
-}
-
-// MergeCheck exposes the steady-state candidate-merge check of the dense
-// engine for benchmarking: gpsbench -learnbench pins its allocation count
-// at zero, which is what keeps the O(n²) merge fold garbage-free.
-type MergeCheck struct {
-	dg   *denseGeneralizer
-	j, i int32
-}
-
-// NewMergeCheck prepares the dense generalization state for the sample
-// exactly as Learn's step 2 does and returns a checker for a
-// representative candidate (folding the last PTA state into the root). The
-// first Run grows the scratch queue; subsequent Runs reuse it without
-// allocating.
-func NewMergeCheck(g *graph.Graph, sample *Sample, opts Options) (*MergeCheck, error) {
-	if opts.MaxPathLength <= 0 {
-		opts.MaxPathLength = DefaultMaxPathLength
-	}
-	pta, _, err := buildPTA(g, sample, opts)
-	if err != nil {
-		return nil, err
-	}
-	if int64(g.NumNodes())*int64(pta.NumStates()) > math.MaxInt32 {
-		return nil, fmt.Errorf("learn: graph × PTA product exceeds the dense engine's int32 configuration space")
-	}
-	dg := newDenseGeneralizer(g, pta, pta.Dense(), sample.Negatives, 1)
-	return &MergeCheck{dg: dg, j: int32(pta.NumStates() - 1), i: 0}, nil
-}
-
-// States returns the number of PTA states the check runs over.
-func (c *MergeCheck) States() int { return c.dg.numStates }
-
-// Run performs one negative-selection product check and reports whether
-// the candidate merge would select a negative node.
-func (c *MergeCheck) Run() bool {
-	return c.dg.selectsNegative(c.j, c.i, c.dg.scratch[0])
 }

@@ -3,23 +3,28 @@ package learn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/automaton"
+	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/regex"
+	"repro/internal/rpq"
+	"repro/internal/user"
 )
 
 // assertSameLearn runs Learn twice — dense engine vs map-based reference —
-// on clones of the sample and asserts byte-identical queries, witnesses and
+// on the same sample and asserts byte-identical queries, witnesses and
 // counters. Both must also agree on failure.
 func assertSameLearn(t *testing.T, g *graph.Graph, sample *Sample, opts Options, label string) {
 	t.Helper()
 	opts.Reference = false
-	dense, denseErr := Learn(g, sample.Clone(), opts)
+	dense, denseErr := Learn(g, sample, opts)
 	opts.Reference = true
-	ref, refErr := Learn(g, sample.Clone(), opts)
+	ref, refErr := Learn(g, sample, opts)
 	if (denseErr == nil) != (refErr == nil) {
 		t.Fatalf("%s: dense err = %v, reference err = %v", label, denseErr, refErr)
 	}
@@ -148,9 +153,46 @@ func TestDenseEngineNegativeOutsideGraph(t *testing.T) {
 	assertSameLearn(t, g, sample, Options{}, "ghost-negative")
 }
 
-// TestMergeCheckRuns sanity-checks the exported benchmark hook: the check
-// must run, and a merge of the deepest PTA state into the root on the
-// Figure 1 sample selects the negative (the fold rejects it).
+// MergeCheck isolates the steady-state candidate-merge check of the dense
+// engine. TestMergeCheckRuns pins its allocation count at zero, which is
+// what keeps the O(n²) merge fold garbage-free.
+type MergeCheck struct {
+	dg   *denseGeneralizer
+	j, i int32
+}
+
+// NewMergeCheck prepares the dense generalization state for the sample
+// exactly as Learn's step 2 does and returns a checker for a
+// representative candidate (folding the last PTA state into the root). The
+// first Run grows the scratch queue; subsequent Runs reuse it without
+// allocating.
+func NewMergeCheck(g *graph.Graph, sample *Sample, opts Options) (*MergeCheck, error) {
+	if opts.MaxPathLength <= 0 {
+		opts.MaxPathLength = DefaultMaxPathLength
+	}
+	pta, _, err := buildPTA(g, sample, opts)
+	if err != nil {
+		return nil, err
+	}
+	if int64(g.NumNodes())*int64(pta.NumStates()) > math.MaxInt32 {
+		return nil, fmt.Errorf("learn: graph × PTA product exceeds the dense engine's int32 configuration space")
+	}
+	dg := newDenseGeneralizer(g, pta, pta.Dense(), sample.Negatives, 1)
+	return &MergeCheck{dg: dg, j: int32(pta.NumStates() - 1), i: 0}, nil
+}
+
+// States returns the number of PTA states the check runs over.
+func (c *MergeCheck) States() int { return c.dg.numStates }
+
+// Run performs one negative-selection product check and reports whether
+// the candidate merge would select a negative node.
+func (c *MergeCheck) Run() bool {
+	return c.dg.selectsNegative(c.j, c.i, c.dg.scratch[0])
+}
+
+// TestMergeCheckRuns sanity-checks the merge check: it must run, and a
+// merge of the deepest PTA state into the root on the Figure 1 sample
+// selects the negative (the fold rejects it).
 func TestMergeCheckRuns(t *testing.T) {
 	g := figure1(t)
 	sample := NewSample()
@@ -211,5 +253,37 @@ func TestDenseNFAView(t *testing.T) {
 		if len(cl) != 1 || cl[0] != s {
 			t.Fatalf("ε-free closure of %d = %v, want singleton", s, cl)
 		}
+	}
+}
+
+// BenchmarkLearnMergeCheck measures the steady-state candidate-merge check
+// of the dense generalization engine in isolation. The merge fold runs it
+// O(n²) times per Learn call; it must report 0 allocs/op.
+func BenchmarkLearnMergeCheck(b *testing.B) {
+	g := dataset.Transport(dataset.TransportOptions{Rows: 10, Cols: 10, Seed: 1, FacilityRate: 0.4})
+	sample := NewSample()
+	goal := regex.MustParse("(tram+bus)*.cinema")
+	engine := rpq.New(g, goal)
+	posSeen, negSeen := 0, 0
+	for _, n := range g.Nodes() {
+		if engine.Selects(n) && posSeen < 6 {
+			if w, ok := user.WitnessWord(g, goal, n, 6); ok {
+				sample.AddPositive(n, w)
+				posSeen++
+			}
+		} else if !engine.Selects(n) && negSeen < 6 {
+			sample.AddNegative(n)
+			negSeen++
+		}
+	}
+	check, err := NewMergeCheck(g, sample, Options{MaxPathLength: 6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	check.Run() // warm-up grows the pooled scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		check.Run()
 	}
 }

@@ -172,16 +172,6 @@ func (s *Sample) PositiveNodes() []graph.NodeID {
 	return out
 }
 
-// Clone returns a deep copy of the sample.
-func (s *Sample) Clone() *Sample {
-	c := NewSample()
-	for n, w := range s.Positives {
-		c.Positives[n] = append([]string(nil), w...)
-	}
-	c.Negatives = append([]graph.NodeID(nil), s.Negatives...)
-	return c
-}
-
 // Size returns the number of labelled examples.
 func (s *Sample) Size() int { return len(s.Positives) + len(s.Negatives) }
 

@@ -34,7 +34,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Instrument kinds, matching the Prometheus exposition TYPE keywords.
@@ -130,12 +129,6 @@ func (h *Histogram) Observe(v int64) {
 			return
 		}
 	}
-}
-
-// ObserveSince records the elapsed time since start, in microseconds.
-// Use it only on histograms whose native unit is microseconds.
-func (h *Histogram) ObserveSince(start time.Time) {
-	h.Observe(time.Since(start).Microseconds())
 }
 
 // HistogramSnapshot is a point-in-time view of a histogram. Buckets are

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // parsedFamily is what the strict exposition parser recovers for one
@@ -470,16 +469,6 @@ func TestHistogramSnapshotAndQuantiles(t *testing.T) {
 	}
 	if s.Sum != 90*5+10*500 {
 		t.Fatalf("sum=%d", s.Sum)
-	}
-}
-
-func TestObserveSince(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("test_h", "x", []int64{1, 1 << 40}, 1e-6)
-	h.ObserveSince(time.Now().Add(-10 * time.Millisecond))
-	s := h.Snapshot()
-	if s.Count != 1 || s.Sum < 9_000 || s.Sum > 5_000_000 {
-		t.Fatalf("elapsed-micros observation out of range: %+v", s)
 	}
 }
 

@@ -100,7 +100,7 @@ func TestCoverageMatchesReference(t *testing.T) {
 					}
 					if got, want := CountUncoveredWith(g, start, maxLen, cov),
 						refCountUncovered(g, start, negatives, maxLen); got != want {
-						t.Fatalf("%s: CountUncovered(%s) with %d negatives bound %d = %d, reference %d",
+						t.Fatalf("%s: CountUncoveredWith(%s) with %d negatives bound %d = %d, reference %d",
 							name, start, numNeg, maxLen, got, want)
 					}
 					gotWords := UncoveredWordsWith(g, start, maxLen, cov)

@@ -54,37 +54,6 @@ func (p Path) String() string {
 // WordKey renders a word as a single comparable string.
 func WordKey(word []string) string { return strings.Join(word, ".") }
 
-// Enumerate returns every path of node start with between 1 and maxLen
-// edges, in breadth-first order (shorter paths first, then lexicographic by
-// label). The number of paths can grow exponentially with maxLen; maxPaths
-// (<=0 means unlimited) truncates the enumeration.
-func Enumerate(g *graph.Graph, start graph.NodeID, maxLen, maxPaths int) []Path {
-	var out []Path
-	if !g.HasNode(start) || maxLen <= 0 {
-		return out
-	}
-	frontier := []Path{{Start: start}}
-	for depth := 0; depth < maxLen && len(frontier) > 0; depth++ {
-		var next []Path
-		for _, p := range frontier {
-			tail := start
-			if len(p.Edges) > 0 {
-				tail = p.Edges[len(p.Edges)-1].To
-			}
-			for _, e := range g.Out(tail) {
-				np := Path{Start: start, Edges: append(append([]graph.Edge(nil), p.Edges...), e)}
-				out = append(out, np)
-				if maxPaths > 0 && len(out) >= maxPaths {
-					return out
-				}
-				next = append(next, np)
-			}
-		}
-		frontier = next
-	}
-	return out
-}
-
 // Words returns the distinct words (label sequences) of paths of node start
 // with 0..maxLen edges, sorted by length then lexicographically. The empty
 // word (the length-0 path that every existing node has) is always included;
@@ -92,11 +61,10 @@ func Enumerate(g *graph.Graph, start graph.NodeID, maxLen, maxPaths int) []Path 
 // carries one bit of information until a negative example covers the empty
 // word.
 //
-// Unlike Enumerate, which materialises every path and can blow up on dense
-// graphs, Words deduplicates level by level: each distinct word is tracked
-// together with the set of nodes it can end in, so the cost is bounded by
-// the number of distinct words times the graph size, not by the number of
-// paths.
+// Words deduplicates level by level: each distinct word is tracked together
+// with the set of nodes it can end in, so the cost is bounded by the number
+// of distinct words times the graph size, not by the number of paths, which
+// can grow exponentially with maxLen.
 func Words(g *graph.Graph, start graph.NodeID, maxLen int) [][]string {
 	ix := g.Indexed()
 	si, ok := ix.IndexOf(start)
@@ -334,19 +302,14 @@ func UncoveredWordsWith(g *graph.Graph, start graph.NodeID, maxLen int, cov *Cov
 	return out
 }
 
-// CountUncovered returns the number of words of node start with 0..maxLen
-// edges that are not covered by any negative node. It is the node
-// informativeness measure used by the interactive strategy: a node whose
-// count is zero is uninformative in the sense of the paper (all its paths,
-// including the empty one, are covered by negative examples).
-func CountUncovered(g *graph.Graph, start graph.NodeID, negatives []graph.NodeID, maxLen int) int {
-	return len(UncoveredWords(g, start, negatives, maxLen))
-}
-
-// CountUncoveredWith is CountUncovered with a caller-provided Coverage. It
-// is the strategy hot path (called once per candidate node per proposal),
-// so when the coverage was built on the same Indexed view it counts packed
-// word keys directly without materialising any label strings.
+// CountUncoveredWith returns the number of words of node start with
+// 0..maxLen edges that cov does not cover. It is the node informativeness
+// measure used by the interactive strategy: a node whose count is zero is
+// uninformative in the sense of the paper (all its paths, including the
+// empty one, are covered by negative examples). It is the strategy hot
+// path (called once per candidate node per proposal), so when the coverage
+// was built on the same Indexed view it counts packed word keys directly
+// without materialising any label strings.
 func CountUncoveredWith(g *graph.Graph, start graph.NodeID, maxLen int, cov *Coverage) int {
 	ix := g.Indexed()
 	si, ok := ix.IndexOf(start)

@@ -33,57 +33,8 @@ func figure1(t testing.TB) *graph.Graph {
 	return g
 }
 
-func TestEnumerateBasics(t *testing.T) {
-	g := figure1(t)
-	ps := Enumerate(g, "N4", 1, 0)
-	if len(ps) != 2 {
-		t.Fatalf("N4 has 2 paths of length 1, got %d", len(ps))
-	}
-	ps = Enumerate(g, "N4", 2, 0)
-	// length1: cinema->C1, bus->N5. length2: bus.restaurant, bus.tram.
-	if len(ps) != 4 {
-		t.Fatalf("N4 has 4 paths of length <=2, got %d: %v", len(ps), ps)
-	}
-	for _, p := range ps {
-		if p.Start != "N4" {
-			t.Fatalf("path start wrong: %v", p)
-		}
-		if p.Len() == 0 || p.Len() > 2 {
-			t.Fatalf("path length out of range: %v", p)
-		}
-	}
-}
-
-func TestEnumerateEmptyCases(t *testing.T) {
-	g := figure1(t)
-	if got := Enumerate(g, "missing", 3, 0); len(got) != 0 {
-		t.Fatal("missing node has no paths")
-	}
-	if got := Enumerate(g, "N1", 0, 0); len(got) != 0 {
-		t.Fatal("maxLen 0 yields no paths")
-	}
-	if got := Enumerate(g, "C1", 5, 0); len(got) != 0 {
-		t.Fatal("sink node has no outgoing paths")
-	}
-}
-
-func TestEnumerateMaxPathsTruncates(t *testing.T) {
-	g := figure1(t)
-	got := Enumerate(g, "N2", 5, 3)
-	if len(got) != 3 {
-		t.Fatalf("maxPaths=3 should truncate, got %d", len(got))
-	}
-}
-
 func TestPathStringAndWord(t *testing.T) {
-	g := figure1(t)
-	ps := Enumerate(g, "N4", 1, 0)
-	var cinema Path
-	for _, p := range ps {
-		if p.Edges[0].Label == "cinema" {
-			cinema = p
-		}
-	}
+	cinema := Path{Start: "N4", Edges: []graph.Edge{{From: "N4", Label: "cinema", To: "C1"}}}
 	if cinema.String() != "N4 -cinema-> C1" {
 		t.Fatalf("String = %q", cinema.String())
 	}
@@ -202,7 +153,7 @@ func TestUncoveredWordsAndCount(t *testing.T) {
 	g := figure1(t)
 	negatives := []graph.NodeID{"N5"}
 	words := UncoveredWords(g, "N6", negatives, 2)
-	count := CountUncovered(g, "N6", negatives, 2)
+	count := CountUncoveredWith(g, "N6", 2, NewCoverage(g, negatives, 2))
 	if len(words) != count {
 		t.Fatalf("count mismatch %d vs %d", len(words), count)
 	}
@@ -212,7 +163,7 @@ func TestUncoveredWordsAndCount(t *testing.T) {
 		}
 	}
 	// A node with no outgoing edges has no words, hence count 0.
-	if CountUncovered(g, "C1", negatives, 3) != 0 {
+	if CountUncoveredWith(g, "C1", 3, NewCoverage(g, negatives, 3)) != 0 {
 		t.Fatal("sink node has no uncovered words")
 	}
 }
@@ -226,14 +177,10 @@ func TestTrieInsertContainsLen(t *testing.T) {
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", tr.Len())
 	}
-	if !tr.Contains([]string{"cinema"}) || !tr.Contains([]string{"bus", "tram", "cinema"}) {
-		t.Fatal("Contains failed for inserted word")
-	}
-	if tr.Contains([]string{"bus"}) {
-		t.Fatal("prefix must not be contained unless inserted")
-	}
-	if tr.Contains([]string{"metro"}) {
-		t.Fatal("unknown word contained")
+	// A prefix of an inserted word is not stored unless inserted itself.
+	want := [][]string{{"cinema"}, {"bus", "bus", "cinema"}, {"bus", "tram", "cinema"}}
+	if got := tr.Words(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Words = %v, want %v", got, want)
 	}
 }
 
@@ -254,7 +201,7 @@ func TestTrieWordsSorted(t *testing.T) {
 func TestTrieEmptyWord(t *testing.T) {
 	tr := NewTrie()
 	tr.Insert(nil)
-	if tr.Len() != 1 || !tr.Contains(nil) {
+	if words := tr.Words(); tr.Len() != 1 || len(words) != 1 || len(words[0]) != 0 {
 		t.Fatal("empty word should be storable")
 	}
 	if !strings.Contains(tr.Render(nil), "(empty word)") {
@@ -268,9 +215,9 @@ func TestTrieLongest(t *testing.T) {
 		{"bus", "bus", "cinema"},
 		{"bus", "tram"},
 	})
-	w, ok := tr.Longest()
+	w, ok := tr.LongestWithin(3)
 	if !ok || len(w) != 3 {
-		t.Fatalf("Longest = %v ok=%v", w, ok)
+		t.Fatalf("LongestWithin(3) = %v ok=%v", w, ok)
 	}
 	w, ok = tr.LongestWithin(2)
 	if !ok || WordKey(w) != "bus.tram" {
@@ -284,7 +231,7 @@ func TestTrieLongest(t *testing.T) {
 		t.Fatal("no word of length 0 stored")
 	}
 	empty := NewTrie()
-	if _, ok := empty.Longest(); ok {
+	if _, ok := empty.LongestWithin(3); ok {
 		t.Fatal("empty trie has no longest word")
 	}
 }

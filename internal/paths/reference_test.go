@@ -58,8 +58,10 @@ func refHasWord(g *graph.Graph, start graph.NodeID, word []string) bool {
 	for _, label := range word {
 		next := make(map[graph.NodeID]bool)
 		for node := range current {
-			for _, e := range g.OutWithLabel(node, graph.Label(label)) {
-				next[e.To] = true
+			for _, e := range g.Out(node) {
+				if e.Label == graph.Label(label) {
+					next[e.To] = true
+				}
 			}
 		}
 		if len(next) == 0 {

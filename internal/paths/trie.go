@@ -50,19 +50,6 @@ func (t *Trie) Insert(word []string) {
 	}
 }
 
-// Contains reports whether the word was inserted.
-func (t *Trie) Contains(word []string) bool {
-	cur := t.root
-	for _, label := range word {
-		next, ok := cur.children[label]
-		if !ok {
-			return false
-		}
-		cur = next
-	}
-	return cur.terminal
-}
-
 // Len returns the number of stored words.
 func (t *Trie) Len() int { return t.size }
 
@@ -91,24 +78,6 @@ func (t *Trie) Words() [][]string {
 		return WordKey(out[i]) < WordKey(out[j])
 	})
 	return out
-}
-
-// Longest returns a longest stored word (ties broken lexicographically) and
-// ok=false when the trie is empty. The interactive engine proposes the
-// longest word whose length equals the last zoom radius as the candidate
-// path of interest.
-func (t *Trie) Longest() ([]string, bool) {
-	words := t.Words()
-	if len(words) == 0 {
-		return nil, false
-	}
-	best := words[0]
-	for _, w := range words[1:] {
-		if len(w) > len(best) {
-			best = w
-		}
-	}
-	return best, true
 }
 
 // LongestWithin returns the longest stored word of length at most maxLen,

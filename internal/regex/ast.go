@@ -326,30 +326,3 @@ func (e *Expr) stringIn(parent Kind) string {
 	}
 	return s
 }
-
-// Equal reports syntactic equality after canonical printing. Language
-// equivalence is provided by the automaton package.
-func (e *Expr) Equal(other *Expr) bool {
-	if e == nil || other == nil {
-		return e == other
-	}
-	return e.String() == other.String()
-}
-
-// Clone returns a deep copy of the expression.
-func (e *Expr) Clone() *Expr {
-	if e == nil {
-		return nil
-	}
-	c := &Expr{Kind: e.Kind, Label: e.Label}
-	if e.Sub != nil {
-		c.Sub = e.Sub.Clone()
-	}
-	if len(e.Subs) > 0 {
-		c.Subs = make([]*Expr, len(e.Subs))
-		for i, s := range e.Subs {
-			c.Subs[i] = s.Clone()
-		}
-	}
-	return c
-}

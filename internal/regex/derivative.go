@@ -54,16 +54,3 @@ func (e *Expr) Matches(word []string) bool {
 	}
 	return cur.Nullable()
 }
-
-// MatchesPrefix reports whether some word of the language has the given
-// word as a prefix, i.e. whether the derivative by the word is non-empty.
-func (e *Expr) MatchesPrefix(word []string) bool {
-	cur := e
-	for _, label := range word {
-		cur = cur.Derivative(label)
-		if cur.IsEmptyLanguage() {
-			return false
-		}
-	}
-	return !cur.IsEmptyLanguage()
-}

@@ -96,7 +96,7 @@ func TestParseRoundTrip(t *testing.T) {
 	for _, in := range inputs {
 		e := MustParse(in)
 		back := MustParse(e.String())
-		if !e.Equal(back) {
+		if e.String() != back.String() {
 			t.Errorf("round trip of %q: %q != %q", in, e.String(), back.String())
 		}
 	}
@@ -228,47 +228,6 @@ func TestMatchesClosures(t *testing.T) {
 	}
 }
 
-func TestMatchesPrefix(t *testing.T) {
-	q := MustParse("(tram+bus)*.cinema")
-	if !q.MatchesPrefix([]string{"bus", "bus"}) {
-		t.Fatal("bus.bus is a prefix of a word in L(q)")
-	}
-	if !q.MatchesPrefix([]string{"cinema"}) {
-		t.Fatal("cinema itself is a word hence a prefix")
-	}
-	if q.MatchesPrefix([]string{"restaurant"}) {
-		t.Fatal("restaurant is not a prefix of any word in L(q)")
-	}
-	if q.MatchesPrefix([]string{"cinema", "bus"}) {
-		t.Fatal("nothing follows cinema in L(q)")
-	}
-}
-
-func TestCloneDeep(t *testing.T) {
-	e := MustParse("(a+b)*.c?")
-	c := e.Clone()
-	if !e.Equal(c) {
-		t.Fatal("clone should be equal")
-	}
-	c.Subs[0].Sub.Subs[0].Label = "z"
-	if e.Equal(c) {
-		t.Fatal("mutating clone should not affect original")
-	}
-}
-
-func TestEqualNil(t *testing.T) {
-	var e *Expr
-	if !e.Equal(nil) {
-		t.Fatal("nil equals nil")
-	}
-	if e.Equal(Sym("a")) || Sym("a").Equal(nil) {
-		t.Fatal("nil does not equal non-nil")
-	}
-	if e.String() != "empty" {
-		t.Fatal("nil String should be empty")
-	}
-}
-
 func TestSmartConstructorsEdgeCases(t *testing.T) {
 	if Concat().Kind != KindEps {
 		t.Fatal("empty concat = eps")
@@ -342,7 +301,7 @@ func TestPropertyParsePrintRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return e.Equal(back)
+		return e.String() == back.String()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -419,5 +378,9 @@ func TestStringPrecedence(t *testing.T) {
 	}
 	if got := MustParse("(a.b)*").String(); got != "(a.b)*" {
 		t.Fatalf("got %q", got)
+	}
+	var nilExpr *Expr
+	if got := nilExpr.String(); got != "empty" {
+		t.Fatalf("nil String = %q, want empty", got)
 	}
 }

@@ -143,13 +143,3 @@ func NeighborhoodASCII(n *graph.Neighborhood, prev *graph.Neighborhood) string {
 func PrefixTree(words [][]string, candidate []string) string {
 	return paths.BuildTrie(words).Render(candidate)
 }
-
-// PathList renders a list of paths one per line.
-func PathList(ps []paths.Path) string {
-	var sb strings.Builder
-	for _, p := range ps {
-		sb.WriteString(p.String())
-		sb.WriteString("\n")
-	}
-	return sb.String()
-}

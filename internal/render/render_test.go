@@ -70,12 +70,4 @@ func TestPrefixTreeAndPathList(t *testing.T) {
 	if !strings.Contains(out, "◀ candidate") {
 		t.Fatalf("candidate highlight missing:\n%s", out)
 	}
-	ps := paths.Enumerate(g, "N4", 1, 0)
-	list := PathList(ps)
-	if !strings.Contains(list, "N4 -cinema-> C1") {
-		t.Fatalf("path list wrong:\n%s", list)
-	}
-	if len(strings.Split(strings.TrimSpace(list), "\n")) != len(ps) {
-		t.Fatal("one line per path expected")
-	}
 }

@@ -37,44 +37,10 @@ type refConfig struct {
 	state automaton.State
 }
 
-// selects runs a plain forward BFS from (node, start) and reports whether
-// an accepting state is reachable. maxLen < 0 means unbounded.
-func (r *refEvaluator) selects(node graph.NodeID, maxLen int) bool {
-	if !r.g.HasNode(node) {
-		return false
-	}
-	if r.dfa.IsAccepting(r.dfa.Start()) {
-		return true
-	}
-	type entry struct {
-		c     refConfig
-		depth int
-	}
-	start := refConfig{node, r.dfa.Start()}
-	seen := map[refConfig]bool{start: true}
-	queue := []entry{{start, 0}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if maxLen >= 0 && cur.depth >= maxLen {
-			continue
-		}
-		for _, edge := range r.g.Out(cur.c.node) {
-			next, ok := r.dfa.Next(cur.c.state, string(edge.Label))
-			if !ok {
-				continue
-			}
-			if r.dfa.IsAccepting(next) {
-				return true
-			}
-			nc := refConfig{edge.To, next}
-			if !seen[nc] {
-				seen[nc] = true
-				queue = append(queue, entry{nc, cur.depth + 1})
-			}
-		}
-	}
-	return false
+// selects reports whether some accepted path starts at the node.
+func (r *refEvaluator) selects(node graph.NodeID) bool {
+	_, ok := r.shortestWitnessLen(node)
+	return ok
 }
 
 // shortestWitnessLen returns the length of a shortest accepted path from
@@ -117,7 +83,7 @@ func (r *refEvaluator) shortestWitnessLen(node graph.NodeID) (int, bool) {
 func (r *refEvaluator) selected() []graph.NodeID {
 	var out []graph.NodeID
 	for _, n := range r.g.Nodes() {
-		if r.selects(n, -1) {
+		if r.selects(n) {
 			out = append(out, n)
 		}
 	}
@@ -161,8 +127,8 @@ func randomEqQuery(rng *rand.Rand, depth int) string {
 	}
 }
 
-// TestRandomizedEquivalenceWithReference cross-checks Selected, Selects,
-// SelectsWithin and the Witness length of the dense engine against the
+// TestRandomizedEquivalenceWithReference cross-checks Selected, Selects
+// and the Witness length of the dense engine against the
 // naive reference on 150 seeded random graph/query pairs.
 func TestRandomizedEquivalenceWithReference(t *testing.T) {
 	const cases = 150
@@ -179,14 +145,8 @@ func TestRandomizedEquivalenceWithReference(t *testing.T) {
 			}
 		}
 		for _, n := range g.Nodes() {
-			if got, want := e.Selects(n), ref.selects(n, -1); got != want {
+			if got, want := e.Selects(n), ref.selects(n); got != want {
 				t.Fatalf("case %d: query %s: Selects(%s) = %v, reference = %v", i, q, n, got, want)
-			}
-			for _, maxLen := range []int{0, 1, 2, 5} {
-				if got, want := e.SelectsWithin(n, maxLen), ref.selects(n, maxLen); got != want {
-					t.Fatalf("case %d: query %s: SelectsWithin(%s, %d) = %v, reference = %v",
-						i, q, n, maxLen, got, want)
-				}
 			}
 			w, ok := e.Witness(n)
 			wantLen, wantOK := ref.shortestWitnessLen(n)

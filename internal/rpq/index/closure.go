@@ -35,19 +35,6 @@ func (c *Closure) RowSpan(v int32) (span []uint64, lo int32) {
 	return c.rows[int(r)*c.words+int(c.rowLo[r]) : int(r)*c.words+int(c.rowHi[r])], c.rowLo[r]
 }
 
-// Reaches reports whether w is in the closure of v (i.e. v reaches w via
-// edges of the closed label, or v == w).
-func (c *Closure) Reaches(v, w int32) bool {
-	if v == w {
-		return true
-	}
-	r := c.rowOf[v]
-	if r < 0 {
-		return false
-	}
-	return c.rows[int(r)*c.words+int(w>>6)]&(1<<(uint(w)&63)) != 0
-}
-
 // MemBytes returns the closure's approximate memory footprint.
 func (c *Closure) MemBytes() int64 {
 	return int64(len(c.rows))*8 + int64(len(c.rowOf))*4 + int64(len(c.rowLo))*8

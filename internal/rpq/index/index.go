@@ -3,11 +3,11 @@
 // edge. One Index is built per graph.Indexed version (typically in the
 // background at graph registration) and holds three layers:
 //
-//   - per-label successor/predecessor closure bitsets for the most
-//     frequent labels, under a memory budget: SCC-condensed
-//     reflexive-transitive closures of each single-label subgraph, so a
-//     label-star subquery (a DFA self-loop) is answered by ORing closure
-//     rows instead of running a diameter-deep BFS;
+//   - per-label predecessor closure bitsets for the most frequent labels,
+//     under a memory budget: SCC-condensed reflexive-transitive closures
+//     of each reversed single-label subgraph, so a label-star subquery (a
+//     DFA self-loop) in the backward product sweep is answered by ORing
+//     closure rows instead of running a diameter-deep BFS;
 //   - lazily built closures over the union of a label set, for DFA states
 //     that self-loop on several labels (an alternation star), cached on
 //     the index under the same budget;
@@ -32,7 +32,7 @@ import (
 // Default construction parameters.
 const (
 	// DefaultMaxClosureBytes caps the total memory spent on per-label
-	// closure rows (both directions together).
+	// closure rows.
 	DefaultMaxClosureBytes = 64 << 20
 	// DefaultMaxClosureLabels caps how many labels get closures, budget
 	// permitting; labels are considered in descending edge count.
@@ -69,11 +69,9 @@ func (o Options) withDefaults() Options {
 type Index struct {
 	ix *graph.Indexed
 
-	// pred[l] / succ[l] are the per-label closures (nil when the label was
-	// not closed): pred rows answer "which nodes reach v via l-paths",
-	// succ rows "which nodes does v reach".
+	// pred[l] is the per-label closure (nil when the label was not
+	// closed): its rows answer "which nodes reach v via l-paths".
 	pred []*Closure
-	succ []*Closure
 
 	// srcBits[l] is the bitset of nodes with at least one outgoing l-edge
 	// — the exact predecessor set of a full frontier under l, which lets
@@ -106,7 +104,6 @@ func Build(ix *graph.Indexed, opts Options) *Index {
 		ix:      ix,
 		opts:    opts,
 		pred:    make([]*Closure, numLabels),
-		succ:    make([]*Closure, numLabels),
 		setPred: make(map[string]*Closure),
 	}
 	x.buildClosures(opts)
@@ -120,16 +117,9 @@ func Build(ix *graph.Indexed, opts Options) *Index {
 // they evaluate over.
 func (x *Index) View() *graph.Indexed { return x.ix }
 
-// GraphVersion returns the graph structural version the index reflects.
-func (x *Index) GraphVersion() uint64 { return x.ix.Version() }
-
 // PredStar returns the predecessor closure of label gl, or nil when the
 // label was not closed.
 func (x *Index) PredStar(gl int32) *Closure { return x.pred[gl] }
-
-// SuccStar returns the successor closure of label gl, or nil when the
-// label was not closed.
-func (x *Index) SuccStar(gl int32) *Closure { return x.succ[gl] }
 
 // PredStarSet returns the predecessor closure over the union of the given
 // label subgraphs — the relation "u reaches v by a path whose edges all
@@ -172,9 +162,8 @@ func (x *Index) PredStarSet(gls []int32) *Closure {
 	return cl
 }
 
-// buildClosures closes the most frequent labels (by edge count) under the
-// byte budget, predecessor direction first: the backward product sweep
-// consumes pred closures, so they take priority when the budget is tight.
+// buildClosures closes the most frequent labels (by edge count), in that
+// order, while the byte budget holds.
 func (x *Index) buildClosures(opts Options) {
 	if opts.MaxClosureBytes < 0 || opts.MaxClosureLabels < 0 {
 		return
@@ -206,23 +195,14 @@ func (x *Index) buildClosures(opts Options) {
 		freq = freq[:opts.MaxClosureLabels]
 	}
 	var spent int64
-	// Predecessor closures for every chosen label, then successor
-	// closures, each kept only while the cumulative budget holds.
 	for _, f := range freq {
 		gl := f.gl
 		cl := buildClosure(n, func(v int32) []int32 { return ix.In(v, gl) })
-		if spent += cl.MemBytes(); spent > opts.MaxClosureBytes {
-			return
+		if spent+cl.MemBytes() > opts.MaxClosureBytes {
+			break
 		}
+		spent += cl.MemBytes()
 		x.pred[gl] = cl
-	}
-	for _, f := range freq {
-		gl := f.gl
-		cl := buildClosure(n, func(v int32) []int32 { return ix.Out(v, gl) })
-		if spent += cl.MemBytes(); spent > opts.MaxClosureBytes {
-			return
-		}
-		x.succ[gl] = cl
 	}
 	x.memBytes += spent
 }
@@ -272,7 +252,7 @@ type Stats struct {
 	Bytes int64 `json:"bytes"`
 	// BuildMs is the wall-clock build time in milliseconds.
 	BuildMs float64 `json:"build_ms"`
-	// ClosedLabels counts labels with at least one closure direction.
+	// ClosedLabels counts labels with a closure.
 	ClosedLabels int `json:"closed_labels"`
 	// SetClosures counts the lazily built label-set closures resident.
 	SetClosures int `json:"set_closures"`
@@ -283,8 +263,8 @@ type Stats struct {
 // Stats returns the current snapshot.
 func (x *Index) Stats() Stats {
 	closed := 0
-	for gl := range x.pred {
-		if x.pred[gl] != nil || x.succ[gl] != nil {
+	for _, cl := range x.pred {
+		if cl != nil {
 			closed++
 		}
 	}

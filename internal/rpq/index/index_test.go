@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/graph"
 )
 
@@ -24,6 +25,19 @@ func randomGraph(rng *rand.Rand, maxNodes int) *graph.Graph {
 		g.MustAddEdge(from, labels[rng.Intn(len(labels))], to)
 	}
 	return g
+}
+
+// Reaches reports whether w is in the closure of v (i.e. v reaches w via
+// edges of the closed label, or v == w).
+func (c *Closure) Reaches(v, w int32) bool {
+	if v == w {
+		return true
+	}
+	r := c.rowOf[v]
+	if r < 0 {
+		return false
+	}
+	return c.rows[int(r)*c.words+int(w>>6)]&(1<<(uint(w)&63)) != 0
 }
 
 // refReaches is the reference single-label reachability: BFS from v over
@@ -49,8 +63,8 @@ func refReaches(ix *graph.Indexed, v, w, gl int32) bool {
 	return false
 }
 
-// TestIndexClosureMatchesBFS pins every closed label's closure rows (both
-// directions) to the reference BFS on randomized graphs.
+// TestIndexClosureMatchesBFS pins every closed label's closure rows to the
+// reference BFS on randomized graphs.
 func TestIndexClosureMatchesBFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for c := 0; c < 80; c++ {
@@ -60,19 +74,14 @@ func TestIndexClosureMatchesBFS(t *testing.T) {
 		x := Build(ix, Options{MaxClosureLabels: 8})
 		n := int32(ix.NumNodes())
 		for gl := int32(0); gl < int32(ix.NumLabels()); gl++ {
-			succ, pred := x.SuccStar(gl), x.PredStar(gl)
+			pred := x.PredStar(gl)
+			if pred == nil {
+				continue
+			}
 			for v := int32(0); v < n; v++ {
 				for w := int32(0); w < n; w++ {
-					want := refReaches(ix, v, w, gl)
-					if succ != nil {
-						if got := succ.Reaches(v, w); got != want {
-							t.Fatalf("case %d label %d: succ.Reaches(%d,%d)=%v want %v", c, gl, v, w, got, want)
-						}
-					}
-					if pred != nil {
-						if got := pred.Reaches(w, v); got != want {
-							t.Fatalf("case %d label %d: pred.Reaches(%d,%d)=%v want %v (transposed)", c, gl, w, v, got, want)
-						}
+					if got, want := pred.Reaches(w, v), refReaches(ix, v, w, gl); got != want {
+						t.Fatalf("case %d label %d: pred.Reaches(%d,%d)=%v want %v (transposed)", c, gl, w, v, got, want)
 					}
 				}
 			}
@@ -172,7 +181,7 @@ func TestIndexClosureBudget(t *testing.T) {
 	ix := g.Indexed()
 	x := Build(ix, Options{MaxClosureBytes: 1})
 	for gl := int32(0); gl < int32(ix.NumLabels()); gl++ {
-		if x.PredStar(gl) != nil || x.SuccStar(gl) != nil {
+		if x.PredStar(gl) != nil {
 			t.Fatalf("label %d closed despite 1-byte budget", gl)
 		}
 	}
@@ -187,6 +196,21 @@ func TestIndexClosureBudget(t *testing.T) {
 	}
 	if st := x.Stats(); st.ClosedLabels != 0 {
 		t.Fatalf("Stats.ClosedLabels = %d, want 0", st.ClosedLabels)
+	}
+
+	// A budget that fits only the most frequent label's closure keeps it
+	// and counts it in Stats.Bytes next to the source bitsets.
+	tram := Build(dataset.Figure1().Indexed(), Options{MaxClosureLabels: 1})
+	var first *Closure
+	for gl := range tram.pred {
+		if tram.pred[gl] != nil {
+			first = tram.pred[gl]
+		}
+	}
+	srcBytes := tram.Stats().Bytes - first.MemBytes()
+	x = Build(tram.View(), Options{MaxClosureBytes: first.MemBytes()})
+	if st := x.Stats(); st.ClosedLabels != 1 || st.Bytes != first.MemBytes()+srcBytes {
+		t.Fatalf("Stats = %+v, want 1 closed label and %d bytes", st, first.MemBytes()+srcBytes)
 	}
 }
 
@@ -206,7 +230,22 @@ func TestIndexStats(t *testing.T) {
 	if st = x.Stats(); st.Hits != 2 {
 		t.Fatalf("Stats.Hits = %d, want 2", st.Hits)
 	}
-	if x.GraphVersion() != g.Version() {
-		t.Fatalf("GraphVersion = %d, want %d", x.GraphVersion(), g.Version())
+	if x.View().Version() != g.Version() {
+		t.Fatalf("View().Version() = %d, want %d", x.View().Version(), g.Version())
+	}
+}
+
+// TestIndexBytesTransport pins the resident size of a default index on the
+// transport grids the benchmarks use: per-label predecessor closures plus
+// the per-label source bitsets, and nothing else.
+func TestIndexBytesTransport(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		want int64
+	}{{10, 10104}, {40, 1116400}, {60, 5411968}} {
+		g := dataset.Transport(dataset.TransportOptions{Rows: tc.n, Cols: tc.n, Seed: 1, FacilityRate: 0.3})
+		if got := Build(g.Indexed(), Options{}).Stats().Bytes; got != tc.want {
+			t.Errorf("%dx%d: Stats().Bytes = %d, want %d", tc.n, tc.n, got, tc.want)
+		}
 	}
 }

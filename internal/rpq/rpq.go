@@ -31,7 +31,6 @@ import (
 // the product reachability so that Selected, Selects and Witness are cheap.
 // An Engine is immutable after New and safe for concurrent use.
 type Engine struct {
-	g     *graph.Graph
 	ix    *graph.Indexed
 	query *regex.Expr
 	// text is query's canonical spelling, query.String().
@@ -71,9 +70,6 @@ type Engine struct {
 	// scratch pools per-call BFS state (parent pointers, queue) so that
 	// repeated Witness calls do not reallocate product-sized arrays.
 	scratch sync.Pool
-	// evalPool pools the bitset/queue scratch of SelectsWithin and
-	// PairsFrom the same way.
-	evalPool sync.Pool
 }
 
 // witnessScratch is the reusable BFS state of one Witness call. parent is
@@ -83,32 +79,6 @@ type witnessScratch struct {
 	parent []int32
 	lab    []int32
 	queue  []int32
-}
-
-// evalScratch is the reusable forward-BFS state of one SelectsWithin or
-// PairsFrom call. seen is kept all-zero and answers all-false between
-// uses; the owner clears the entries it touched before returning the
-// scratch to the pool.
-type evalScratch struct {
-	seen    []uint64
-	queue   []int32
-	next    []int32
-	touched []int32
-	answers []bool
-}
-
-// getEval returns a pooled scratch sized for the engine's product.
-func (e *Engine) getEval() *evalScratch {
-	n := e.ix.NumNodes()
-	words := (n*e.numStates + 63) / 64
-	es, _ := e.evalPool.Get().(*evalScratch)
-	if es == nil || len(es.seen) < words || len(es.answers) < n {
-		es = &evalScratch{
-			seen:    make([]uint64, words),
-			answers: make([]bool, n),
-		}
-	}
-	return es
 }
 
 func (e *Engine) getScratch(total int) *witnessScratch {
@@ -168,7 +138,6 @@ func newEngine(g *graph.Graph, query *regex.Expr) *Engine {
 	text := query.String()
 	dfa := compiledDFA(text, query, alphabet)
 	e := &Engine{
-		g:         g,
 		ix:        ix,
 		query:     query,
 		text:      text,
@@ -412,65 +381,6 @@ func (e *Engine) reconstruct(parent, parentLab []int32, last int) []graph.Edge {
 // one call and returns the selected nodes.
 func Evaluate(g *graph.Graph, query *regex.Expr) []graph.NodeID {
 	return New(g, query).Selected()
-}
-
-// SelectsWithin reports whether the node has a path of length at most
-// maxLen whose labels are in L(q). It is used by the bounded strategies.
-func (e *Engine) SelectsWithin(node graph.NodeID, maxLen int) bool {
-	ni, ok := e.ix.IndexOf(node)
-	if !ok {
-		return false
-	}
-	if e.accepting[e.start] {
-		return true
-	}
-	S := e.numStates
-	es := e.getEval()
-	seen := es.seen
-	startCfg := e.cfg(ni, e.start)
-	seen[startCfg>>6] |= 1 << (uint(startCfg) & 63)
-	touched := append(es.touched[:0], int32(startCfg))
-	frontier := append(es.queue[:0], int32(startCfg))
-	next := es.next[:0]
-	numLabels := e.ix.NumLabels()
-	found := false
-search:
-	for depth := 0; depth < maxLen && len(frontier) > 0; depth++ {
-		next = next[:0]
-		for _, cc := range frontier {
-			c := int(cc)
-			u := int32(c / S)
-			s := automaton.State(c % S)
-			for gl := 0; gl < numLabels; gl++ {
-				outs := e.ix.Out(u, int32(gl))
-				if len(outs) == 0 || e.dfaLabel[gl] < 0 {
-					continue
-				}
-				ns := e.dfa.NextByIndex(s, e.dfaLabel[gl])
-				if e.accepting[ns] {
-					found = true
-					break search
-				}
-				for _, v := range outs {
-					nc := e.cfg(v, ns)
-					if seen[nc>>6]&(1<<(uint(nc)&63)) == 0 {
-						seen[nc>>6] |= 1 << (uint(nc) & 63)
-						touched = append(touched, int32(nc))
-						next = append(next, int32(nc))
-					}
-				}
-			}
-		}
-		frontier, next = next, frontier
-	}
-	// Restore the all-zero invariant before pooling: every set bit was
-	// recorded in touched.
-	for _, c := range touched {
-		seen[c>>6] &^= 1 << (uint(c) & 63)
-	}
-	es.queue, es.next, es.touched = frontier[:0], next[:0], touched[:0]
-	e.evalPool.Put(es)
-	return found
 }
 
 // Consistent reports whether the query selects every node of positives and

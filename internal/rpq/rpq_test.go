@@ -168,24 +168,6 @@ func TestWitnessIsValidPath(t *testing.T) {
 	}
 }
 
-func TestSelectsWithin(t *testing.T) {
-	g := figure1(t)
-	e := New(g, regex.MustParse("(tram+bus)*.cinema"))
-	if !e.SelectsWithin("N4", 1) {
-		t.Fatal("N4 selects within 1")
-	}
-	if e.SelectsWithin("N2", 2) {
-		t.Fatal("N2 needs 3 edges to reach a cinema")
-	}
-	if !e.SelectsWithin("N2", 3) {
-		t.Fatal("N2 selects within 3")
-	}
-	nullable := New(g, regex.MustParse("cinema?"))
-	if !nullable.SelectsWithin("R1", 0) {
-		t.Fatal("nullable query selects within 0")
-	}
-}
-
 func TestConsistent(t *testing.T) {
 	g := figure1(t)
 	q := regex.MustParse("(tram+bus)*.cinema")

@@ -92,38 +92,3 @@ func TestNewWithDefaultWorkers(t *testing.T) {
 	e := NewWith(g, q, Options{})
 	engineBitsEqual(t, New(g, q), e)
 }
-
-// TestScratchReuseSelectsWithinAndPairsFrom pins the pooled-scratch
-// invariants: repeated and interleaved calls must keep returning the same
-// answers as a fresh engine.
-func TestScratchReuseSelectsWithinAndPairsFrom(t *testing.T) {
-	g := dataset.Transport(dataset.TransportOptions{Rows: 6, Cols: 6, Seed: 3, FacilityRate: 0.4})
-	q := regex.MustParse("(tram+bus)*.cinema")
-	e := New(g, q)
-	nodes := g.Nodes()
-	type key struct {
-		node   graph.NodeID
-		maxLen int
-	}
-	wantWithin := make(map[key]bool)
-	wantPairs := make(map[graph.NodeID][]graph.NodeID)
-	for _, n := range nodes {
-		for _, l := range []int{0, 1, 3, 7} {
-			wantWithin[key{n, l}] = New(g, q).SelectsWithin(n, l)
-		}
-		wantPairs[n] = New(g, q).PairsFrom(n)
-	}
-	// Interleave the two scratch users across several rounds on one engine.
-	for round := 0; round < 4; round++ {
-		for _, n := range nodes {
-			for _, l := range []int{0, 1, 3, 7} {
-				if got := e.SelectsWithin(n, l); got != wantWithin[key{n, l}] {
-					t.Fatalf("round %d: SelectsWithin(%s, %d) = %v, want %v", round, n, l, got, wantWithin[key{n, l}])
-				}
-			}
-			if got := e.PairsFrom(n); !reflect.DeepEqual(got, wantPairs[n]) {
-				t.Fatalf("round %d: PairsFrom(%s) = %v, want %v", round, n, got, wantPairs[n])
-			}
-		}
-	}
-}

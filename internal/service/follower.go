@@ -128,9 +128,6 @@ func (f *Follower) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.base.ServeHTTP(w, r)
 }
 
-// Promoted reports whether this follower has become the primary.
-func (f *Follower) Promoted() bool { return f.promoted.Load() }
-
 // Server returns the promoted server, nil before promotion.
 func (f *Follower) Server() *Server { return f.srv.Load() }
 

@@ -32,8 +32,8 @@ func TestIndexBuiltOnRegister(t *testing.T) {
 	}
 	waitIndexReady(t, h)
 	idx := h.Index()
-	if idx.GraphVersion() != h.Version() {
-		t.Fatalf("index version %d, handle version %d", idx.GraphVersion(), h.Version())
+	if idx.View().Version() != h.Version() {
+		t.Fatalf("index version %d, handle version %d", idx.View().Version(), h.Version())
 	}
 	info := h.indexInfo()
 	if info.State != "ready" || info.Stats == nil || info.Stats.Bytes <= 0 {
@@ -105,11 +105,11 @@ func TestIndexRebuiltOnReRegister(t *testing.T) {
 	if h2.Index() == h1.Index() {
 		t.Fatal("new handle shares the old graph's index")
 	}
-	if got, want := h2.Index().GraphVersion(), g2.Version(); got != want {
+	if got, want := h2.Index().View().Version(), g2.Version(); got != want {
 		t.Fatalf("rebuilt index version %d, want %d", got, want)
 	}
 	// The replaced handle keeps its own snapshot and index.
-	if h1.Index() == nil || h1.Index().GraphVersion() != h1.Version() {
+	if h1.Index() == nil || h1.Index().View().Version() != h1.Version() {
 		t.Fatal("old handle's index was disturbed by re-registration")
 	}
 }
@@ -151,7 +151,7 @@ func TestIndexRebuiltAfterRecovery(t *testing.T) {
 	if hB.Index() == hA.Index() {
 		t.Fatal("recovery reused the pre-crash index object")
 	}
-	if got, want := hB.Index().GraphVersion(), hB.Version(); got != want {
+	if got, want := hB.Index().View().Version(), hB.Version(); got != want {
 		t.Fatalf("recovered index version %d, want handle version %d", got, want)
 	}
 	e, err := hB.Engine("(tram+bus)*.cinema")

@@ -72,17 +72,8 @@ func Percentile(values []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// IntsToFloats converts an int slice for aggregation.
-func IntsToFloats(values []int) []float64 {
-	out := make([]float64, len(values))
-	for i, v := range values {
-		out[i] = float64(v)
-	}
-	return out
-}
-
 // Table accumulates rows of an experiment result and renders them as an
-// aligned text table (and as CSV).
+// aligned text table.
 type Table struct {
 	Title   string
 	Headers []string
@@ -143,19 +134,6 @@ func (t *Table) String() string {
 	writeRow(sep)
 	for _, row := range t.Rows {
 		writeRow(row)
-	}
-	return sb.String()
-}
-
-// CSV renders the table as comma-separated values (quoting is not needed
-// for the identifiers and numbers the experiments emit).
-func (t *Table) CSV() string {
-	var sb strings.Builder
-	sb.WriteString(strings.Join(t.Headers, ","))
-	sb.WriteString("\n")
-	for _, row := range t.Rows {
-		sb.WriteString(strings.Join(row, ","))
-		sb.WriteString("\n")
 	}
 	return sb.String()
 }

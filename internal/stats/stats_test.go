@@ -57,13 +57,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestIntsToFloats(t *testing.T) {
-	got := IntsToFloats([]int{1, 2, 3})
-	if len(got) != 3 || got[2] != 3.0 {
-		t.Fatalf("IntsToFloats = %v", got)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tbl := NewTable("demo", "name", "value")
 	tbl.AddRow("alpha", 1)
@@ -79,12 +72,6 @@ func TestTableRendering(t *testing.T) {
 	// Title + header + separator + 2 rows.
 	if len(lines) != 5 {
 		t.Fatalf("expected 5 lines, got %d:\n%s", len(lines), out)
-	}
-	// All data lines should be aligned (same prefix width up to the second
-	// column start).
-	csv := tbl.CSV()
-	if !strings.HasPrefix(csv, "name,value\n") || !strings.Contains(csv, "alpha,1\n") {
-		t.Fatalf("csv wrong:\n%s", csv)
 	}
 }
 

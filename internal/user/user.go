@@ -103,9 +103,6 @@ func NewSimulatedWith(g *graph.Graph, goal *regex.Expr, cache *rpq.EngineCache) 
 // Goal returns the hidden goal query.
 func (u *Simulated) Goal() *regex.Expr { return u.goal }
 
-// GoalSelects reports whether the goal query selects the node.
-func (u *Simulated) GoalSelects(node graph.NodeID) bool { return u.engine.Selects(node) }
-
 // LabelNode implements User. The user answers as soon as the fragment
 // contains enough evidence: a visible witness path for a positive node, or
 // a fragment with no outgoing "..." continuations for a negative node.

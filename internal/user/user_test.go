@@ -6,17 +6,19 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/regex"
+	"repro/internal/rpq"
 )
 
 func TestSimulatedLabelsMatchGoal(t *testing.T) {
 	g := dataset.Figure1()
 	u := NewSimulated(g, dataset.Figure1GoalQuery())
+	goal := rpq.New(g, dataset.Figure1GoalQuery())
 	// With a large neighbourhood (whole graph) the user decides instantly.
 	for _, node := range g.Nodes() {
 		full := g.NeighborhoodAround(node, 10, graph.NeighborhoodOptions{Directed: true})
 		d := u.LabelNode(node, full, true)
 		want := Negative
-		if u.GoalSelects(node) {
+		if goal.Selects(node) {
 			want = Positive
 		}
 		if d != want {
