@@ -141,23 +141,8 @@ func BenchmarkRPQEvaluation(b *testing.B) {
 	}
 }
 
-// BenchmarkRPQEvaluationSharded measures the worker-pool product sweep on
-// a 60x60 transport network (large enough to clear the engine's parallel
-// threshold), against BenchmarkRPQEvaluationLargeSequential as baseline.
-func BenchmarkRPQEvaluationSharded(b *testing.B) {
-	g := benchTransport(b, 60)
-	q := regex.MustParse("(tram+bus)*.cinema")
-	workers := rpq.DefaultWorkers()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(rpq.NewWith(g, q, rpq.Options{Workers: workers}).Selected()) == 0 {
-			b.Fatal("no nodes selected")
-		}
-	}
-}
-
-// BenchmarkRPQEvaluationLargeSequential is the sequential baseline of
-// BenchmarkRPQEvaluationSharded.
+// BenchmarkRPQEvaluationLargeSequential measures one uncached evaluation
+// on a 60x60 transport network.
 func BenchmarkRPQEvaluationLargeSequential(b *testing.B) {
 	g := benchTransport(b, 60)
 	q := regex.MustParse("(tram+bus)*.cinema")

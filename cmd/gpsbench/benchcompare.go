@@ -17,7 +17,7 @@ import (
 // baseline is inherently machine-sensitive (a uniformly slower runner
 // moves every ratio without any code change), so wall-clock performance
 // is gated by the same-machine two-run ratios instead: -rpqgate on the
-// cached/sharded speedups inside one -rpqbench run, and -indexgate on the
+// cached speedup inside one -rpqbench run, and -indexgate on the
 // indexed-vs-unindexed speedup inside one -indexbench run.
 //
 // Refresh the baseline with: go run ./cmd/gpsbench -rpqbench
@@ -110,16 +110,12 @@ func runBenchCompare(baselinePath, currentPath string, threshold float64) error 
 
 // rpqGateSummary is the slice of the -rpqbench payload -rpqgate reads.
 type rpqGateSummary struct {
-	CachedSpeedup  float64 `json:"cached_speedup"`
-	ShardedSpeedup float64 `json:"sharded_speedup"`
+	CachedSpeedup float64 `json:"cached_speedup"`
 }
 
-// runRPQGate checks the same-machine ratios of one -rpqbench run: the
-// engine cache must pay off by at least cachedMin on repeat queries, and
-// sharded evaluation of the large graph must not fall below shardedMin of
-// sequential (a floor below 1 tolerates scheduling noise while still
-// catching a sharding pessimisation).
-func runRPQGate(path string, cachedMin, shardedMin float64) error {
+// runRPQGate checks the same-machine ratio of one -rpqbench run: the
+// engine cache must pay off by at least cachedMin on repeat queries.
+func runRPQGate(path string, cachedMin float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("rpqgate: %w", err)
@@ -128,17 +124,13 @@ func runRPQGate(path string, cachedMin, shardedMin float64) error {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return fmt.Errorf("rpqgate: %s: %w", path, err)
 	}
-	if s.CachedSpeedup == 0 || s.ShardedSpeedup == 0 {
-		return fmt.Errorf("rpqgate: %s: missing speedup ratios (regenerate with -rpqbench)", path)
+	if s.CachedSpeedup == 0 {
+		return fmt.Errorf("rpqgate: %s: missing cached speedup (regenerate with -rpqbench)", path)
 	}
-	fmt.Printf("rpqgate: cached speedup %.2fx (floor %.2fx), sharded speedup %.2fx (floor %.2fx)\n",
-		s.CachedSpeedup, cachedMin, s.ShardedSpeedup, shardedMin)
+	fmt.Printf("rpqgate: cached speedup %.2fx (floor %.2fx)\n", s.CachedSpeedup, cachedMin)
 	printTrend(path, "cached speedup", "x", false, floatFieldFromSummary("cached_speedup"))
 	if s.CachedSpeedup < cachedMin {
 		return fmt.Errorf("rpqgate: cached speedup %.2fx below floor %.2fx", s.CachedSpeedup, cachedMin)
-	}
-	if s.ShardedSpeedup < shardedMin {
-		return fmt.Errorf("rpqgate: sharded speedup %.2fx below floor %.2fx", s.ShardedSpeedup, shardedMin)
 	}
 	fmt.Println("rpqgate: ok")
 	return nil

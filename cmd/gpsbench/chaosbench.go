@@ -555,6 +555,7 @@ func (c *chaosRun) start(fault string) error {
 	if fault != "" {
 		cmd.Env = append(cmd.Env, "GPSD_FAULT_CRASH="+fault)
 	}
+	dieWithHarness(cmd)
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("start gpsd: %w", err)
 	}

@@ -135,6 +135,7 @@ func (d *foDaemon) start(extra []string, fault string) error {
 	if fault != "" {
 		cmd.Env = append(cmd.Env, "GPSD_FAULT_CRASH="+fault)
 	}
+	dieWithHarness(cmd)
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("start gpsd %s: %w", d.name, err)
 	}

@@ -14,16 +14,17 @@ import (
 )
 
 // Index benchmark: -indexbench measures the /evaluate product sweep on the
-// large transport graph with and without the precomputed reachability
-// index, in one process on one machine, and writes the per-query and
-// median speedups to a JSON summary. -indexgate reads such a summary and
+// large transport graph with and without the closure index (the same
+// bitset fixpoint either way; only the closure jumps differ), in one
+// process on one machine, and writes the per-query and median speedups to
+// a JSON summary. -indexgate reads such a summary and
 // fails below a ratio floor — a same-machine two-run comparison, immune to
 // the machine drift that plagues absolute ns/op baselines.
 
 // indexBenchQueries is the /evaluate workload: star-heavy reachability
 // queries (where the closure jumps collapse the grid diameter) plus
-// concatenation-only ones (where only the bitset sweep helps), so the median speedup reflects a mixed diet rather than the
-// index's best case.
+// concatenation-only ones (where closures cannot help), so the median
+// speedup reflects a mixed diet rather than the index's best case.
 var indexBenchQueries = []string{
 	"(tram+bus)*.cinema",
 	"(tram+bus)*.restaurant",

@@ -153,6 +153,7 @@ func startLoadDaemon(opts loadOptions, keyring string, logf *os.File) (*loadDaem
 	cmd := exec.Command(opts.gpsdPath, args...)
 	cmd.Stdout = logf
 	cmd.Stderr = logf
+	dieWithHarness(cmd)
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("start gpsd: %w", err)
 	}

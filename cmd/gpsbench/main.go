@@ -12,7 +12,7 @@
 //	gpsbench -full        # full-size graphs (minutes)
 //	gpsbench -list        # list experiment identifiers
 //	gpsbench -rpqbench    # RPQ micro-benchmarks -> BENCH_rpq.json
-//	gpsbench -rpqgate BENCH_rpq.json    # same-machine cached/sharded ratio gate
+//	gpsbench -rpqgate BENCH_rpq.json    # same-machine cached ratio gate
 //	gpsbench -indexbench  # indexed vs unindexed /evaluate -> BENCH_index.json
 //	gpsbench -indexgate BENCH_index.json  # indexed speedup ratio gate
 //	gpsbench -benchcmp BENCH_rpq.json   # allocs/op gate vs BENCH_baseline.json
@@ -83,9 +83,8 @@ func main() {
 		benchCmp   = flag.String("benchcmp", "", "compare this -rpqbench summary against -benchcmp-base and fail on an allocs/op regression (ns/op is informational)")
 		benchBase  = flag.String("benchcmp-base", "BENCH_baseline.json", "baseline summary for -benchcmp")
 		benchTol   = flag.Float64("benchcmp-threshold", 0.25, "allowed regression for -benchcmp (0.25 = 25%)")
-		rpqGate    = flag.String("rpqgate", "", "check this -rpqbench summary's same-machine ratios and fail if the cached or sharded speedup is below its floor")
+		rpqGate    = flag.String("rpqgate", "", "check this -rpqbench summary's same-machine ratio and fail if the cached speedup is below its floor")
 		rpqCMin    = flag.Float64("rpqgate-cached-min", 5, "minimum cached/uncached evaluation speedup for -rpqgate")
-		rpqSMin    = flag.Float64("rpqgate-sharded-min", 0.75, "minimum sharded/sequential large-graph speedup for -rpqgate")
 		indexBench = flag.Bool("indexbench", false, "measure /evaluate with and without the precomputed reachability index on the large transport graph and write a JSON summary")
 		indexOut   = flag.String("indexbench-out", "BENCH_index.json", "output path of the -indexbench JSON summary")
 		indexGate  = flag.String("indexgate", "", "check this -indexbench summary and fail if the indexed-vs-unindexed median speedup is below -indexgate-min")
@@ -119,7 +118,7 @@ func main() {
 			}
 		}
 		if *rpqGate != "" {
-			if err := runRPQGate(*rpqGate, *rpqCMin, *rpqSMin); err != nil {
+			if err := runRPQGate(*rpqGate, *rpqCMin); err != nil {
 				fmt.Fprintf(os.Stderr, "gpsbench: %v\n", err)
 				os.Exit(1)
 			}

@@ -37,16 +37,8 @@ func runRPQBench(outPath string, seed int64) error {
 	}
 	cache := rpq.NewCache(g)
 
-	// The sharded-evaluation comparison runs on a much larger graph (the
-	// 60x60 grid clears the engine's parallel threshold by a wide margin),
-	// with the number of workers the service would use on this machine.
+	// One uncached evaluation is also timed on a much larger graph.
 	largeG := dataset.Transport(dataset.TransportOptions{Rows: 60, Cols: 60, Seed: seed, FacilityRate: 0.3})
-	workers := rpq.DefaultWorkers()
-	seqLarge := rpq.New(largeG, q)
-	parLarge := rpq.NewWith(largeG, q, rpq.Options{Workers: workers})
-	if !seqLarge.SameSelection(parLarge) {
-		return fmt.Errorf("rpqbench: sharded evaluation disagrees with sequential on the large graph")
-	}
 
 	benchmarks := []struct {
 		name string
@@ -82,13 +74,6 @@ func runRPQBench(outPath string, seed int64) error {
 				}
 			}
 		}},
-		{"RPQEvaluationLargeSharded", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if len(rpq.NewWith(largeG, q, rpq.Options{Workers: workers}).Selected()) == 0 {
-					b.Fatal("no nodes selected")
-				}
-			}
-		}},
 	}
 
 	results := make([]rpqBenchResult, 0, len(benchmarks))
@@ -105,32 +90,27 @@ func runRPQBench(outPath string, seed int64) error {
 			bm.name, r.N, float64(r.T.Nanoseconds())/float64(r.N), r.AllocedBytesPerOp(), r.AllocsPerOp())
 	}
 
-	// Same-machine ratios for -rpqgate: both sides of each ratio were
-	// measured seconds apart in this process, so they gate performance
-	// structure (cache effectiveness, sharding overhead) without the
+	// Same-machine ratio for -rpqgate: both sides were measured seconds
+	// apart in this process, so it gates cache effectiveness without the
 	// machine-sensitivity of an absolute ns/op baseline.
 	ns := make(map[string]float64, len(results))
 	for _, r := range results {
 		ns[r.Name] = r.NsPerOp
 	}
 	payload := struct {
-		Graph          string           `json:"graph"`
-		LargeGraph     string           `json:"large_graph"`
-		Query          string           `json:"query"`
-		Workers        int              `json:"workers"`
-		CachedSpeedup  float64          `json:"cached_speedup"`
-		ShardedSpeedup float64          `json:"sharded_speedup"`
-		Results        []rpqBenchResult `json:"results"`
+		Graph         string           `json:"graph"`
+		LargeGraph    string           `json:"large_graph"`
+		Query         string           `json:"query"`
+		CachedSpeedup float64          `json:"cached_speedup"`
+		Results       []rpqBenchResult `json:"results"`
 	}{
-		Graph:          fmt.Sprintf("transport-10x10 (%d nodes, %d edges)", g.NumNodes(), g.NumEdges()),
-		LargeGraph:     fmt.Sprintf("transport-60x60 (%d nodes, %d edges)", largeG.NumNodes(), largeG.NumEdges()),
-		Query:          q.String(),
-		Workers:        workers,
-		CachedSpeedup:  ns["RPQEvaluation"] / ns["RPQEvaluationCached"],
-		ShardedSpeedup: ns["RPQEvaluationLargeSequential"] / ns["RPQEvaluationLargeSharded"],
-		Results:        results,
+		Graph:         fmt.Sprintf("transport-10x10 (%d nodes, %d edges)", g.NumNodes(), g.NumEdges()),
+		LargeGraph:    fmt.Sprintf("transport-60x60 (%d nodes, %d edges)", largeG.NumNodes(), largeG.NumEdges()),
+		Query:         q.String(),
+		CachedSpeedup: ns["RPQEvaluation"] / ns["RPQEvaluationCached"],
+		Results:       results,
 	}
-	fmt.Printf("cached speedup %.1fx, sharded speedup %.2fx\n", payload.CachedSpeedup, payload.ShardedSpeedup)
+	fmt.Printf("cached speedup %.1fx\n", payload.CachedSpeedup)
 	data, err := json.MarshalIndent(payload, "", "  ")
 	if err != nil {
 		return fmt.Errorf("rpqbench: %w", err)

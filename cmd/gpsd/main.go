@@ -1,12 +1,12 @@
 // Command gpsd serves the interactive query-learning system over HTTP: a
 // multi-tenant front-end that loads graphs, runs many concurrent learning
-// sessions (manual or simulated) and evaluates path queries with sharded
-// product reachability and a shared per-graph LRU engine cache.
+// sessions (manual or simulated) and evaluates path queries with a bitset
+// product-reachability fixpoint and a shared per-graph LRU engine cache.
 //
 // Usage:
 //
 //	gpsd                                  # listen on :8080, in-memory
-//	gpsd -addr :9090 -shards 8            # custom port, 8 evaluation workers
+//	gpsd -addr :9090 -shards 8            # custom port, 8 witness workers
 //	gpsd -preload demo=figure1            # register a built-in dataset at boot
 //	gpsd -preload big=transport:30x30     # sized transport grid
 //	gpsd -data-dir /var/lib/gpsd          # durable: snapshots + journals,
@@ -100,7 +100,7 @@ func crashFault(log *slog.Logger) func(string) error {
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		shards      = flag.Int("shards", 0, "evaluation worker-pool size (0 = one per CPU, 1 = sequential)")
+		shards      = flag.Int("shards", 0, "goroutines computing the witnesses of one /evaluate request (0 = one per CPU, 1 = sequential); the product sweep is always sequential")
 		cacheCap    = flag.Int("cache-cap", 0, "per-graph engine-cache capacity (0 = default)")
 		useIndex    = flag.Bool("index", true, "build per-graph reachability indexes in the background for faster /evaluate (per-graph opt-out: no_index in the load spec)")
 		maxSess     = flag.Int("max-sessions", 0, "live session limit (0 = default)")

@@ -41,24 +41,19 @@ func New(g *graph.Graph) *System {
 
 // Config tunes a System's evaluation pipeline.
 type Config struct {
-	// EvalWorkers is the worker-pool size for the sharded
-	// product-reachability sweep of engines built through the system's
-	// cache. 0 or 1 evaluates sequentially (identical results either way).
-	EvalWorkers int
 	// CacheCapacity bounds the LRU engine cache. 0 means
 	// rpq.DefaultCacheCapacity.
 	CacheCapacity int
 }
 
 // NewWith returns a System with an explicitly configured evaluation
-// pipeline (see Config), for embedders of the facade that want sharded
-// evaluation or a sized cache. The HTTP service does not go through this
-// facade — internal/service builds its per-graph caches directly with
+// pipeline (see Config), for embedders of the facade that want a sized
+// cache. The HTTP service does not go through this facade —
+// internal/service builds its per-graph caches directly with
 // rpq.NewCacheWith.
 func NewWith(g *graph.Graph, cfg Config) *System {
 	return &System{g: g, cache: rpq.NewCacheWith(g, rpq.CacheOptions{
 		Capacity: cfg.CacheCapacity,
-		Workers:  cfg.EvalWorkers,
 	})}
 }
 

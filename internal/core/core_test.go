@@ -26,17 +26,17 @@ func TestEvaluateFigure1(t *testing.T) {
 	}
 }
 
-func TestNewWithShardedEvaluation(t *testing.T) {
-	seq := New(dataset.Figure1())
-	par := NewWith(dataset.Figure1(), Config{EvalWorkers: 4, CacheCapacity: 8})
+func TestNewWithSizedCache(t *testing.T) {
+	def := New(dataset.Figure1())
+	sized := NewWith(dataset.Figure1(), Config{CacheCapacity: 8})
 	q := dataset.Figure1GoalQuery()
-	a, b := seq.Evaluate(q), par.Evaluate(q)
+	a, b := def.Evaluate(q), sized.Evaluate(q)
 	if len(a.Nodes) != len(b.Nodes) {
-		t.Fatalf("sharded system selected %v, sequential %v", b.Nodes, a.Nodes)
+		t.Fatalf("sized-cache system selected %v, default %v", b.Nodes, a.Nodes)
 	}
 	for i := range a.Nodes {
 		if a.Nodes[i] != b.Nodes[i] {
-			t.Fatalf("sharded system selected %v, sequential %v", b.Nodes, a.Nodes)
+			t.Fatalf("sized-cache system selected %v, default %v", b.Nodes, a.Nodes)
 		}
 	}
 }

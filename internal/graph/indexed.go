@@ -26,6 +26,11 @@ type Indexed struct {
 	outTo    []int32
 	inStart  []int32
 	inFrom   []int32
+	// srcBits holds one node bitset per label, ⌈n/64⌉ words each: bit v
+	// of row l is set iff node v has an outgoing l-edge. It is the exact
+	// predecessor set of a full frontier under l, which turns the first
+	// backward step of a product sweep into one word-parallel OR.
+	srcBits []uint64
 }
 
 // buildIndexed constructs the dense view from the current graph state.
@@ -66,6 +71,14 @@ func buildIndexed(g *Graph, version uint64) *Indexed {
 	for b := 1; b <= buckets; b++ {
 		ix.outStart[b] += ix.outStart[b-1]
 		ix.inStart[b] += ix.inStart[b-1]
+	}
+	words := (n + 63) / 64
+	ix.srcBits = make([]uint64, m*words)
+	for b := 0; b < buckets; b++ {
+		if ix.outStart[b+1] > ix.outStart[b] {
+			v, l := b/m, b%m
+			ix.srcBits[l*words+v>>6] |= 1 << (uint(v) & 63)
+		}
 	}
 	return ix
 }
@@ -129,6 +142,13 @@ func (ix *Indexed) Out(node, label int32) []int32 {
 func (ix *Indexed) In(node, label int32) []int32 {
 	b := int(node)*len(ix.labels) + int(label)
 	return ix.inFrom[ix.inStart[b]:ix.inStart[b+1]]
+}
+
+// SourceBits returns the bitset of nodes with at least one outgoing edge
+// of label l, ⌈NumNodes/64⌉ words. Callers must not modify it.
+func (ix *Indexed) SourceBits(l int32) []uint64 {
+	words := (len(ix.nodes) + 63) / 64
+	return ix.srcBits[int(l)*words : (int(l)+1)*words]
 }
 
 // OutDegree returns the total out-degree of a node across all labels.

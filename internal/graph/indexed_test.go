@@ -130,3 +130,43 @@ func TestIndexedCacheInvalidation(t *testing.T) {
 		t.Fatal("no-op mutations must keep the cached view")
 	}
 }
+
+// TestIndexedSourceBits checks that each label's source bitset holds
+// exactly the nodes with an outgoing edge of that label, on random graphs
+// whose node counts straddle a word boundary and on the empty graph.
+func TestIndexedSourceBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	labels := []Label{"a", "b", "c", "d"}
+	for trial := 0; trial < 40; trial++ {
+		g := New()
+		n := 1 + rng.Intn(140)
+		for i := 0; i < n; i++ {
+			g.MustAddNode(NodeID(fmt.Sprintf("n%03d", i)))
+		}
+		for e := rng.Intn(2 * n); e > 0; e-- {
+			g.MustAddEdge(
+				NodeID(fmt.Sprintf("n%03d", rng.Intn(n))),
+				labels[rng.Intn(len(labels))],
+				NodeID(fmt.Sprintf("n%03d", rng.Intn(n))))
+		}
+		ix := g.Indexed()
+		for gl := int32(0); gl < int32(ix.NumLabels()); gl++ {
+			src := ix.SourceBits(gl)
+			if len(src) != (n+63)/64 {
+				t.Fatalf("SourceBits(%d) has %d words for %d nodes", gl, len(src), n)
+			}
+			for v := int32(0); v < int32(n); v++ {
+				got := src[v>>6]&(1<<(uint(v)&63)) != 0
+				if want := len(ix.Out(v, gl)) > 0; got != want {
+					t.Fatalf("trial %d: SourceBits(%d) bit %d = %v, want %v", trial, gl, v, got, want)
+				}
+			}
+			if tail := n & 63; tail != 0 && src[len(src)-1]>>uint(tail) != 0 {
+				t.Fatalf("SourceBits(%d) sets bits past node %d", gl, n-1)
+			}
+		}
+	}
+	if ix := New().Indexed(); ix.NumLabels() != 0 || len(ix.srcBits) != 0 {
+		t.Fatal("the empty graph must carry no source bits")
+	}
+}

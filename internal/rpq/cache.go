@@ -68,10 +68,9 @@ func compiledDFA(text string, query *regex.Expr, alphabet []string) *automaton.D
 // graph flushes every entry, so a stale engine is never returned. It is
 // safe for concurrent use.
 type EngineCache struct {
-	g       *graph.Graph
-	cap     int
-	workers int
-	index   func() *index.Index
+	g     *graph.Graph
+	cap   int
+	index func() *index.Index
 
 	mu      sync.Mutex
 	version uint64
@@ -122,12 +121,12 @@ type CacheOptions struct {
 	// least-recently-used entry is evicted beyond it. 0 means
 	// DefaultCacheCapacity.
 	Capacity int
-	// Workers is passed to NewWith for engines built through the cache;
-	// 0 or 1 builds sequentially.
+	// Deprecated: ignored. The product sweep is sequential; the field
+	// remains only for callers that still set it (ROADMAP 5(g)).
 	Workers int
 	// Index, when non-nil, is consulted on every engine build for the
-	// graph's precomputed reachability index. It returns nil while the
-	// index is still building (or disabled); a stale index — one built on
+	// graph's closure index. It returns nil while the index is still
+	// building (or disabled); a stale index — one built on
 	// a different Indexed view than the graph's current one — is ignored
 	// by the engine, so providers only need to be version-aware, not
 	// synchronized with the cache's own flushes.
@@ -135,13 +134,12 @@ type CacheOptions struct {
 }
 
 // NewCache returns an empty engine cache for the graph with default
-// options (DefaultCacheCapacity, sequential evaluation).
+// options (DefaultCacheCapacity, no index).
 func NewCache(g *graph.Graph) *EngineCache {
 	return NewCacheWith(g, CacheOptions{})
 }
 
-// NewCacheWith returns an empty engine cache with explicit capacity and
-// evaluation parallelism.
+// NewCacheWith returns an empty engine cache with explicit options.
 func NewCacheWith(g *graph.Graph, opts CacheOptions) *EngineCache {
 	if opts.Capacity <= 0 {
 		opts.Capacity = DefaultCacheCapacity
@@ -149,7 +147,6 @@ func NewCacheWith(g *graph.Graph, opts CacheOptions) *EngineCache {
 	return &EngineCache{
 		g:         g,
 		cap:       opts.Capacity,
-		workers:   opts.Workers,
 		index:     opts.Index,
 		version:   g.Version(),
 		entries:   make(map[string]*list.Element),
@@ -238,21 +235,12 @@ func (c *EngineCache) Get(query *regex.Expr) *Engine {
 	fl := &inflightBuild{done: make(chan struct{})}
 	c.inflight[key] = fl
 	builtAt := c.version
-	workers := c.workers
 	c.mu.Unlock()
 	var idx *index.Index
 	if c.index != nil {
 		idx = c.index()
 	}
-	var e *Engine
-	if workers > 1 || idx != nil {
-		if workers == 0 {
-			workers = 1
-		}
-		e = NewWith(c.g, query, Options{Workers: workers, Index: idx})
-	} else {
-		e = New(c.g, query)
-	}
+	e := NewWith(c.g, query, Options{Index: idx})
 	fl.e = e
 	close(fl.done)
 	c.mu.Lock()

@@ -1,7 +1,7 @@
-// Package index precomputes per-graph label-reachability structures that
-// the RPQ product sweep consults instead of expanding frontiers edge by
+// Package index precomputes per-graph label-reachability closures that
+// the RPQ product sweep may consult instead of expanding frontiers edge by
 // edge. One Index is built per graph.Indexed version (typically in the
-// background at graph registration) and holds three layers:
+// background at graph registration) and holds two layers:
 //
 //   - per-label predecessor closure bitsets for the most frequent labels,
 //     under a memory budget: SCC-condensed reflexive-transitive closures
@@ -10,14 +10,13 @@
 //     closure rows instead of running a diameter-deep BFS;
 //   - lazily built closures over the union of a label set, for DFA states
 //     that self-loop on several labels (an alternation star), cached on
-//     the index under the same budget;
-//   - per-label source bitsets (the nodes with an outgoing edge of the
-//     label), which turn the first backward step out of an accepting
-//     state into one word-parallel OR.
+//     the index under the same budget.
 //
+// The per-label source bitsets the sweep's first backward step ORs live
+// on graph.Indexed, so a sweep without an index needs nothing from here.
 // An Index never changes results — every structure is an exact
-// reachability relation — and the unindexed engine remains the
-// equivalence oracle in the tests.
+// reachability relation — and the tests' configuration-queue sweep
+// remains the equivalence oracle.
 package index
 
 import (
@@ -73,12 +72,6 @@ type Index struct {
 	// closed): its rows answer "which nodes reach v via l-paths".
 	pred []*Closure
 
-	// srcBits[l] is the bitset of nodes with at least one outgoing l-edge
-	// — the exact predecessor set of a full frontier under l, which lets
-	// the engine's first backward step out of an accepting state run
-	// word-parallel instead of probing every node's in-list.
-	srcBits [][]uint64
-
 	// setPred caches closures over the union of a label set, built lazily
 	// on first request (a nil value records a declined build so the budget
 	// check runs once per set). setBytes is their byte accounting, atomic
@@ -107,7 +100,6 @@ func Build(ix *graph.Indexed, opts Options) *Index {
 		setPred: make(map[string]*Closure),
 	}
 	x.buildClosures(opts)
-	x.buildSourceBits()
 	x.buildTime = time.Since(start)
 	return x
 }
@@ -205,40 +197,6 @@ func (x *Index) buildClosures(opts Options) {
 		x.pred[gl] = cl
 	}
 	x.memBytes += spent
-}
-
-// buildSourceBits records, per label, which nodes have an outgoing edge of
-// that label. One word per 64 nodes per label — negligible next to the
-// closures — and always built.
-func (x *Index) buildSourceBits() {
-	ix := x.ix
-	n := ix.NumNodes()
-	numLabels := ix.NumLabels()
-	if n == 0 || numLabels == 0 {
-		return
-	}
-	words := (n + 63) / 64
-	flat := make([]uint64, numLabels*words)
-	x.srcBits = make([][]uint64, numLabels)
-	for l := 0; l < numLabels; l++ {
-		row := flat[l*words : (l+1)*words]
-		for v := int32(0); v < int32(n); v++ {
-			if len(ix.Out(v, int32(l))) > 0 {
-				row[v>>6] |= 1 << (uint(v) & 63)
-			}
-		}
-		x.srcBits[l] = row
-	}
-	x.memBytes += int64(numLabels*words) * 8
-}
-
-// SourceBits returns the bitset of nodes with at least one outgoing edge
-// of label gl, or nil on an empty graph. Callers must not modify it.
-func (x *Index) SourceBits(gl int32) []uint64 {
-	if x.srcBits == nil {
-		return nil
-	}
-	return x.srcBits[gl]
 }
 
 // AddHits bumps the consultation counter; the engine batches it per sweep

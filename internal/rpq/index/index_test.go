@@ -174,7 +174,7 @@ func TestIndexPredStarSet(t *testing.T) {
 }
 
 // TestIndexClosureBudget checks that a tiny byte budget suppresses every
-// closure while the always-built source bitsets stay exact.
+// closure, and that Stats.Bytes counts exactly the closures kept.
 func TestIndexClosureBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomGraph(rng, 14)
@@ -185,21 +185,12 @@ func TestIndexClosureBudget(t *testing.T) {
 			t.Fatalf("label %d closed despite 1-byte budget", gl)
 		}
 	}
-	for gl := int32(0); gl < int32(ix.NumLabels()); gl++ {
-		src := x.SourceBits(gl)
-		for v := int32(0); v < int32(ix.NumNodes()); v++ {
-			got := src[v>>6]&(1<<(uint(v)&63)) != 0
-			if want := len(ix.Out(v, gl)) > 0; got != want {
-				t.Fatalf("SourceBits(%d) bit %d = %v, want %v", gl, v, got, want)
-			}
-		}
-	}
-	if st := x.Stats(); st.ClosedLabels != 0 {
-		t.Fatalf("Stats.ClosedLabels = %d, want 0", st.ClosedLabels)
+	if st := x.Stats(); st.ClosedLabels != 0 || st.Bytes != 0 {
+		t.Fatalf("Stats = %+v, want no closed label and 0 bytes", st)
 	}
 
 	// A budget that fits only the most frequent label's closure keeps it
-	// and counts it in Stats.Bytes next to the source bitsets.
+	// and counts it in Stats.Bytes.
 	tram := Build(dataset.Figure1().Indexed(), Options{MaxClosureLabels: 1})
 	var first *Closure
 	for gl := range tram.pred {
@@ -207,10 +198,9 @@ func TestIndexClosureBudget(t *testing.T) {
 			first = tram.pred[gl]
 		}
 	}
-	srcBytes := tram.Stats().Bytes - first.MemBytes()
 	x = Build(tram.View(), Options{MaxClosureBytes: first.MemBytes()})
-	if st := x.Stats(); st.ClosedLabels != 1 || st.Bytes != first.MemBytes()+srcBytes {
-		t.Fatalf("Stats = %+v, want 1 closed label and %d bytes", st, first.MemBytes()+srcBytes)
+	if st := x.Stats(); st.ClosedLabels != 1 || st.Bytes != first.MemBytes() {
+		t.Fatalf("Stats = %+v, want 1 closed label and %d bytes", st, first.MemBytes())
 	}
 }
 
@@ -236,13 +226,13 @@ func TestIndexStats(t *testing.T) {
 }
 
 // TestIndexBytesTransport pins the resident size of a default index on the
-// transport grids the benchmarks use: per-label predecessor closures plus
-// the per-label source bitsets, and nothing else.
+// transport grids the benchmarks use: per-label predecessor closures and
+// nothing else.
 func TestIndexBytesTransport(t *testing.T) {
 	for _, tc := range []struct {
 		n    int
 		want int64
-	}{{10, 10104}, {40, 1116400}, {60, 5411968}} {
+	}{{10, 9912}, {40, 1113760}, {60, 5406016}} {
 		g := dataset.Transport(dataset.TransportOptions{Rows: tc.n, Cols: tc.n, Seed: 1, FacilityRate: 0.3})
 		if got := Build(g.Indexed(), Options{}).Stats().Bytes; got != tc.want {
 			t.Errorf("%dx%d: Stats().Bytes = %d, want %d", tc.n, tc.n, got, tc.want)

@@ -8,18 +8,17 @@ import (
 	"repro/internal/rpq/index"
 )
 
-// Index-assisted product reachability. The unindexed sweeps
-// (computeReachability and its sharded twin) walk a queue of product
-// configurations, paying per-configuration overhead and one BFS level per
-// path edge. With a prebuilt index.Index the engine runs a state-wise
-// bitset fixpoint instead: one node bitset per DFA state, per-state dirty
-// frontiers, and word-parallel ORs over the CSR in-edges — and when a DFA
-// state carries a self-loop on a label the index has closed, the
-// label-star saturation collapses to ORing precomputed closure rows
-// (graph-diameter many BFS levels become one jump). The fixpoint it
-// reaches is the exact accReach set, so Selected, Witness and every other
-// engine API stay byte-identical to the unindexed engine; the equivalence
-// tests pin that.
+// The product sweep: a state-wise bitset backward fixpoint. It keeps one
+// node bitset per DFA state and a dirty frontier per state, and each
+// backward step is a word-parallel OR over the CSR in-edges. The first
+// step out of an accepting state (a full frontier) is one OR of the
+// label's source bitset (graph.Indexed.SourceBits). When a usable
+// index.Index is present and a DFA state carries a self-loop on a label
+// the index has closed, the label-star saturation collapses to ORing
+// precomputed closure rows (graph-diameter many BFS levels become one
+// jump). Either way the fixpoint is the exact set of configurations that
+// reach acceptance; the tests pin it, bit for bit, to a configuration-
+// queue BFS oracle.
 
 // forEachConfigBit calls fn for every set bit index in ascending order.
 func forEachConfigBit(set []uint64, fn func(i int32)) {
@@ -39,16 +38,14 @@ func (e *Engine) usableIndex(idx *index.Index) bool {
 	return idx != nil && idx.View() == e.ix
 }
 
-// computeReachabilityIndexed runs the state-wise bitset backward fixpoint
-// using the index. It produces exactly the same accReach bitset and
-// selected set as computeReachability.
-func (e *Engine) computeReachabilityIndexed() {
+// sweep runs the backward fixpoint, fills selectedIDs and parks the
+// product-layout scatter in accFill.
+func (e *Engine) sweep() {
 	n := e.ix.NumNodes()
 	S := e.numStates
 	total := n * S
 	if total == 0 {
-		e.accReach = make([]uint64, 0)
-		e.collectSelected()
+		e.accFill = func() []uint64 { return []uint64{} }
 		return
 	}
 	words := (n + 63) / 64
@@ -75,25 +72,28 @@ func (e *Engine) computeReachabilityIndexed() {
 	numLabels := e.ix.NumLabels()
 	dfaIn := make([][]dfaInEdge, S)
 	for t := 0; t < S; t++ {
-		// Gather the self-loop labels of t first: a state looping on
-		// several labels (an alternation star like (a+b)*) consumes the
-		// union reachability relation, and a single set-closure jump over
-		// that union replaces a cascade of per-label jumps that would
-		// otherwise alternate once per SCC of each single-label subgraph.
-		var loopLabels []int32
-		for gl := 0; gl < numLabels; gl++ {
-			if e.dfaLabel[gl] < 0 {
-				continue
-			}
-			for _, q := range rev.Pred(automaton.State(t), e.dfaLabel[gl]) {
-				if int(q) == t {
-					loopLabels = append(loopLabels, int32(gl))
+		// With an index, gather the self-loop labels of t first: a state
+		// looping on several labels (an alternation star like (a+b)*)
+		// consumes the union reachability relation, and a single
+		// set-closure jump over that union replaces a cascade of per-label
+		// jumps that would otherwise alternate once per SCC of each
+		// single-label subgraph.
+		var setCl *index.Closure
+		if e.idx != nil {
+			var loopLabels []int32
+			for gl := 0; gl < numLabels; gl++ {
+				if e.dfaLabel[gl] < 0 {
+					continue
+				}
+				for _, q := range rev.Pred(automaton.State(t), e.dfaLabel[gl]) {
+					if int(q) == t {
+						loopLabels = append(loopLabels, int32(gl))
+					}
 				}
 			}
-		}
-		var setCl *index.Closure
-		if len(loopLabels) > 1 {
-			setCl = e.idx.PredStarSet(loopLabels)
+			if len(loopLabels) > 1 {
+				setCl = e.idx.PredStarSet(loopLabels)
+			}
 		}
 		if setCl != nil {
 			dfaIn[t] = append(dfaIn[t], dfaInEdge{src: t, gl: -1, cl: setCl})
@@ -107,7 +107,7 @@ func (e *Engine) computeReachabilityIndexed() {
 					continue // subsumed by the set-closure jump edge
 				}
 				edge := dfaInEdge{src: int(q), gl: int32(gl)}
-				if int(q) == t {
+				if int(q) == t && e.idx != nil {
 					edge.cl = e.idx.PredStar(int32(gl))
 				}
 				dfaIn[t] = append(dfaIn[t], edge)
@@ -201,11 +201,11 @@ func (e *Engine) computeReachabilityIndexed() {
 						sat[i] |= w
 					}
 				})
-			} else if src := e.idx.SourceBits(edge.gl); src != nil && fullFrontier(frontier, n) {
+			} else if fullFrontier(frontier, n) {
 				// Full frontier (the first pop of an accepting seed): the
 				// predecessor set is exactly the nodes with an outgoing
 				// edge of the label, one word-parallel OR.
-				for i, w := range src {
+				for i, w := range e.ix.SourceBits(edge.gl) {
 					if nw := sRow[i] | w; nw != sRow[i] {
 						sDirty[i] |= nw ^ sRow[i]
 						sRow[i] = nw
@@ -272,10 +272,11 @@ func (e *Engine) computeReachabilityIndexed() {
 		return acc
 	}
 
-	// Collect the answer straight off the start-state row: same ascending
-	// node order as collectSelected, but with an exact preallocation (the
-	// repeated growth of a several-thousand-entry NodeID slice otherwise
-	// dominates a sub-millisecond evaluation).
+	// Collect the answer straight off the start-state row. Node indices are
+	// interned in sorted NodeID order, so the ascending bit walk yields
+	// sorted IDs; the exact preallocation matters (the repeated growth of a
+	// several-thousand-entry NodeID slice otherwise dominates a
+	// sub-millisecond evaluation).
 	startRow := reach[int(e.start)*words : (int(e.start)+1)*words]
 	cnt := 0
 	for _, w := range startRow {

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/regex"
 	"repro/internal/rpq/index"
@@ -16,7 +17,7 @@ import (
 // engines can be compared for exact fixpoint identity, not just identical
 // observable answers.
 func accReachBytes(e *Engine) []byte {
-	acc := e.accBits() // materialises the lazy indexed-path bitset
+	acc := e.accBits() // materialises the lazy product bitset
 	out := make([]byte, 0, len(acc)*8)
 	for _, w := range acc {
 		for b := 0; b < 8; b++ {
@@ -27,41 +28,60 @@ func accReachBytes(e *Engine) []byte {
 }
 
 // assertEnginesIdentical checks that two engines over the same graph and
-// query agree bit-for-bit on accReach and on every observable answer:
-// Selected, Selects, Witness length/validity.
+// query agree bit-for-bit on the product bitset and on every observable
+// answer: Selected, and Selects and the Witness edges of every node.
 func assertEnginesIdentical(t *testing.T, tag string, g *graph.Graph, q *regex.Expr, oracle, got *Engine) {
 	t.Helper()
+	assertEnginesIdenticalOn(t, tag, g, q, oracle, got, g.Nodes())
+}
+
+// assertEnginesIdenticalOn is assertEnginesIdentical with Selects and
+// Witness probed on the given nodes only.
+func assertEnginesIdenticalOn(t *testing.T, tag string, g *graph.Graph, q *regex.Expr, oracle, got *Engine, nodes []graph.NodeID) {
+	t.Helper()
 	if !bytes.Equal(accReachBytes(oracle), accReachBytes(got)) {
-		t.Fatalf("%s: query %s: accReach bitsets differ", tag, q)
+		t.Fatalf("%s: query %s: product bitsets differ", tag, q)
 	}
 	if o, n := oracle.Selected(), got.Selected(); !reflect.DeepEqual(o, n) {
-		if len(o) != 0 || len(n) != 0 {
-			t.Fatalf("%s: query %s: Selected() = %v, oracle = %v", tag, q, n, o)
-		}
+		t.Fatalf("%s: query %s: Selected() = %v, oracle = %v", tag, q, n, o)
 	}
-	for _, node := range g.Nodes() {
+	for _, node := range nodes {
 		if o, n := oracle.Selects(node), got.Selects(node); o != n {
 			t.Fatalf("%s: query %s: Selects(%s) = %v, oracle = %v", tag, q, node, n, o)
 		}
 		ow, ook := oracle.Witness(node)
 		nw, nok := got.Witness(node)
-		if ook != nok {
-			t.Fatalf("%s: query %s: Witness(%s) ok = %v, oracle = %v", tag, q, node, nok, ook)
+		if ook != nok || !reflect.DeepEqual(ow, nw) {
+			t.Fatalf("%s: query %s: Witness(%s) = %v, %v; oracle = %v, %v", tag, q, node, nw, nok, ow, ook)
 		}
 		if nok {
-			if len(nw) != len(ow) {
-				t.Fatalf("%s: query %s: Witness(%s) length = %d, oracle = %d", tag, q, node, len(nw), len(ow))
-			}
 			assertValidWitness(t, g, q, node, nw)
 		}
 	}
 }
 
-// TestIndexedEquivalenceRandomized is the indexed-vs-oracle suite the index
-// layer is gated on: 150 seeded random graph/query pairs, each evaluated by
-// the sequential oracle (no index), the index-assisted engine, and the
-// sharded engine handed the same index, asserting byte-identical accReach
-// bitsets and identical answers everywhere.
+// assertMatchesOracles builds the query's engine every production way —
+// New, NewWith with the given index, and the engine cache — plus the
+// sharded oracle, and pins each to the queue-sweep oracle.
+func assertMatchesOracles(t *testing.T, tag string, g *graph.Graph, q *regex.Expr, idx *index.Index, workers int, nodes []graph.NodeID) {
+	t.Helper()
+	oracle := queueOracle(g, q)
+	assertEnginesIdenticalOn(t, tag+" (plain)", g, q, oracle, New(g, q), nodes)
+	indexed := NewWith(g, q, Options{Index: idx})
+	if indexed.idx != idx {
+		t.Fatalf("%s: fresh index not adopted by engine", tag)
+	}
+	assertEnginesIdenticalOn(t, tag+" (indexed)", g, q, oracle, indexed, nodes)
+	cached := NewCacheWith(g, CacheOptions{Index: func() *index.Index { return idx }}).Get(q)
+	assertEnginesIdenticalOn(t, tag+" (cached)", g, q, oracle, cached, nodes)
+	assertEnginesIdenticalOn(t, fmt.Sprintf("%s (sharded oracle, %d workers)", tag, workers), g, q, oracle, shardedOracle(g, q, workers), nodes)
+}
+
+// TestIndexedEquivalenceRandomized is the sweep-vs-oracle suite the engine
+// is gated on: 150 seeded random graph/query pairs, each evaluated by the
+// queue-sweep oracle, the sharded oracle, and the fixpoint without an
+// index, with the default index and through the cache, asserting
+// byte-identical product bitsets and identical answers everywhere.
 func TestIndexedEquivalenceRandomized(t *testing.T) {
 	const cases = 150
 	rng := rand.New(rand.NewSource(99))
@@ -69,24 +89,15 @@ func TestIndexedEquivalenceRandomized(t *testing.T) {
 		g := randomEqGraph(rng)
 		q := regex.MustParse(randomEqQuery(rng, 3))
 		idx := index.Build(g.Indexed(), index.Options{})
-		oracle := New(g, q)
-		tag := func(mode string) string { return fmt.Sprintf("case %d (%s)", i, mode) }
-
-		indexed := NewWith(g, q, Options{Index: idx})
-		if indexed.idx != idx {
-			t.Fatalf("case %d: fresh index not adopted by engine", i)
-		}
-		assertEnginesIdentical(t, tag("indexed"), g, q, oracle, indexed)
-
-		sharded := NewWith(g, q, Options{Workers: 4, Index: idx})
-		assertEnginesIdentical(t, tag("indexed+workers"), g, q, oracle, sharded)
+		assertMatchesOracles(t, fmt.Sprintf("case %d", i), g, q, idx, 1+i%4, g.Nodes())
 	}
 }
 
 // TestIndexedEquivalenceConstrainedIndexes re-runs the equivalence suite
-// with closures suppressed, so every step runs the generic backward OR or
-// the source-bitset shortcut (TestIndexedEquivalenceRandomized covers the
-// default index).
+// with an index whose closures are suppressed, so every step runs the
+// generic backward OR or the source-bitset shortcut even though an index
+// is installed (TestIndexedEquivalenceRandomized covers the default index
+// and no index).
 func TestIndexedEquivalenceConstrainedIndexes(t *testing.T) {
 	configs := []struct {
 		name string
@@ -100,7 +111,7 @@ func TestIndexedEquivalenceConstrainedIndexes(t *testing.T) {
 			g := randomEqGraph(rng)
 			q := regex.MustParse(randomEqQuery(rng, 3))
 			idx := index.Build(g.Indexed(), cfg.opts)
-			oracle := New(g, q)
+			oracle := queueOracle(g, q)
 			indexed := NewWith(g, q, Options{Index: idx})
 			assertEnginesIdentical(t, fmt.Sprintf("case %d (%s)", i, cfg.name), g, q, oracle, indexed)
 		}
@@ -108,8 +119,8 @@ func TestIndexedEquivalenceConstrainedIndexes(t *testing.T) {
 }
 
 // TestIndexedStaleIndexIgnored checks that an index built before a graph
-// mutation is silently ignored — the engine must fall back to the plain
-// sweep and still answer correctly for the mutated graph.
+// mutation is silently ignored — the engine must sweep without closures
+// and still answer correctly for the mutated graph.
 func TestIndexedStaleIndexIgnored(t *testing.T) {
 	g := graph.New()
 	for i := 0; i < 4; i++ {
@@ -126,7 +137,7 @@ func TestIndexedStaleIndexIgnored(t *testing.T) {
 	if !e.Selects("n0") {
 		t.Fatal("Selects(n0) = false after fallback from stale index, want true")
 	}
-	assertEnginesIdentical(t, "stale-fallback", g, q, New(g, q), e)
+	assertEnginesIdentical(t, "stale-fallback", g, q, queueOracle(g, q), e)
 }
 
 // TestIndexedCacheProvider checks that the engine cache consults its index
@@ -173,5 +184,98 @@ func TestIndexedCacheProvider(t *testing.T) {
 	}
 	if !e2.Selects("n2") {
 		t.Fatal("Selects(n2) = false after mutation, want true")
+	}
+}
+
+// everyNth returns every k-th node of the graph, for probing Selects and
+// Witness on graphs too large to probe exhaustively.
+func everyNth(g *graph.Graph, k int) []graph.NodeID {
+	var out []graph.NodeID
+	for i, n := range g.Nodes() {
+		if i%k == 0 {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+func TestFixpointMatchesOracleFigure1(t *testing.T) {
+	g := dataset.Figure1()
+	idx := index.Build(g.Indexed(), index.Options{})
+	for _, qs := range []string{"(tram+bus)*.cinema", "bus", "restaurant", "(bus.tram)*", "cinema+restaurant", "empty", "metro"} {
+		assertMatchesOracles(t, "figure1", g, regex.MustParse(qs), idx, 4, g.Nodes())
+	}
+}
+
+func TestFixpointMatchesOracleLargeTransport(t *testing.T) {
+	g := dataset.Transport(dataset.TransportOptions{Rows: 40, Cols: 40, Seed: 7, FacilityRate: 0.3})
+	idx := index.Build(g.Indexed(), index.Options{})
+	nodes := everyNth(g, 37)
+	for i, qs := range []string{"(tram+bus)*.cinema", "(bus+tram)*.restaurant", "bus.bus", "(tram)*"} {
+		assertMatchesOracles(t, "transport-40x40", g, regex.MustParse(qs), idx, 2+3*i, nodes)
+	}
+}
+
+// TestFixpointMatchesOracleRandomized draws queries from the eval-cold
+// grammar (plus random expressions over the graph's own labels) on
+// transport, scale-free and uniform random graphs and on the empty graph.
+func TestFixpointMatchesOracleRandomized(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	transportLabels := []string{"tram", "bus", "tram", "bus", "cinema", "restaurant", "museum", "park"}
+	for trial := 0; trial < 24; trial++ {
+		seed := rng.Int63()
+		var g *graph.Graph
+		switch trial % 4 {
+		case 0:
+			n := 3 + rng.Intn(10)
+			g = dataset.Transport(dataset.TransportOptions{Rows: n, Cols: n, Seed: seed, FacilityRate: 0.3})
+		case 1:
+			g = dataset.ScaleFree(dataset.ScaleFreeOptions{Nodes: 20 + rng.Intn(200), Seed: seed, Alphabet: transportLabels})
+		case 2:
+			g = dataset.Random(dataset.RandomOptions{Nodes: 10 + rng.Intn(150), AvgDegree: 1 + 2*rng.Float64(), Seed: seed, Alphabet: transportLabels})
+		default:
+			g = graph.New()
+		}
+		idx := index.Build(g.Indexed(), index.Options{})
+		for k := 0; k < 6; k++ {
+			qs := coldGrammarQuery(rng)
+			if k%3 == 2 {
+				qs = "tram*.bus." + coldGrammarQuery(rng)
+			}
+			tag := fmt.Sprintf("trial %d query %d", trial, k)
+			assertMatchesOracles(t, tag, g, regex.MustParse(qs), idx, 1+rng.Intn(6), everyNth(g, 3))
+		}
+	}
+}
+
+// TestNewWithDefaultWorkers checks that the deprecated Workers option
+// changes nothing: every worker count builds the oracle's engine.
+func TestNewWithDefaultWorkers(t *testing.T) {
+	g := dataset.Figure1()
+	q := regex.MustParse("(tram+bus)*.cinema")
+	oracle := queueOracle(g, q)
+	for _, workers := range []int{0, 1, 4} {
+		assertEnginesIdentical(t, fmt.Sprintf("workers=%d", workers), g, q, oracle, NewWith(g, q, Options{Workers: workers}))
+		c := NewCacheWith(g, CacheOptions{Workers: workers})
+		assertEnginesIdentical(t, fmt.Sprintf("cache workers=%d", workers), g, q, oracle, c.Get(q))
+	}
+}
+
+// evalAllocBudget bounds the allocations of one uncached 60x60 evaluation
+// with the DFA memo warm: the measured count plus a margin of 4.
+const evalAllocBudget = 31 + 4
+
+func TestEvaluationAllocBudget(t *testing.T) {
+	g := dataset.Transport(dataset.TransportOptions{Rows: 60, Cols: 60, Seed: 1, FacilityRate: 0.3})
+	q := regex.MustParse("(tram+bus)*.cinema")
+	New(g, q) // warms the DFA memo and the graph's Indexed view
+	allocs := testing.AllocsPerRun(20, func() {
+		if New(g, q).NumSelected() == 0 {
+			t.Fatal("no node selected")
+		}
+	})
+	t.Logf("%.0f allocations per evaluation", allocs)
+	if allocs > evalAllocBudget {
+		t.Fatalf("%.0f allocations per uncached 60x60 evaluation, budget %d", allocs, evalAllocBudget)
 	}
 }

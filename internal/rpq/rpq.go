@@ -9,17 +9,21 @@
 //
 // The evaluation core is integer-indexed and allocation-light: the graph is
 // interned into a CSR view (graph.Indexed), the DFA transition relation is
-// walked by dense label index with a precomputed reverse table, and the
-// product-reachability frontier lives in a flat []uint64 bitset indexed by
+// walked by dense label index with a precomputed reverse table, and one
+// product sweep — a state-wise bitset fixpoint (indexed.go) — computes the
+// product reachability as one node bitset per DFA state. An optional
+// index.Index of label closures accelerates that fixpoint without
+// changing its result. Witness runs the only other product walk, a
+// forward BFS over the flat []uint64 bitset indexed by
 // node*numStates + state. Compiled DFAs are memoised by canonical query
 // string (see cache.go), so re-evaluating the same query on a new graph
-// revision pays only the linear product sweep.
+// revision pays only the product sweep.
 package rpq
 
 import (
 	"encoding/json"
+	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/automaton"
 	"repro/internal/graph"
@@ -29,7 +33,8 @@ import (
 
 // Engine evaluates one compiled query against one graph. It precomputes
 // the product reachability so that Selected, Selects and Witness are cheap.
-// An Engine is immutable after New and safe for concurrent use.
+// An Engine is immutable after NewWith (apart from its lazily built
+// product bitset) and safe for concurrent use.
 type Engine struct {
 	ix    *graph.Indexed
 	query *regex.Expr
@@ -45,17 +50,15 @@ type Engine struct {
 	// product walk skips).
 	dfaLabel  []int
 	accepting []bool
-	// accReach is a bitset over configurations node*numStates+state: the
-	// bit is set iff an accepting configuration is reachable. The eager
-	// sweeps fill it during construction; the indexed sweep leaves it nil
-	// and parks a fill closure in accFill instead, materialised through
-	// accOnce on the first configuration probe — Selected is served off
-	// the per-state rows, so an /evaluate-only engine never pays the
+	// acc is a bitset over configurations node*numStates+state: the bit is
+	// set iff an accepting configuration is reachable. The sweep parks a
+	// fill closure in accFill and accOnce materialises acc on the first
+	// configuration probe (Selects, Witness) — Selected is served off the
+	// per-state rows, so an /evaluate-only engine never pays the
 	// product-layout scatter.
-	accReach []uint64
-	accOnce  sync.Once
-	accPtr   atomic.Pointer[[]uint64]
-	accFill  func() []uint64
+	acc     []uint64
+	accOnce sync.Once
+	accFill func() []uint64
 	// selectedIDs caches the sorted answer set.
 	selectedIDs []graph.NodeID
 	// selectedJSON is selectedIDs encoded as a JSON array, built through
@@ -63,9 +66,9 @@ type Engine struct {
 	// the engine, so an EngineCache eviction drops it too.
 	selectedOnce sync.Once
 	selectedJSON []byte
-	// idx is the optional precomputed reachability index the engine was
-	// built with (see indexed.go); nil engines behave identically, the
-	// index only changes how fast the backward fixpoint runs.
+	// idx is the optional closure index the engine was built with (see
+	// indexed.go); nil engines behave identically, the index only changes
+	// how fast the backward fixpoint runs.
 	idx *index.Index
 	// scratch pools per-call BFS state (parent pointers, queue) so that
 	// repeated Witness calls do not reallocate product-sized arrays.
@@ -98,32 +101,52 @@ func (e *Engine) cfg(node int32, state automaton.State) int {
 	return int(node)*e.numStates + int(state)
 }
 
-func (e *Engine) reach(c int) bool {
-	acc := e.accBits()
+// reachBit reports whether configuration c of the product bitset acc can
+// reach acceptance.
+func reachBit(acc []uint64, c int) bool {
 	return acc[c>>6]&(1<<(uint(c)&63)) != 0
 }
 
 // accBits returns the packed configuration bitset, materialising it on
-// first use when the engine was built by the indexed sweep.
+// first use.
 func (e *Engine) accBits() []uint64 {
-	if e.accReach != nil {
-		return e.accReach
-	}
 	e.accOnce.Do(func() {
-		acc := e.accFill()
+		e.acc = e.accFill()
 		e.accFill = nil // frees the captured sweep scratch
-		e.accPtr.Store(&acc)
 	})
-	return *e.accPtr.Load()
+	return e.acc
 }
 
+// Options configures how an Engine evaluates.
+type Options struct {
+	// Deprecated: ignored. The product sweep is sequential; the field
+	// remains only for callers that still set it (ROADMAP 5(g)).
+	Workers int
+	// Index, when non-nil and built on the graph's current Indexed view,
+	// lets the sweep jump label-star subqueries along its closures (see
+	// indexed.go). A stale or foreign index is ignored. Results are always
+	// byte-identical to an index-less engine.
+	Index *index.Index
+}
+
+// DefaultWorkers returns one worker per available CPU.
+func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
+
 // New compiles the query against the graph's alphabet and precomputes the
-// selected node set with a sequential product sweep. The DFA compilation is
-// memoised per canonical query string, so repeated calls with an equal
-// query only pay the product sweep. See NewWith for the sharded sweep.
+// selected node set. The DFA compilation is memoised per canonical query
+// string, so repeated calls with an equal query only pay the product
+// sweep.
 func New(g *graph.Graph, query *regex.Expr) *Engine {
+	return NewWith(g, query, Options{})
+}
+
+// NewWith is New with options: a usable opts.Index accelerates the sweep.
+func NewWith(g *graph.Graph, query *regex.Expr, opts Options) *Engine {
 	e := newEngine(g, query)
-	e.computeReachability()
+	if e.usableIndex(opts.Index) {
+		e.idx = opts.Index
+	}
+	e.sweep()
 	return e
 }
 
@@ -167,79 +190,13 @@ func (e *Engine) Query() *regex.Expr { return e.query }
 // computed once when the engine was built.
 func (e *Engine) QueryString() string { return e.text }
 
-// computeReachability marks every configuration (node, state) from which an
-// accepting DFA state is reachable in the product graph, by a backward
-// breadth-first propagation from accepting configurations over the CSR
-// in-edges and the DFA reverse-transition table.
-func (e *Engine) computeReachability() {
-	n := e.ix.NumNodes()
-	S := e.numStates
-	total := n * S
-	e.accReach = make([]uint64, (total+63)/64)
-	if total == 0 {
-		return
-	}
-	queue := make([]int32, 0, total)
-	// Seed: every (node, state) with state accepting.
-	for s := 0; s < S; s++ {
-		if !e.accepting[s] {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			c := i*S + s
-			e.accReach[c>>6] |= 1 << (uint(c) & 63)
-			queue = append(queue, int32(c))
-		}
-	}
-	rev := e.dfa.Reverse()
-	numLabels := e.ix.NumLabels()
-	for head := 0; head < len(queue); head++ {
-		c := int(queue[head])
-		u := int32(c / S)
-		sp := automaton.State(c % S)
-		for gl := 0; gl < numLabels; gl++ {
-			ins := e.ix.In(u, int32(gl))
-			if len(ins) == 0 || e.dfaLabel[gl] < 0 {
-				continue
-			}
-			preds := rev.Pred(sp, e.dfaLabel[gl])
-			if len(preds) == 0 {
-				continue
-			}
-			for _, v := range ins {
-				base := int(v) * S
-				for _, s := range preds {
-					pc := base + int(s)
-					if e.accReach[pc>>6]&(1<<(uint(pc)&63)) == 0 {
-						e.accReach[pc>>6] |= 1 << (uint(pc) & 63)
-						queue = append(queue, int32(pc))
-					}
-				}
-			}
-		}
-	}
-	e.collectSelected()
-}
-
-// collectSelected caches the sorted answer set: node indices are interned
-// in sorted NodeID order, so one ascending sweep yields sorted IDs.
-func (e *Engine) collectSelected() {
-	n := e.ix.NumNodes()
-	S := e.numStates
-	for i := 0; i < n; i++ {
-		if e.reach(i*S + int(e.start)) {
-			e.selectedIDs = append(e.selectedIDs, e.ix.NodeAt(int32(i)))
-		}
-	}
-}
-
 // Selects reports whether the query selects the node.
 func (e *Engine) Selects(node graph.NodeID) bool {
 	i, ok := e.ix.IndexOf(node)
 	if !ok {
 		return false
 	}
-	return e.reach(e.cfg(i, e.start))
+	return reachBit(e.accBits(), e.cfg(i, e.start))
 }
 
 // SameSelection reports whether both engines select exactly the same node
@@ -292,7 +249,11 @@ func (e *Engine) SelectedJSON() []byte {
 // in the explored product rather than quadratic in path length.
 func (e *Engine) Witness(node graph.NodeID) ([]graph.Edge, bool) {
 	ni, ok := e.ix.IndexOf(node)
-	if !ok || !e.reach(e.cfg(ni, e.start)) {
+	if !ok {
+		return nil, false
+	}
+	acc := e.accBits()
+	if !reachBit(acc, e.cfg(ni, e.start)) {
 		return nil, false
 	}
 	if e.accepting[e.start] {
@@ -328,7 +289,7 @@ search:
 				// Only explore configurations that can still reach
 				// acceptance; this keeps the BFS linear in the useful
 				// product.
-				if !e.reach(nc) {
+				if !reachBit(acc, nc) {
 					continue
 				}
 				parent[nc] = int32(c) + 1

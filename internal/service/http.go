@@ -27,7 +27,7 @@ import (
 //	GET    /v1/graphs                   list graphs with stats
 //	GET    /v1/graphs/{name}            one graph's stats
 //	DELETE /v1/graphs/{name}            unregister a graph
-//	POST   /v1/graphs/{name}/evaluate   evaluate a query (sharded, cached)
+//	POST   /v1/graphs/{name}/evaluate   evaluate a query (cached)
 //	POST   /v1/sessions                 create a learning session
 //	GET    /v1/sessions                 list sessions
 //	GET    /v1/sessions/{id}            session state + pending question
@@ -371,7 +371,7 @@ func deadlineHit(w http.ResponseWriter, ctx context.Context) bool {
 }
 
 // witnessFanOut computes one shortest witness path per selected node,
-// sharding the per-node searches across the service worker pool. Each
+// spreading the per-node searches over Options.EvalWorkers goroutines. Each
 // rpq.Engine.Witness call is independent (it draws its scratch from a
 // pool), so the fan-out parallelises cleanly; workers claim nodes off an
 // atomic cursor and write into index-aligned slots, and the result map is

@@ -249,7 +249,6 @@ func (r *Registry) install(name string, g *graph.Graph, owner string, noIndex bo
 	}
 	h.cache = rpq.NewCacheWith(g, rpq.CacheOptions{
 		Capacity: r.opts.CacheCapacity,
-		Workers:  r.opts.EvalWorkers,
 		Index:    h.Index,
 	})
 	if !r.opts.DisableIndex && !noIndex {

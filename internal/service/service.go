@@ -11,7 +11,7 @@
 //     answers label/path/satisfied questions over the API;
 //   - an HTTP front-end (see http.go and cmd/gpsd) exposing graph loading,
 //     session management, labelling, hypothesis retrieval, server-sent
-//     session event streams, sharded query evaluation and server
+//     session event streams, cached query evaluation and server
 //     statistics as a JSON API;
 //   - an optional durable layer (internal/store, enabled by Options.Store):
 //     registered graphs are snapshotted, every session state transition is
@@ -21,9 +21,10 @@
 //     re-driving the deterministic learning loop with the journaled
 //     answers (see recover.go).
 //
-// Query evaluation everywhere in the service goes through rpq.NewWith, so
-// the product-reachability sweep of large graphs is sharded across
-// Options.EvalWorkers goroutines.
+// Query evaluation everywhere in the service goes through each graph's
+// rpq.EngineCache, which runs the one product sweep (a bitset fixpoint)
+// with the graph's closure index once that index is built.
+// Options.EvalWorkers sizes only the witness fan-out of /evaluate.
 package service
 
 import (
@@ -38,17 +39,18 @@ import (
 
 // Options configures a service instance.
 type Options struct {
-	// EvalWorkers is the worker-pool size for sharded product-reachability
-	// evaluation. 0 means rpq.DefaultWorkers() (one per CPU); 1 forces
-	// sequential evaluation.
+	// EvalWorkers is the number of goroutines that compute the witness
+	// paths of one /evaluate request that asks for witnesses. 0 means
+	// rpq.DefaultWorkers() (one per CPU); 1 computes them sequentially.
+	// The product sweep itself is always sequential.
 	EvalWorkers int
 	// CacheCapacity is the per-graph engine-cache capacity (LRU entries).
 	// 0 means rpq.DefaultCacheCapacity.
 	CacheCapacity int
-	// DisableIndex turns off the background per-graph reachability-index
-	// builds (rpq/index). Evaluations then always run the plain sweep;
-	// results are identical, large graphs just answer slower. Individual
-	// graphs can opt out instead via LoadSpec.NoIndex.
+	// DisableIndex turns off the background per-graph closure-index
+	// builds (rpq/index). Evaluations then always sweep without closures;
+	// results are identical, star-heavy queries on large graphs just answer
+	// slower. Individual graphs can opt out instead via LoadSpec.NoIndex.
 	DisableIndex bool
 	// MaxSessions bounds the number of live (not yet finished) sessions
 	// across all tenants. 0 means 256. Per-tenant caps come from the
