@@ -217,15 +217,16 @@ func TestFixpointMatchesOracleLargeTransport(t *testing.T) {
 }
 
 // TestFixpointMatchesOracleRandomized draws queries from the eval-cold
-// grammar (plus random expressions over the graph's own labels) on
-// transport, scale-free and uniform random graphs and on the empty graph.
+// grammar on transport, scale-free and uniform random graphs and on the
+// empty graph, and random expressions on random graphs over {a, b, c}.
 func TestFixpointMatchesOracleRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	transportLabels := []string{"tram", "bus", "tram", "bus", "cinema", "restaurant", "museum", "park"}
-	for trial := 0; trial < 24; trial++ {
+	for trial := 0; trial < 30; trial++ {
 		seed := rng.Int63()
+		query := func() string { return coldGrammarQuery(rng) }
 		var g *graph.Graph
-		switch trial % 4 {
+		switch trial % 5 {
 		case 0:
 			n := 3 + rng.Intn(10)
 			g = dataset.Transport(dataset.TransportOptions{Rows: n, Cols: n, Seed: seed, FacilityRate: 0.3})
@@ -233,14 +234,18 @@ func TestFixpointMatchesOracleRandomized(t *testing.T) {
 			g = dataset.ScaleFree(dataset.ScaleFreeOptions{Nodes: 20 + rng.Intn(200), Seed: seed, Alphabet: transportLabels})
 		case 2:
 			g = dataset.Random(dataset.RandomOptions{Nodes: 10 + rng.Intn(150), AvgDegree: 1 + 2*rng.Float64(), Seed: seed, Alphabet: transportLabels})
+		case 3:
+			n := 20 + rng.Intn(60)
+			g = dataset.Random(dataset.RandomOptions{Nodes: n, AvgDegree: float64(1 + rng.Intn(3)), Seed: seed, Alphabet: []string{"a", "b", "c"}})
+			query = func() string { return randomEqQuery(rng, 3) }
 		default:
 			g = graph.New()
 		}
 		idx := index.Build(g.Indexed(), index.Options{})
 		for k := 0; k < 6; k++ {
-			qs := coldGrammarQuery(rng)
+			qs := query()
 			if k%3 == 2 {
-				qs = "tram*.bus." + coldGrammarQuery(rng)
+				qs = "(" + query() + ")*." + query()
 			}
 			tag := fmt.Sprintf("trial %d query %d", trial, k)
 			assertMatchesOracles(t, tag, g, regex.MustParse(qs), idx, 1+rng.Intn(6), everyNth(g, 3))
