@@ -17,9 +17,9 @@ import (
 // large transport graph with and without the closure index (the same
 // bitset fixpoint either way; only the closure jumps differ), in one
 // process on one machine, and writes the per-query and median speedups to
-// a JSON summary. -indexgate reads such a summary and
-// fails below a ratio floor — a same-machine two-run comparison, immune to
-// the machine drift that plagues absolute ns/op baselines.
+// a JSON summary. -indexgate reads such a summary and fails below a ratio
+// floor — a same-machine two-run comparison, immune to the machine drift
+// that plagues absolute ns/op baselines.
 
 // indexBenchQueries is the /evaluate workload: star-heavy reachability
 // queries (where the closure jumps collapse the grid diameter) plus
