@@ -1,0 +1,292 @@
+package service
+
+import (
+	"bufio"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/graph"
+	"repro/internal/regex"
+	"repro/internal/store"
+	"repro/internal/user"
+)
+
+// goldenRun is one informative-strategy run of the in-process golden
+// corpus (internal/experiment/testdata/golden).
+type goldenRun struct {
+	goal     string
+	validate bool
+	turns    []string // turn lines without the pruned= and implied= fields
+	learned  []string // the non-empty learned query of each turn
+	end      string   // "end halt=… final=… labels=N" or "error …"
+}
+
+// readGoldenRuns parses the informative runs of one golden file.
+func readGoldenRuns(t *testing.T, file string) []goldenRun {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "experiment", "testdata", "golden", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []goldenRun
+	var cur *goldenRun
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		fields := strings.Fields(line)
+		switch fields[0] {
+		case "run":
+			cur = nil
+			if fields[2] == "strategy=informative" {
+				runs = append(runs, goldenRun{
+					goal:     strings.TrimPrefix(fields[1], "goal="),
+					validate: fields[3] == "validation=true",
+				})
+				cur = &runs[len(runs)-1]
+			}
+		case "turn":
+			if cur == nil {
+				continue
+			}
+			var kept []string
+			for _, f := range fields {
+				if !strings.HasPrefix(f, "pruned=") && !strings.HasPrefix(f, "implied=") {
+					kept = append(kept, f)
+				}
+				if l, ok := strings.CutPrefix(f, "learned="); ok && l != "-" {
+					cur.learned = append(cur.learned, l)
+				}
+			}
+			cur.turns = append(cur.turns, strings.Join(kept, " "))
+		case "end":
+			if cur != nil {
+				cur.end = fmt.Sprintf("%s labels=%d", line, len(cur.turns))
+			}
+		case "error":
+			if cur != nil {
+				cur.end = line
+			}
+		}
+	}
+	return runs
+}
+
+// journalRecords reads a finished session's journal: from its file on a
+// durable server, from memory otherwise.
+func journalRecords(t *testing.T, srv *Server, dir, id string) []store.Record {
+	t.Helper()
+	if dir == "" {
+		s, ok := srv.Manager().Get(id)
+		if !ok {
+			t.Fatalf("session %s is gone", id)
+		}
+		return s.Journal().Records()
+	}
+	f, err := os.Open(journalPath(t, dir, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var recs []store.Record
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<22)
+	for sc.Scan() {
+		var rec store.Record
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("journal %s: %v", id, err)
+		}
+		recs = append(recs, rec)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// journalTranscript renders a journal in the golden's line format: one
+// line per turn, rebuilt from the question and answer records (questions
+// and answers pair by order within their types), then the learned
+// hypotheses and the end line from the terminal record.
+func journalTranscript(t *testing.T, recs []store.Record) (turns, learned []string, end string) {
+	t.Helper()
+	var questions []Question
+	var answers []Answer
+	for _, rec := range recs {
+		var err error
+		switch rec.Type {
+		case recQuestion:
+			var q Question
+			err = json.Unmarshal(rec.Data, &q)
+			questions = append(questions, q)
+		case recAnswer:
+			var a Answer
+			err = json.Unmarshal(rec.Data, &a)
+			answers = append(answers, a)
+		case recHypothesis:
+			var h hypothesisRecord
+			err = json.Unmarshal(rec.Data, &h)
+			learned = append(learned, h.Learned)
+		case recDone, recFailed:
+			var d doneRecord
+			err = json.Unmarshal(rec.Data, &d)
+			if d.Error != "" {
+				end = "error " + d.Error
+			} else {
+				end = fmt.Sprintf("end halt=%s final=%s labels=%d", d.Halt, dashed(d.Learned), d.Labels)
+			}
+		}
+		if err != nil {
+			t.Fatalf("record %d: %v", rec.Seq, err)
+		}
+	}
+	if len(answers) != len(questions) {
+		t.Fatalf("%d questions but %d answers", len(questions), len(answers))
+	}
+	type turn struct {
+		node, decision, word, learned string
+		zooms                         int
+	}
+	var cur *turn
+	var all []*turn
+	for i, q := range questions {
+		a := answers[i]
+		switch q.Kind {
+		case "label":
+			if cur == nil || cur.decision != "" {
+				cur = &turn{node: string(q.Node)}
+				all = append(all, cur)
+			}
+			if a.Decision == "zoom" {
+				cur.zooms++
+			} else {
+				cur.decision = a.Decision
+			}
+		case "path":
+			w := a.Word
+			if a.Accept {
+				w = q.Candidate
+			}
+			cur.word = strings.Join(w, ".")
+		case "satisfied":
+			cur.learned = q.Learned
+		}
+	}
+	for i, tn := range all {
+		turns = append(turns, fmt.Sprintf("turn %d node=%s decision=%s zooms=%d word=%s learned=%s",
+			i+1, tn.node, tn.decision, tn.zooms, dashed(tn.word), dashed(tn.learned)))
+	}
+	return turns, learned, end
+}
+
+func dashed(s string) string {
+	if s == "" {
+		return "-"
+	}
+	return s
+}
+
+// answerAs answers the pending question as the simulated user would.
+func answerAs(t *testing.T, u *user.Simulated, q *Question) Answer {
+	t.Helper()
+	a := Answer{Seq: q.Seq}
+	switch q.Kind {
+	case "label":
+		frag, err := graph.ParseText(q.Neighborhood)
+		if err != nil {
+			t.Fatalf("question %d neighbourhood: %v", q.Seq, err)
+		}
+		n := &graph.Neighborhood{Center: q.Node, Fragment: frag, Frontier: q.Frontier}
+		a.Decision = u.LabelNode(q.Node, n, q.CanZoom).String()
+	case "path":
+		a.Word = u.ValidatePath(q.Node, q.Words, q.Candidate)
+		if a.Word == nil {
+			a.Accept = true
+		}
+	case "satisfied":
+		sat := u.Satisfied(regex.MustParse(q.Learned))
+		a.Satisfied = &sat
+	default:
+		t.Fatalf("unexpected question kind %q", q.Kind)
+	}
+	return a
+}
+
+// TestSessionsMatchGoldenOverHTTP runs the golden corpus's informative
+// sessions on Figure 1 and the 10x10 transport grid through the service
+// and diffs their journals against the in-process golden lines, with and
+// without a store. A simulated session journals only its hypotheses and
+// end; a manual session answered by the same simulated user on the client
+// side also journals every question and answer, which pins each turn's
+// node, decision, zooms and validated word.
+func TestSessionsMatchGoldenOverHTTP(t *testing.T) {
+	graphs := []struct {
+		file string
+		spec DatasetSpec
+		g    func() *graph.Graph
+	}{
+		{"figure1.txt", DatasetSpec{Kind: "figure1"}, dataset.Figure1},
+		{"transport10.txt", DatasetSpec{Kind: "transport", Rows: 10, Cols: 10, Seed: 1, FacilityRate: 0.3}, func() *graph.Graph {
+			return dataset.Transport(dataset.TransportOptions{Rows: 10, Cols: 10, Seed: 1, FacilityRate: 0.3})
+		}},
+	}
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%t", durable), func(t *testing.T) {
+			var srv *Server
+			var ts *httptest.Server
+			dir := ""
+			if durable {
+				dir = t.TempDir()
+				srv, ts = newDurableServer(t, dir)
+			} else {
+				srv, ts = newTestServer(t)
+			}
+			for _, gr := range graphs {
+				name := strings.TrimSuffix(gr.file, ".txt")
+				if code := do(t, http.MethodPut, ts.URL+"/v1/graphs/"+name, LoadSpec{Dataset: gr.spec}, nil); code != http.StatusCreated {
+					t.Fatalf("load %s returned %d", name, code)
+				}
+				g := gr.g()
+				for _, run := range readGoldenRuns(t, gr.file) {
+					for _, mode := range []string{"simulated", "manual"} {
+						label := fmt.Sprintf("%s goal=%s validation=%t mode=%s", name, run.goal, run.validate, mode)
+						var v SessionView
+						if code := do(t, http.MethodPost, ts.URL+"/v1/sessions", SessionConfig{
+							Graph: name, Mode: mode, Goal: run.goal, Strategy: "informative", PathValidation: run.validate,
+						}, &v); code != http.StatusCreated {
+							t.Fatalf("%s: create returned %d", label, code)
+						}
+						u := user.NewSimulated(g, regex.MustParse(run.goal))
+						for {
+							v = waitSession(t, ts, v.ID, func(v SessionView) bool {
+								return v.Pending != nil || v.Status == StatusDone || v.Status == StatusFailed
+							})
+							if v.Pending == nil {
+								break
+							}
+							a := answerAs(t, u, v.Pending)
+							if code := do(t, http.MethodPost, ts.URL+"/v1/sessions/"+v.ID+"/label", a, nil); code != http.StatusOK {
+								t.Fatalf("%s: answer returned %d for %+v", label, code, a)
+							}
+						}
+						turns, learned, end := journalTranscript(t, journalRecords(t, srv, dir, v.ID))
+						if mode == "manual" {
+							if got, want := strings.Join(turns, "\n"), strings.Join(run.turns, "\n"); got != want {
+								t.Errorf("%s: turns differ\n got:\n%s\nwant:\n%s", label, got, want)
+							}
+						} else if got, want := strings.Join(learned, " "), strings.Join(run.learned, " "); got != want {
+							t.Errorf("%s: hypotheses differ\n got: %s\nwant: %s", label, got, want)
+						}
+						if end != run.end {
+							t.Errorf("%s: end differs\n got: %s\nwant: %s", label, end, run.end)
+						}
+					}
+				}
+			}
+		})
+	}
+}
