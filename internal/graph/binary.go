@@ -263,7 +263,6 @@ func ParseBinary(data []byte) (*Graph, error) {
 			g.in[id] = in
 		}
 	}
-	g.version++
 	if r.off != len(data) {
 		return nil, fmt.Errorf("graph: binary payload has %d trailing bytes", len(data)-r.off)
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // NodeID identifies a node. IDs are arbitrary non-empty strings; the
@@ -33,7 +34,8 @@ func (e Edge) String() string {
 }
 
 // Graph is a labelled directed multigraph. It is not safe for concurrent
-// mutation; concurrent reads are safe once mutation has finished.
+// mutation; concurrent reads are safe once mutation has finished. A graph
+// becomes read-only once it is frozen (see Freeze).
 type Graph struct {
 	nodes map[NodeID]struct{}
 	// out[from] and in[to] hold edges sorted lazily on demand.
@@ -44,11 +46,11 @@ type Graph struct {
 	edgeCount int
 	// attrs holds optional node attributes (kind, display name, ...).
 	attrs map[NodeID]map[string]string
-	// version counts structural mutations; idx caches the dense view built
-	// at a given version (see indexed.go).
-	version uint64
-	idxMu   sync.Mutex
-	idx     *Indexed
+	// frozen makes the mutators panic; idx caches the dense view, built
+	// at most once (see indexed.go).
+	frozen atomic.Bool
+	idxMu  sync.Mutex
+	idx    *Indexed
 }
 
 // New returns an empty graph.
@@ -66,17 +68,29 @@ func (g *Graph) init() {
 	}
 }
 
+// Freeze makes the graph read-only: AddNode, AddEdge and SetAttr panic
+// from now on. Everything derived from a graph — the Indexed view, query
+// engines, closure indexes, session state — relies on it never changing,
+// so none of them checks for staleness. Freeze builds nothing; Indexed
+// freezes the graph too.
+func (g *Graph) Freeze() { g.frozen.Store(true) }
+
+// mustBeMutable panics on a frozen graph: mutating one is a bug.
+func (g *Graph) mustBeMutable() {
+	if g.frozen.Load() {
+		panic("graph: mutation of a frozen graph")
+	}
+}
+
 // AddNode adds a node if not already present. Adding a node that exists is
-// a no-op. Empty IDs are rejected.
+// a no-op. Empty IDs are rejected. It panics on a frozen graph.
 func (g *Graph) AddNode(id NodeID) error {
+	g.mustBeMutable()
 	if id == "" {
 		return fmt.Errorf("graph: empty node id")
 	}
 	g.init()
-	if _, ok := g.nodes[id]; !ok {
-		g.nodes[id] = struct{}{}
-		g.version++
-	}
+	g.nodes[id] = struct{}{}
 	return nil
 }
 
@@ -95,7 +109,7 @@ func (g *Graph) HasNode(id NodeID) bool {
 }
 
 // SetAttr attaches a string attribute to a node, creating the node if
-// necessary.
+// necessary. It panics on a frozen graph.
 func (g *Graph) SetAttr(id NodeID, key, value string) error {
 	if err := g.AddNode(id); err != nil {
 		return err
@@ -123,8 +137,9 @@ func (g *Graph) Attr(id NodeID, key string) (string, bool) {
 // Parallel edges with the same label are deduplicated. The adjacency lists
 // are kept sorted on insertion so that Out and In are cheap read paths (the
 // evaluator, the word enumerator and the neighbourhood extractor all sit on
-// them).
+// them). It panics on a frozen graph.
 func (g *Graph) AddEdge(from NodeID, label Label, to NodeID) error {
+	g.mustBeMutable()
 	if from == "" || to == "" {
 		return fmt.Errorf("graph: edge with empty endpoint %q -> %q", from, to)
 	}
@@ -145,7 +160,6 @@ func (g *Graph) AddEdge(from NodeID, label Label, to NodeID) error {
 	g.in[to] = insertEdge(g.in[to], inPos, e)
 	g.labels[label]++
 	g.edgeCount++
-	g.version++
 	return nil
 }
 

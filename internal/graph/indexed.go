@@ -6,12 +6,11 @@ package graph
 // (node, label) bucket, so that enumerating the neighbours of a node under
 // one label is a slice view with zero hashing and zero allocation.
 //
-// An Indexed view is built once per graph revision and cached on the Graph
-// (see Graph.Indexed); any structural mutation of the graph invalidates the
-// cache. The view itself is never mutated after construction and is safe
+// An Indexed view is built at most once per graph and cached on it (see
+// Graph.Indexed); building it freezes the graph, so the view can never go
+// stale. The view itself is never mutated after construction and is safe
 // for concurrent use.
 type Indexed struct {
-	version uint64
 	// nodes[i] is the NodeID interned as i; sorted, so iterating indices
 	// yields nodes in the same order as Graph.Nodes.
 	nodes   []NodeID
@@ -33,10 +32,9 @@ type Indexed struct {
 	srcBits []uint64
 }
 
-// buildIndexed constructs the dense view from the current graph state.
-func buildIndexed(g *Graph, version uint64) *Indexed {
+// buildIndexed constructs the dense view of the graph.
+func buildIndexed(g *Graph) *Indexed {
 	ix := &Indexed{
-		version:  version,
 		nodes:    g.Nodes(),
 		labels:   g.Alphabet(),
 		nodeIdx:  make(map[NodeID]int32, g.NumNodes()),
@@ -84,27 +82,18 @@ func buildIndexed(g *Graph, version uint64) *Indexed {
 }
 
 // Indexed returns the dense integer-indexed view of the graph, building it
-// on first use and caching it until the next structural mutation. Safe for
-// concurrent callers once mutation has finished (the same guarantee the
-// rest of Graph's read API gives).
+// on first use. It freezes the graph (see Freeze), so the view is built
+// once and kept. Safe for concurrent callers once mutation has finished
+// (the same guarantee the rest of Graph's read API gives).
 func (g *Graph) Indexed() *Indexed {
 	g.idxMu.Lock()
 	defer g.idxMu.Unlock()
-	if g.idx == nil || g.idx.version != g.version {
-		g.idx = buildIndexed(g, g.version)
+	if g.idx == nil {
+		g.Freeze()
+		g.idx = buildIndexed(g)
 	}
 	return g.idx
 }
-
-// Version returns a counter that increases on every structural mutation
-// (node or edge added). Caches keyed on a graph — the Indexed
-// view, compiled query engines — use it to detect staleness.
-func (g *Graph) Version() uint64 { return g.version }
-
-// Version returns the graph structural version this view was built at.
-// Derived structures (the rpq index, compiled engines) carry it so that
-// staleness against a mutated graph is detectable.
-func (ix *Indexed) Version() uint64 { return ix.version }
 
 // NumNodes returns the number of interned nodes.
 func (ix *Indexed) NumNodes() int { return len(ix.nodes) }
@@ -149,15 +138,4 @@ func (ix *Indexed) In(node, label int32) []int32 {
 func (ix *Indexed) SourceBits(l int32) []uint64 {
 	words := (len(ix.nodes) + 63) / 64
 	return ix.srcBits[int(l)*words : (int(l)+1)*words]
-}
-
-// OutDegree returns the total out-degree of a node across all labels.
-func (ix *Indexed) OutDegree(node int32) int {
-	m := len(ix.labels)
-	if m == 0 {
-		return 0
-	}
-	lo := ix.outStart[int(node)*m]
-	hi := ix.outStart[int(node)*m+m]
-	return int(hi - lo)
 }

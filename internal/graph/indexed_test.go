@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -90,44 +91,89 @@ func TestIndexedAdjacencyMatchesGraph(t *testing.T) {
 			if gotIn != g.InDegree(id) {
 				t.Fatalf("in-degree of %s = %d, want %d", id, gotIn, g.InDegree(id))
 			}
-			if d := ix.OutDegree(ni); d != g.OutDegree(id) {
-				t.Fatalf("out-degree of %s = %d, want %d", id, d, g.OutDegree(id))
-			}
 		}
 	}
 }
 
-// TestIndexedCacheInvalidation verifies that the cached view is rebuilt
-// exactly when the graph structurally changes.
+// TestIndexedCacheInvalidation checks that the view is built once and
+// kept: building it freezes the graph, so nothing can invalidate it.
 func TestIndexedCacheInvalidation(t *testing.T) {
 	g := indexedFixture(t)
 	ix1 := g.Indexed()
 	if ix2 := g.Indexed(); ix2 != ix1 {
-		t.Fatal("repeated Indexed() without mutation must return the cached view")
+		t.Fatal("repeated Indexed() must return the cached view")
 	}
-	v := g.Version()
-	g.MustAddEdge("b", "y", "a")
-	if g.Version() == v {
-		t.Fatal("AddEdge must bump the version")
+}
+
+// TestFrozenGraphRejectsMutation checks that every mutator panics once the
+// graph is frozen, by Freeze or by building the Indexed view, even when
+// the mutation would change nothing.
+func TestFrozenGraphRejectsMutation(t *testing.T) {
+	freezes := []struct {
+		name   string
+		freeze func(*Graph)
+	}{
+		{"Freeze", (*Graph).Freeze},
+		{"Indexed", func(g *Graph) { g.Indexed() }},
 	}
-	ix3 := g.Indexed()
-	if ix3 == ix1 {
-		t.Fatal("mutation must invalidate the cached view")
+	mutators := []struct {
+		name   string
+		mutate func(*Graph) error
+	}{
+		{"AddNode", func(g *Graph) error { return g.AddNode("new") }},
+		{"AddNode existing", func(g *Graph) error { return g.AddNode("a") }},
+		{"AddEdge", func(g *Graph) error { return g.AddEdge("a", "x", "new") }},
+		{"AddEdge existing", func(g *Graph) error { return g.AddEdge("a", "x", "b") }},
+		{"SetAttr", func(g *Graph) error { return g.SetAttr("a", "kind", "k") }},
 	}
-	li, _ := ix3.LabelIndexOf("y")
-	bi, _ := ix3.IndexOf("b")
-	if len(ix3.Out(bi, li)) != 1 {
-		t.Fatal("rebuilt view must contain the new edge")
+	for _, f := range freezes {
+		for _, m := range mutators {
+			t.Run(f.name+"/"+m.name, func(t *testing.T) {
+				g := indexedFixture(t)
+				f.freeze(g)
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s after %s did not panic", m.name, f.name)
+					}
+				}()
+				_ = m.mutate(g)
+			})
+		}
 	}
-	// No-op mutations must not invalidate.
-	v = g.Version()
-	g.MustAddNode("a")
-	g.MustAddEdge("b", "y", "a")
-	if g.Version() != v {
-		t.Fatal("no-op AddNode/AddEdge must not bump the version")
+}
+
+// TestFreezeBuildsNoView checks that Freeze only marks the graph: the
+// Indexed view is still built on first use, not at freeze time.
+func TestFreezeBuildsNoView(t *testing.T) {
+	g := indexedFixture(t)
+	g.Freeze()
+	if g.idx != nil {
+		t.Fatal("Freeze built the Indexed view")
 	}
-	if g.Indexed() != ix3 {
-		t.Fatal("no-op mutations must keep the cached view")
+	if ix := g.Indexed(); ix.NumNodes() != g.NumNodes() {
+		t.Fatalf("view of a frozen graph has %d nodes, want %d", ix.NumNodes(), g.NumNodes())
+	}
+}
+
+// TestFreezeConcurrent freezes one graph and builds its view from several
+// goroutines at once: every caller must get the one shared view.
+func TestFreezeConcurrent(t *testing.T) {
+	g := indexedFixture(t)
+	views := make([]*Indexed, 8)
+	var wg sync.WaitGroup
+	for i := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.Freeze()
+			views[i] = g.Indexed()
+		}()
+	}
+	wg.Wait()
+	for i, ix := range views {
+		if ix != views[0] {
+			t.Fatalf("caller %d got another view", i)
+		}
 	}
 }
 

@@ -138,11 +138,10 @@ type Session struct {
 	// cov caches the covered-word set of the current negatives at the
 	// learner's path-length bound. Pruning and the coverage-aware
 	// strategies probe it every round, but it only changes when a new
-	// negative label arrives (or the graph mutates), so rounds that add
-	// positive labels reuse it as-is.
-	cov        *paths.Coverage
-	covNegs    int
-	covVersion uint64
+	// negative label arrives, so rounds that add positive labels reuse it
+	// as-is.
+	cov     *paths.Coverage
+	covNegs int
 }
 
 // NewSession prepares a session on the graph for the given user.
@@ -169,13 +168,12 @@ func NewSession(g *graph.Graph, u user.User, opts Options) *Session {
 }
 
 // negCoverage returns the covered-word set of the current negatives at the
-// learner's path-length bound, rebuilding it only when the negative set or
-// the graph changed since the last probe.
+// learner's path-length bound, rebuilding it only when the negative set
+// changed since the last probe.
 func (s *Session) negCoverage() *paths.Coverage {
-	if s.cov == nil || s.covNegs != len(s.sample.Negatives) || s.covVersion != s.g.Version() {
+	if s.cov == nil || s.covNegs != len(s.sample.Negatives) {
 		s.cov = paths.NewCoverage(s.g, s.sample.Negatives, s.opts.Learn.MaxPathLength)
 		s.covNegs = len(s.sample.Negatives)
-		s.covVersion = s.g.Version()
 	}
 	return s.cov
 }

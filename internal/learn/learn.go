@@ -509,7 +509,8 @@ func selectsAnyNegative(g *graph.Graph, n *automaton.NFA, negatives []graph.Node
 // Consistent reports whether the query is consistent with the sample on
 // the graph: it selects every positive node and no negative node. Callers
 // that re-check the same candidate queries across iterations should
-// evaluate through rpq.EngineCache.Consistent instead.
+// evaluate through an rpq.EngineCache (Get, then Engine.ConsistentWith)
+// instead.
 func Consistent(g *graph.Graph, query *regex.Expr, sample *Sample) bool {
 	return rpq.Consistent(g, query, sample.PositiveNodes(), sample.Negatives)
 }

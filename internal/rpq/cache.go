@@ -64,24 +64,21 @@ func compiledDFA(text string, query *regex.Expr, alphabet []string) *automaton.D
 // sessions sharing one cache keep their hot hypothesis queries resident
 // instead of periodically losing the whole working set to a flush.
 //
-// The cache watches the graph's structural version: any mutation of the
-// graph flushes every entry, so a stale engine is never returned. It is
-// safe for concurrent use.
+// Evaluating a query freezes the graph (graph.Graph.Indexed), so a cached
+// engine never goes stale. The cache is safe for concurrent use.
 type EngineCache struct {
 	g     *graph.Graph
 	cap   int
 	index func() *index.Index
 
-	mu      sync.Mutex
-	version uint64
+	mu sync.Mutex
 	// entries maps canonical query string to its *list.Element whose Value
 	// is a *cacheEntry; lru orders elements most-recently-used first.
 	entries map[string]*list.Element
 	lru     *list.List
 	// inflight coalesces concurrent misses on one key: the first misser
 	// builds, later missers wait on done and share the result instead of
-	// burning a full product sweep each. Flushed alongside entries on a
-	// version change so nobody joins a stale build.
+	// burning a full product sweep each.
 	inflight map[string]*inflightBuild
 	// spellings maps query text seen by GetText to the element of the entry
 	// that text parses to, so a repeated text skips the parse. Each entry
@@ -125,11 +122,9 @@ type CacheOptions struct {
 	// remains only for callers that still set it (ROADMAP 5(g)).
 	Workers int
 	// Index, when non-nil, is consulted on every engine build for the
-	// graph's closure index. It returns nil while the index is still
-	// building (or disabled); a stale index — one built on
-	// a different Indexed view than the graph's current one — is ignored
-	// by the engine, so providers only need to be version-aware, not
-	// synchronized with the cache's own flushes.
+	// graph's closure index, which must have been built on the graph's
+	// Indexed view. It returns nil while the index is still building (or
+	// disabled).
 	Index func() *index.Index
 }
 
@@ -148,7 +143,6 @@ func NewCacheWith(g *graph.Graph, opts CacheOptions) *EngineCache {
 		g:         g,
 		cap:       opts.Capacity,
 		index:     opts.Index,
-		version:   g.Version(),
 		entries:   make(map[string]*list.Element),
 		lru:       list.New(),
 		inflight:  make(map[string]*inflightBuild),
@@ -159,32 +153,12 @@ func NewCacheWith(g *graph.Graph, opts CacheOptions) *EngineCache {
 // Graph returns the graph the cache evaluates against.
 func (c *EngineCache) Graph() *graph.Graph { return c.g }
 
-// flushLocked drops every entry and detaches in-flight builds (their
-// builders still complete and wake their waiters, but nobody new joins
-// them). Caller holds c.mu.
-func (c *EngineCache) flushLocked() {
-	c.entries = make(map[string]*list.Element)
-	c.lru.Init()
-	c.inflight = make(map[string]*inflightBuild)
-	c.spellings = make(map[string]*list.Element)
-}
-
-// syncVersionLocked flushes every entry once the graph has moved past the
-// version they were built at. Caller holds c.mu.
-func (c *EngineCache) syncVersionLocked() {
-	if v := c.g.Version(); v != c.version {
-		c.version = v
-		c.flushLocked()
-	}
-}
-
 // GetText returns the evaluated engine for the query spelled text, which
 // parse turns into an expression: the engine Get(parse(text)) returns.
 // Once text has been parsed while its engine is resident, later calls with
 // the same text are served without parsing it again.
 func (c *EngineCache) GetText(text string, parse func(string) (*regex.Expr, error)) (*Engine, error) {
 	c.mu.Lock()
-	c.syncVersionLocked()
 	if el, ok := c.spellings[text]; ok {
 		c.hits++
 		c.lru.MoveToFront(el)
@@ -215,7 +189,6 @@ func (c *EngineCache) GetText(text string, parse func(string) (*regex.Expr, erro
 func (c *EngineCache) Get(query *regex.Expr) *Engine {
 	key := query.String()
 	c.mu.Lock()
-	c.syncVersionLocked()
 	if el, ok := c.entries[key]; ok {
 		c.hits++
 		c.lru.MoveToFront(el)
@@ -224,8 +197,8 @@ func (c *EngineCache) Get(query *regex.Expr) *Engine {
 		return e
 	}
 	if fl, ok := c.inflight[key]; ok {
-		// Another goroutine is already building this engine for the same
-		// graph version; share its result instead of building again.
+		// Another goroutine is already building this engine; share its
+		// result instead of building again.
 		c.hits++
 		c.mu.Unlock()
 		<-fl.done
@@ -234,7 +207,6 @@ func (c *EngineCache) Get(query *regex.Expr) *Engine {
 	c.misses++
 	fl := &inflightBuild{done: make(chan struct{})}
 	c.inflight[key] = fl
-	builtAt := c.version
 	c.mu.Unlock()
 	var idx *index.Index
 	if c.index != nil {
@@ -245,21 +217,7 @@ func (c *EngineCache) Get(query *regex.Expr) *Engine {
 	close(fl.done)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.inflight[key] == fl {
-		delete(c.inflight, key)
-	}
-	// Only keep the engine if the graph has not moved past the version the
-	// miss was observed at AND the build finished at — otherwise the engine
-	// may reflect a stale revision and must not enter the cache.
-	if c.g.Version() != builtAt || c.version != builtAt {
-		return e
-	}
-	// A concurrent miss on the same key may have inserted first; keep the
-	// resident engine so every caller shares one canonical instance.
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		return el.Value.(*cacheEntry).engine
-	}
+	delete(c.inflight, key)
 	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, engine: e})
 	for c.lru.Len() > c.cap {
 		tail := c.lru.Back()
@@ -272,12 +230,6 @@ func (c *EngineCache) Get(query *regex.Expr) *Engine {
 		c.evictions++
 	}
 	return e
-}
-
-// Consistent reports whether the query selects every positive and no
-// negative, evaluating through the cache.
-func (c *EngineCache) Consistent(query *regex.Expr, positives, negatives []graph.NodeID) bool {
-	return c.Get(query).ConsistentWith(positives, negatives)
 }
 
 // CacheStats is a point-in-time snapshot of an EngineCache's counters.

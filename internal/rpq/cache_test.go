@@ -24,16 +24,7 @@ func TestEngineCacheReusesAndInvalidates(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Size != 1 {
 		t.Fatalf("stats = %d hits, %d misses, %d entries; want 1, 1, 1", st.Hits, st.Misses, st.Size)
 	}
-	// Structural mutation must flush the cache and re-evaluate.
-	g.MustAddEdge("N5", "cinema", "C1")
-	e3 := c.Get(q)
-	if e3 == e1 {
-		t.Fatal("graph mutation must invalidate cached engines")
-	}
-	if !e3.Selects("N5") {
-		t.Fatal("rebuilt engine must see the new edge")
-	}
-	assertEnginesIdentical(t, "rebuilt", g, q, queueOracle(g, q), e3)
+	assertEnginesIdentical(t, "cached", g, q, queueOracle(g, q), e1)
 }
 
 func TestEngineCacheConcurrentGets(t *testing.T) {
@@ -159,10 +150,10 @@ func TestConsistentThroughCache(t *testing.T) {
 	g := figure1(t)
 	c := NewCache(g)
 	q := regex.MustParse("(tram+bus)*.cinema")
-	if !c.Consistent(q, []graph.NodeID{"N1", "N2"}, []graph.NodeID{"C1", "R1"}) {
+	if !c.Get(q).ConsistentWith([]graph.NodeID{"N1", "N2"}, []graph.NodeID{"C1", "R1"}) {
 		t.Fatal("goal query should be consistent with the paper's examples")
 	}
-	if c.Consistent(q, []graph.NodeID{"C1"}, nil) {
+	if c.Get(q).ConsistentWith([]graph.NodeID{"C1"}, nil) {
 		t.Fatal("facility node is not selected and cannot be a positive")
 	}
 }
@@ -197,12 +188,6 @@ func TestEngineCacheGetText(t *testing.T) {
 	e, err := c.GetText("(tram+bus)*.cinema", parse)
 	if err != nil || e == want || parses != 4 {
 		t.Fatalf("after eviction: engine reused %v, err %v, %d parses; want a rebuilt engine after 4 parses", e == want, err, parses)
-	}
-	// A graph mutation flushes spellings with the entries.
-	g.MustAddEdge("N5", "cinema", "C1")
-	e2, _ := c.GetText("(tram+bus)*.cinema", parse)
-	if e2 == e || !e2.Selects("N5") {
-		t.Fatal("GetText must not serve an engine of an older graph version")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package index precomputes per-graph label-reachability closures that
 // the RPQ product sweep may consult instead of expanding frontiers edge by
-// edge. One Index is built per graph.Indexed version (typically in the
+// edge. One Index is built per graph.Indexed view (typically in the
 // background at graph registration) and holds two layers:
 //
 //   - per-label predecessor closure bitsets for the most frequent labels,
@@ -62,7 +62,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Index is the precomputed reachability layer of one graph version. It is
+// Index is the precomputed reachability layer of one frozen graph. It is
 // immutable after Build apart from the hit counter and safe for
 // concurrent use.
 type Index struct {
@@ -103,11 +103,6 @@ func Build(ix *graph.Indexed, opts Options) *Index {
 	x.buildTime = time.Since(start)
 	return x
 }
-
-// View returns the Indexed view the index was built on. Engines use
-// pointer identity to decide whether the index is aligned with the view
-// they evaluate over.
-func (x *Index) View() *graph.Indexed { return x.ix }
 
 // PredStar returns the predecessor closure of label gl, or nil when the
 // label was not closed.

@@ -191,14 +191,15 @@ func TestIndexClosureBudget(t *testing.T) {
 
 	// A budget that fits only the most frequent label's closure keeps it
 	// and counts it in Stats.Bytes.
-	tram := Build(dataset.Figure1().Indexed(), Options{MaxClosureLabels: 1})
+	fig := dataset.Figure1().Indexed()
+	tram := Build(fig, Options{MaxClosureLabels: 1})
 	var first *Closure
 	for gl := range tram.pred {
 		if tram.pred[gl] != nil {
 			first = tram.pred[gl]
 		}
 	}
-	x = Build(tram.View(), Options{MaxClosureBytes: first.MemBytes()})
+	x = Build(fig, Options{MaxClosureBytes: first.MemBytes()})
 	if st := x.Stats(); st.ClosedLabels != 1 || st.Bytes != first.MemBytes() {
 		t.Fatalf("Stats = %+v, want 1 closed label and %d bytes", st, first.MemBytes())
 	}
@@ -219,9 +220,6 @@ func TestIndexStats(t *testing.T) {
 	x.AddHits(2)
 	if st = x.Stats(); st.Hits != 2 {
 		t.Fatalf("Stats.Hits = %d, want 2", st.Hits)
-	}
-	if x.View().Version() != g.Version() {
-		t.Fatalf("View().Version() = %d, want %d", x.View().Version(), g.Version())
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // node bitset per DFA state and a dirty frontier per state, and each
 // backward step is a word-parallel OR over the CSR in-edges. The first
 // step out of an accepting state (a full frontier) is one OR of the
-// label's source bitset (graph.Indexed.SourceBits). When a usable
+// label's source bitset (graph.Indexed.SourceBits). When an
 // index.Index is present and a DFA state carries a self-loop on a label
 // the index has closed, the label-star saturation collapses to ORing
 // precomputed closure rows (graph-diameter many BFS levels become one
@@ -28,14 +28,6 @@ func forEachConfigBit(set []uint64, fn func(i int32)) {
 			w &= w - 1
 		}
 	}
-}
-
-// usableIndex reports whether idx was built on the exact Indexed view
-// this engine evaluates over. Pointer identity is the strongest check:
-// the view is cached per graph version, so a version bump (or a different
-// graph) yields a different view and the index is ignored.
-func (e *Engine) usableIndex(idx *index.Index) bool {
-	return idx != nil && idx.View() == e.ix
 }
 
 // sweep runs the backward fixpoint, fills selectedIDs and parks the

@@ -16,8 +16,8 @@
 // changing its result. Witness runs the only other product walk, a
 // forward BFS over the flat []uint64 bitset indexed by
 // node*numStates + state. Compiled DFAs are memoised by canonical query
-// string (see cache.go), so re-evaluating the same query on a new graph
-// revision pays only the product sweep.
+// string (see cache.go), so re-evaluating the same query on another graph
+// with the same alphabet pays only the product sweep.
 package rpq
 
 import (
@@ -36,9 +36,8 @@ import (
 // An Engine is immutable after NewWith (apart from its lazily built
 // product bitset) and safe for concurrent use.
 type Engine struct {
-	ix    *graph.Indexed
-	query *regex.Expr
-	// text is query's canonical spelling, query.String().
+	ix *graph.Indexed
+	// text is the query's canonical spelling, query.String().
 	text string
 	dfa  *automaton.DFA
 
@@ -122,10 +121,10 @@ type Options struct {
 	// Deprecated: ignored. The product sweep is sequential; the field
 	// remains only for callers that still set it (ROADMAP 5(g)).
 	Workers int
-	// Index, when non-nil and built on the graph's current Indexed view,
-	// lets the sweep jump label-star subqueries along its closures (see
-	// indexed.go). A stale or foreign index is ignored. Results are always
-	// byte-identical to an index-less engine.
+	// Index, when non-nil, must have been built on the graph's Indexed
+	// view; it lets the sweep jump label-star subqueries along its
+	// closures (see indexed.go). Results are always byte-identical to an
+	// index-less engine.
 	Index *index.Index
 }
 
@@ -140,12 +139,10 @@ func New(g *graph.Graph, query *regex.Expr) *Engine {
 	return NewWith(g, query, Options{})
 }
 
-// NewWith is New with options: a usable opts.Index accelerates the sweep.
+// NewWith is New with options: opts.Index accelerates the sweep.
 func NewWith(g *graph.Graph, query *regex.Expr, opts Options) *Engine {
 	e := newEngine(g, query)
-	if e.usableIndex(opts.Index) {
-		e.idx = opts.Index
-	}
+	e.idx = opts.Index
 	e.sweep()
 	return e
 }
@@ -162,7 +159,6 @@ func newEngine(g *graph.Graph, query *regex.Expr) *Engine {
 	dfa := compiledDFA(text, query, alphabet)
 	e := &Engine{
 		ix:        ix,
-		query:     query,
 		text:      text,
 		dfa:       dfa,
 		numStates: dfa.NumStates(),
@@ -183,11 +179,8 @@ func newEngine(g *graph.Graph, query *regex.Expr) *Engine {
 	return e
 }
 
-// Query returns the compiled query expression.
-func (e *Engine) Query() *regex.Expr { return e.query }
-
-// QueryString returns the canonical spelling of the query, Query().String(),
-// computed once when the engine was built.
+// QueryString returns the canonical spelling of the query, computed once
+// when the engine was built.
 func (e *Engine) QueryString() string { return e.text }
 
 // Selects reports whether the query selects the node.

@@ -98,9 +98,6 @@ func (m *Manager) Restore(reg *Registry, rs store.RecoveredSession) (resumed boo
 	if !ok {
 		return false, fmt.Errorf("graph %q is not registered", cr.Graph)
 	}
-	if err := h.Check(); err != nil {
-		return false, err
-	}
 
 	var questions []Question
 	var answers []Answer

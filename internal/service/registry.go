@@ -16,18 +16,15 @@ import (
 	"repro/internal/store"
 )
 
-// GraphHandle is a snapshot-consistent view of one registered graph. The
-// service treats registered graphs as immutable: the handle pins the
-// structural version observed at registration, and every evaluation path
-// checks it, so a graph mutated behind the registry's back is detected
-// instead of silently serving mixed-revision answers. Replacing a name
-// re-registers a fresh handle; sessions started on the old handle keep
-// their old snapshot and cache.
+// GraphHandle is one registered graph. Registration freezes the graph
+// (graph.Graph.Freeze), so a mutation behind the registry's back panics
+// instead of serving mixed-revision answers. Replacing a name re-registers
+// a fresh handle; sessions started on the old handle keep their old graph
+// and cache.
 type GraphHandle struct {
-	name    string
-	g       *graph.Graph
-	version uint64
-	cache   *rpq.EngineCache
+	name  string
+	g     *graph.Graph
+	cache *rpq.EngineCache
 	// owner is the tenant that registered the graph; any tenant may read
 	// and evaluate it, but it counts against the owner's MaxGraphs quota.
 	owner string
@@ -52,11 +49,8 @@ var indexStateNames = [...]string{"disabled", "building", "ready"}
 // Name returns the registry name of the graph.
 func (h *GraphHandle) Name() string { return h.name }
 
-// Graph returns the underlying graph. Callers must not mutate it.
+// Graph returns the underlying graph, which is frozen.
 func (h *GraphHandle) Graph() *graph.Graph { return h.g }
-
-// Version returns the structural version the handle was registered at.
-func (h *GraphHandle) Version() uint64 { return h.version }
 
 // Cache returns the graph's shared engine cache.
 func (h *GraphHandle) Cache() *rpq.EngineCache { return h.cache }
@@ -90,12 +84,9 @@ func (h *GraphHandle) indexInfo() IndexInfo {
 	return info
 }
 
-// buildIndex runs the background index construction over an Indexed view
-// captured synchronously at install time — the goroutine never touches
-// the Graph itself, so a caller mutating the graph after registration
-// (which Check() reports on the evaluation paths anyway) cannot race the
-// build. Indexes are memory-only and never persisted: after a crash
-// recovery this runs again rather than trusting stale bytes.
+// buildIndex runs the background index construction over the Indexed view
+// of the frozen graph. Indexes are memory-only and never persisted: after
+// a crash recovery this runs again rather than trusting stale bytes.
 func (h *GraphHandle) buildIndex(ix *graph.Indexed, logger *slog.Logger) {
 	idx := index.Build(ix, index.Options{})
 	h.idx.Store(idx)
@@ -108,21 +99,8 @@ func (h *GraphHandle) buildIndex(ix *graph.Indexed, logger *slog.Logger) {
 		"closed_labels", st.ClosedLabels)
 }
 
-// Check verifies the snapshot invariant: the graph has not been mutated
-// since registration.
-func (h *GraphHandle) Check() error {
-	if v := h.g.Version(); v != h.version {
-		return fmt.Errorf("service: graph %q mutated since registration (version %d, registered at %d)", h.name, v, h.version)
-	}
-	return nil
-}
-
-// Engine returns the shared evaluated engine for the query after checking
-// the snapshot invariant.
+// Engine returns the shared evaluated engine for the query.
 func (h *GraphHandle) Engine(queryStr string) (*rpq.Engine, error) {
-	if err := h.Check(); err != nil {
-		return nil, err
-	}
 	return h.cache.GetText(queryStr, parseQuery)
 }
 
@@ -130,26 +108,24 @@ func (h *GraphHandle) Engine(queryStr string) (*rpq.Engine, error) {
 // the wire form (the default tenant is elided), keeping open-mode responses
 // byte-identical to the pre-tenancy API.
 type GraphInfo struct {
-	Name    string         `json:"name"`
-	Owner   string         `json:"owner,omitempty"`
-	Nodes   int            `json:"nodes"`
-	Edges   int            `json:"edges"`
-	Labels  int            `json:"labels"`
-	Version uint64         `json:"version"`
-	Cache   rpq.CacheStats `json:"cache"`
-	Index   IndexInfo      `json:"index"`
+	Name   string         `json:"name"`
+	Owner  string         `json:"owner,omitempty"`
+	Nodes  int            `json:"nodes"`
+	Edges  int            `json:"edges"`
+	Labels int            `json:"labels"`
+	Cache  rpq.CacheStats `json:"cache"`
+	Index  IndexInfo      `json:"index"`
 }
 
 func (h *GraphHandle) info() GraphInfo {
 	return GraphInfo{
-		Name:    h.name,
-		Owner:   wireTenant(h.owner),
-		Nodes:   h.g.NumNodes(),
-		Edges:   h.g.NumEdges(),
-		Labels:  len(h.g.Alphabet()),
-		Version: h.version,
-		Cache:   h.cache.Stats(),
-		Index:   h.indexInfo(),
+		Name:   h.name,
+		Owner:  wireTenant(h.owner),
+		Nodes:  h.g.NumNodes(),
+		Edges:  h.g.NumEdges(),
+		Labels: len(h.g.Alphabet()),
+		Cache:  h.cache.Stats(),
+		Index:  h.indexInfo(),
 	}
 }
 
@@ -179,8 +155,8 @@ func (r *Registry) Register(name string, g *graph.Graph) (*GraphHandle, error) {
 }
 
 // RegisterFor installs (or replaces) a graph under the given name, owned by
-// the tenant and counted against its MaxGraphs quota. The graph must not be
-// mutated after registration. On a durable service the snapshot is
+// the tenant and counted against its MaxGraphs quota. Registration freezes
+// the graph (graph.Graph.Freeze). On a durable service the snapshot is
 // persisted before the graph becomes visible, so a name the client saw
 // registered is always recoverable.
 func (r *Registry) RegisterFor(tn TenantInfo, name string, g *graph.Graph) (*GraphHandle, error) {
@@ -241,11 +217,13 @@ func (r *Registry) restore(name string, g *graph.Graph, owner string) *GraphHand
 }
 
 func (r *Registry) install(name string, g *graph.Graph, owner string, noIndex bool) *GraphHandle {
+	// Freeze marks the graph only: building the Indexed view here would
+	// charge it to every registration, no_index ones included.
+	g.Freeze()
 	h := &GraphHandle{
-		name:    name,
-		g:       g,
-		version: g.Version(),
-		owner:   owner,
+		name:  name,
+		g:     g,
+		owner: owner,
 	}
 	h.cache = rpq.NewCacheWith(g, rpq.CacheOptions{
 		Capacity: r.opts.CacheCapacity,
@@ -253,8 +231,6 @@ func (r *Registry) install(name string, g *graph.Graph, owner string, noIndex bo
 	})
 	if !r.opts.DisableIndex && !noIndex {
 		h.idxState.Store(indexBuilding)
-		// Capture the immutable view now, while registration still owns
-		// the graph; the background build must not read the Graph.
 		go h.buildIndex(g.Indexed(), r.opts.Logger)
 	}
 	r.mu.Lock()

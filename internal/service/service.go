@@ -1,8 +1,8 @@
 // Package service hosts the interactive query-learning system as a
 // concurrent, multi-tenant server. It ties three pieces together:
 //
-//   - a graph Registry handing out snapshot-consistent handles: each
-//     registered graph is frozen at its structural version and owns one
+//   - a graph Registry handing out one handle per graph: registration
+//     freezes the graph (graph.Graph.Freeze), and each graph owns one
 //     shared LRU engine cache, so every session and ad-hoc evaluation on
 //     that graph reuses each other's compiled queries;
 //   - a session Manager running many interactive.Session learning loops

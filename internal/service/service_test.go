@@ -290,16 +290,25 @@ func TestWarmEvaluateBudget(t *testing.T) {
 	}
 }
 
+// TestSnapshotGuardRejectsMutatedGraph checks that registration freezes
+// the graph, with and without an index: mutating a registered graph
+// violates the service contract and panics instead of serving mixed
+// revisions.
 func TestSnapshotGuardRejectsMutatedGraph(t *testing.T) {
-	srv, ts := newTestServer(t)
-	loadFigure1(t, ts, "demo")
-	h, _ := srv.Registry().Get("demo")
-	// Mutating a registered graph violates the service contract; the
-	// snapshot guard must surface it instead of serving mixed revisions.
-	h.Graph().MustAddEdge("N9", "bus", "N1")
-	if code := do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate",
-		EvaluateRequest{Query: "bus"}, nil); code != http.StatusBadRequest {
-		t.Fatalf("evaluate on a mutated snapshot must fail, got %d", code)
+	srv := NewServer(Options{EvalWorkers: 1, CacheCapacity: 16})
+	for _, noIndex := range []bool{true, false} {
+		g := dataset.Figure1()
+		if _, err := srv.Registry().RegisterForWith(TenantInfo{Name: DefaultTenant}, "demo", g, RegisterOptions{NoIndex: noIndex}); err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NoIndex=%t: mutating a registered graph did not panic", noIndex)
+				}
+			}()
+			g.MustAddEdge("N9", "bus", "N1")
+		}()
 	}
 }
 

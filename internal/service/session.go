@@ -639,9 +639,6 @@ func (m *Manager) Create(h *GraphHandle, cfg SessionConfig) (*HostedSession, err
 // tenant's quota and fair-share account. The learning loop runs in its own
 // goroutine until it halts, is canceled, or converges.
 func (m *Manager) CreateFor(tn TenantInfo, h *GraphHandle, cfg SessionConfig) (*HostedSession, error) {
-	if err := h.Check(); err != nil {
-		return nil, err
-	}
 	if cfg.Mode == "" {
 		cfg.Mode = "manual"
 	}
