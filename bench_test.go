@@ -280,32 +280,3 @@ func BenchmarkInteractiveSession(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkLearnTransportReference is BenchmarkLearnTransport forced onto
-// the map-based reference generalization path (the equivalence oracle),
-// against which the dense engine's speedup is gated in CI (see gpsbench
-// -learnbench / -learngate).
-func BenchmarkLearnTransportReference(b *testing.B) {
-	g := benchTransport(b, 6)
-	goal := regex.MustParse("(tram+bus)*.cinema")
-	engine := rpq.New(g, goal)
-	sample := learn.NewSample()
-	posSeen, negSeen := 0, 0
-	for _, n := range g.Nodes() {
-		if engine.Selects(n) && posSeen < 4 {
-			if w, ok := user.WitnessWord(g, goal, n, 6); ok {
-				sample.AddPositive(n, w)
-				posSeen++
-			}
-		} else if !engine.Selects(n) && negSeen < 4 {
-			sample.AddNegative(n)
-			negSeen++
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := learn.Learn(g, sample, learn.Options{MaxPathLength: 6, Reference: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

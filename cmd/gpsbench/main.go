@@ -16,8 +16,6 @@
 //	gpsbench -indexbench  # indexed vs unindexed /evaluate -> BENCH_index.json
 //	gpsbench -indexgate BENCH_index.json  # indexed speedup ratio gate
 //	gpsbench -benchcmp BENCH_rpq.json   # allocs/op gate vs BENCH_baseline.json
-//	gpsbench -learnbench  # learner benchmarks -> BENCH_learn.json
-//	gpsbench -learngate BENCH_learn.json  # dense-vs-reference speedup gate
 //	gpsbench -loadbench -load-gpsd ./gpsd  # multi-tenant fairness load -> BENCH_load.json
 //	gpsbench -loadgate BENCH_load.json     # fairness gate over a load summary
 //	gpsbench -chaosbench -chaos-gpsd ./gpsd  # crash-anywhere chaos vs oracle
@@ -48,10 +46,6 @@ func main() {
 		storeIvl   = flag.Duration("storebench-commit-interval", 0, "group-commit batch window for -storebench's binary engine")
 		storeGate  = flag.String("storegate", "", "check this -storebench summary and fail if the binary/text 16-session append speedup is below -storegate-min")
 		storeMin   = flag.Float64("storegate-min", 3, "minimum binary/text 16-session append speedup for -storegate")
-		learnBench = flag.Bool("learnbench", false, "run the learner benchmarks (dense vs reference generalization on the transport graphs, session convergence) and write a JSON summary")
-		learnOut   = flag.String("learnbench-out", "BENCH_learn.json", "output path of the -learnbench JSON summary")
-		learnGate  = flag.String("learngate", "", "check this -learnbench summary and fail if the dense/reference 60x60 Learn speedup is below -learngate-min")
-		learnMin   = flag.Float64("learngate-min", 3, "minimum dense/reference 60x60 Learn speedup for -learngate")
 		chaosBench = flag.Bool("chaosbench", false, "run the crash-anywhere chaos harness: torture a real gpsd subprocess with SIGKILLs and in-compaction crashes, then prove equivalence against a text-engine oracle")
 		chaosGpsd  = flag.String("chaos-gpsd", "", "path to the gpsd binary to torture (required with -chaosbench)")
 		chaosKills = flag.Int("chaos-kills", 30, "number of hard kills the chaos run inflicts before driving sessions to completion")
@@ -92,7 +86,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if *benchCmp != "" || *storeGate != "" || *learnGate != "" || *loadGate != "" || *rpqGate != "" || *indexGate != "" {
+	if *benchCmp != "" || *storeGate != "" || *loadGate != "" || *rpqGate != "" || *indexGate != "" {
 		if *benchCmp != "" {
 			if err := runBenchCompare(*benchBase, *benchCmp, *benchTol); err != nil {
 				fmt.Fprintf(os.Stderr, "gpsbench: %v\n", err)
@@ -101,12 +95,6 @@ func main() {
 		}
 		if *storeGate != "" {
 			if err := runStoreGate(*storeGate, *storeMin); err != nil {
-				fmt.Fprintf(os.Stderr, "gpsbench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *learnGate != "" {
-			if err := runLearnGate(*learnGate, *learnMin); err != nil {
 				fmt.Fprintf(os.Stderr, "gpsbench: %v\n", err)
 				os.Exit(1)
 			}
@@ -196,14 +184,6 @@ func main() {
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gpsbench: failover: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *learnBench {
-		if err := runLearnBench(*learnOut, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "gpsbench: %v\n", err)
 			os.Exit(1)
 		}
 		return

@@ -1,8 +1,8 @@
 package main
 
-// Bench trend history: every -rpqbench/-storebench/-learnbench run appends
-// its summary, timestamped, to a .jsonl file next to the .json output
-// (BENCH_rpq.json -> BENCH_rpq.jsonl). The .json file stays a
+// Bench trend history: every -rpqbench, -indexbench, -storebench and
+// -loadbench run appends its summary, timestamped, to a .jsonl file next to
+// the .json output (BENCH_rpq.json -> BENCH_rpq.jsonl). The .json file stays a
 // latest-run-only artifact for the gates; the .jsonl file accumulates one
 // row per run, so a sequence of CI runs (or local runs on one machine)
 // yields a comparable time series. The gates print the trend of their

@@ -60,7 +60,7 @@ func dfaToNFA(d *DFA) *NFA {
 		if d.IsAccepting(s) {
 			n.SetAccepting(s, true)
 		}
-		for _, l := range d.Alphabet() {
+		for _, l := range d.alphabet {
 			next, _ := d.Next(s, l)
 			n.AddTransition(s, l, next)
 		}

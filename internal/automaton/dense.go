@@ -6,9 +6,6 @@ package automaton
 // label index (no string hashing on the hot path) together with a
 // precomputed reverse table for backward product reachability.
 
-// NumLabels returns the alphabet size.
-func (d *DFA) NumLabels() int { return len(d.alphabet) }
-
 // LabelIndex returns the dense index of a label in the DFA alphabet.
 func (d *DFA) LabelIndex(label string) (int, bool) {
 	i, ok := d.labelIndex[label]

@@ -7,62 +7,45 @@ package automaton
 // configuration × label), and each probe through the map API costs a string
 // hash plus a sorted copy of the successor slice.
 //
-// DenseNFA freezes an NFA into flat integer-indexed tables, mirroring what
-// dense.go does for the DFA: labels are interned into a dense index, the
-// successor relation is laid out in CSR buckets by (state, label index),
-// ε-closures are precomputed per state, and acceptance is a flat mask. The
-// view is immutable once built and safe for concurrent use; it reflects the
-// NFA at the time of the Dense call.
+// DenseNFA freezes an ε-free NFA into flat integer-indexed tables, mirroring
+// what dense.go does for the DFA: labels are interned into a dense index and
+// the successor relation is laid out in CSR buckets by (state, label index).
+// The view is immutable once built and reflects the NFA at the time of the
+// Dense call.
 
 import "sort"
 
-// DenseNFA is an immutable, integer-indexed view of an NFA.
+// DenseNFA is an immutable, integer-indexed view of an ε-free NFA.
 type DenseNFA struct {
-	numStates int
-	start     State
-	labels    []string
+	numLabels int
 	labelIdx  map[string]int
-	accepting []bool
 	// CSR successors: succ[succStart[b]:succStart[b+1]] lists the states
 	// reachable from state s under label l, sorted, for bucket
-	// b = s*numLabels + l. ε-transitions are not included here.
+	// b = s*numLabels + l.
 	succStart []int32
 	succ      []State
-	// CSR ε-closures: eps[epsStart[s]:epsStart[s+1]] is the sorted
-	// ε-closure of state s (always contains s itself).
-	epsStart []int32
-	eps      []State
-	hasEps   bool
 }
 
 // Dense builds the dense view of the NFA. Build cost is linear in states ×
-// alphabet plus the closure computation; callers build it once per
-// algorithm run (e.g. once per Learn call) and then probe it inside their
-// hot loops.
+// alphabet; callers build it once per algorithm run (e.g. once per Learn
+// call) and then probe it inside their hot loops. Dense panics if the NFA
+// has an ε-transition: the view has no closure tables, and its one caller
+// builds it over FromWords prefix trees, which never carry one.
 func (n *NFA) Dense() *DenseNFA {
 	labels := n.Labels()
+	m := len(labels)
 	d := &DenseNFA{
-		numStates: n.numStates,
-		start:     n.start,
-		labels:    labels,
-		labelIdx:  make(map[string]int, len(labels)),
-		accepting: make([]bool, n.numStates),
+		numLabels: m,
+		labelIdx:  make(map[string]int, m),
 	}
 	for i, l := range labels {
 		d.labelIdx[l] = i
 	}
-	for s := range n.accepting {
-		if int(s) < n.numStates {
-			d.accepting[s] = true
-		}
-	}
-	m := len(labels)
 	d.succStart = make([]int32, n.numStates*m+1)
 	for s, byLabel := range n.trans {
 		for l, targets := range byLabel {
 			if l == Epsilon {
-				d.hasEps = true
-				continue
+				panic("automaton: Dense on an NFA with ε-transitions")
 			}
 			d.succStart[int(s)*m+d.labelIdx[l]+1] += int32(len(targets))
 		}
@@ -75,9 +58,6 @@ func (n *NFA) Dense() *DenseNFA {
 	copy(fill, d.succStart[:n.numStates*m])
 	for s, byLabel := range n.trans {
 		for l, targets := range byLabel {
-			if l == Epsilon {
-				continue
-			}
 			b := int(s)*m + d.labelIdx[l]
 			for _, t := range targets {
 				d.succ[fill[b]] = t
@@ -90,41 +70,8 @@ func (n *NFA) Dense() *DenseNFA {
 		bucket := d.succ[d.succStart[b]:d.succStart[b+1]]
 		sort.Slice(bucket, func(i, j int) bool { return bucket[i] < bucket[j] })
 	}
-	d.epsStart = make([]int32, n.numStates+1)
-	if d.hasEps {
-		closures := make([][]State, n.numStates)
-		total := 0
-		for s := 0; s < n.numStates; s++ {
-			closures[s] = n.EpsilonClosure([]State{State(s)})
-			total += len(closures[s])
-		}
-		d.eps = make([]State, 0, total)
-		for s, cl := range closures {
-			d.eps = append(d.eps, cl...)
-			d.epsStart[s+1] = int32(len(d.eps))
-		}
-	} else {
-		// Without ε-transitions every closure is the singleton state.
-		d.eps = make([]State, n.numStates)
-		for s := 0; s < n.numStates; s++ {
-			d.eps[s] = State(s)
-			d.epsStart[s+1] = int32(s + 1)
-		}
-	}
 	return d
 }
-
-// NumStates returns the number of states.
-func (d *DenseNFA) NumStates() int { return d.numStates }
-
-// NumLabels returns the alphabet size (ε excluded).
-func (d *DenseNFA) NumLabels() int { return len(d.labels) }
-
-// Start returns the start state.
-func (d *DenseNFA) Start() State { return d.start }
-
-// HasEpsilon reports whether the underlying NFA has any ε-transition.
-func (d *DenseNFA) HasEpsilon() bool { return d.hasEps }
 
 // LabelIndex returns the dense index of a label in the view's alphabet.
 func (d *DenseNFA) LabelIndex(label string) (int, bool) {
@@ -132,22 +79,10 @@ func (d *DenseNFA) LabelIndex(label string) (int, bool) {
 	return i, ok
 }
 
-// LabelAt returns the label interned as index l.
-func (d *DenseNFA) LabelAt(l int) string { return d.labels[l] }
-
-// IsAccepting reports whether the state accepts.
-func (d *DenseNFA) IsAccepting(s State) bool { return d.accepting[s] }
-
 // Successors returns the states reachable from s under the label with the
 // given dense index, as a shared sorted slice view. The caller must not
 // modify it.
 func (d *DenseNFA) Successors(s State, labelIdx int) []State {
-	b := int(s)*len(d.labels) + labelIdx
+	b := int(s)*d.numLabels + labelIdx
 	return d.succ[d.succStart[b]:d.succStart[b+1]]
-}
-
-// Closure returns the precomputed ε-closure of s (including s itself) as a
-// shared sorted slice view. The caller must not modify it.
-func (d *DenseNFA) Closure(s State) []State {
-	return d.eps[d.epsStart[s]:d.epsStart[s+1]]
 }

@@ -37,9 +37,6 @@ func NewDFA(alphabet []string) *DFA {
 	return d
 }
 
-// Alphabet returns the DFA's alphabet in sorted order.
-func (d *DFA) Alphabet() []string { return d.alphabet }
-
 // AddState adds a state whose transitions initially self-loop.
 func (d *DFA) AddState() State {
 	s := State(d.numStates)

@@ -298,8 +298,8 @@ func (n *NFA) Quotient(partition map[State]State) *NFA {
 	// first-touch order over ascending states — so the numbering does not
 	// depend on the map-iteration order of the transition labels below.
 	// Quotients are therefore deterministic for a given partition, which
-	// the learner's "byte-identical at any Parallelism" guarantee (and the
-	// service's deterministic crash-resume replay) relies on.
+	// the learner's oracle tests and the service's deterministic
+	// crash-resume replay rely on.
 	q.start = getBlock(n.start)
 	for s := State(0); s < State(n.numStates); s++ {
 		getBlock(s)

@@ -12,7 +12,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/interactive"
-	"repro/internal/learn"
 	"repro/internal/regex"
 	"repro/internal/user"
 )
@@ -75,7 +74,7 @@ func dash(s string) string {
 // renderCorpus runs every session of the corpus and renders one block per
 // run: a header line, one line per turn, and an end line with the halt
 // reason and final query (or the error that ended the run).
-func renderCorpus(c goldenCorpus, parallelism int) []byte {
+func renderCorpus(c goldenCorpus) []byte {
 	var buf bytes.Buffer
 	for _, goalText := range c.goals {
 		goal := regex.MustParse(goalText)
@@ -86,7 +85,6 @@ func renderCorpus(c goldenCorpus, parallelism int) []byte {
 				tr, err := interactive.Run(g, user.NewSimulated(g, goal), interactive.Options{
 					Strategy:       goldenStrategy(strat),
 					PathValidation: validate,
-					Learn:          learn.Options{Parallelism: parallelism},
 				})
 				for i, in := range tr.Interactions {
 					fmt.Fprintf(&buf, "turn %d node=%s decision=%s zooms=%d word=%s pruned=%d implied=%d learned=%s\n",
@@ -162,26 +160,11 @@ func TestGolden(t *testing.T) {
 	for _, c := range goldenCorpora {
 		t.Run(c.file, func(t *testing.T) {
 			t.Parallel()
-			checkGolden(t, c.file, renderCorpus(c, 0))
+			checkGolden(t, c.file, renderCorpus(c))
 		})
 	}
 	t.Run("tables.txt", func(t *testing.T) {
 		t.Parallel()
 		checkGolden(t, "tables.txt", renderTables())
 	})
-}
-
-// TestGoldenParallelism checks that the learner's worker count does not
-// change a transcript.
-func TestGoldenParallelism(t *testing.T) {
-	if *update {
-		t.Skip("nothing to compare while rewriting")
-	}
-	for _, p := range []int{1, 4} {
-		for _, c := range goldenCorpora[:2] {
-			t.Run(fmt.Sprintf("%s/p%d", c.file, p), func(t *testing.T) {
-				checkGolden(t, c.file, renderCorpus(c, p))
-			})
-		}
-	}
 }

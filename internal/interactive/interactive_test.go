@@ -579,47 +579,6 @@ func TestLearnedQueryMatchesPaperWitnesses(t *testing.T) {
 	}
 }
 
-// TestSessionDeterministicAcrossParallelism pins that the sharded prune
-// scan and the learner's parallel candidate checking leave the transcript
-// byte-identical to a fully sequential session: same proposals, same
-// labels, same pruning counts, same learned queries round by round.
-func TestSessionDeterministicAcrossParallelism(t *testing.T) {
-	g := dataset.Transport(dataset.TransportOptions{Rows: 6, Cols: 6, Seed: 3, FacilityRate: 0.4})
-	goal := regex.MustParse("(tram+bus)*.cinema")
-	run := func(parallelism int) *Transcript {
-		u := user.NewSimulated(g, goal)
-		tr, err := Run(g, u, Options{
-			PathValidation:  true,
-			MaxInteractions: g.NumNodes(),
-			Learn:           learn.Options{MaxPathLength: 6, Parallelism: parallelism},
-		})
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", parallelism, err)
-		}
-		return tr
-	}
-	seq := run(1)
-	if seq.Final == nil {
-		t.Fatal("sequential session learned nothing")
-	}
-	for _, par := range []int{2, 4} {
-		got := run(par)
-		if len(got.Interactions) != len(seq.Interactions) {
-			t.Fatalf("parallelism %d: %d interactions, want %d", par, len(got.Interactions), len(seq.Interactions))
-		}
-		for i := range got.Interactions {
-			a, b := got.Interactions[i], seq.Interactions[i]
-			if a.Node != b.Node || a.Decision != b.Decision || a.Pruned != b.Pruned || a.Learned != b.Learned {
-				t.Fatalf("parallelism %d: interaction %d diverges: %+v vs %+v", par, i, a, b)
-			}
-		}
-		if got.Final.String() != seq.Final.String() || got.PrunedTotal != seq.PrunedTotal {
-			t.Fatalf("parallelism %d: final %q pruned %d, want %q pruned %d",
-				par, got.Final, got.PrunedTotal, seq.Final, seq.PrunedTotal)
-		}
-	}
-}
-
 // TestCoverageSourceReuse checks that the session's cached coverage is
 // reused across rounds whose negative set did not change, and rebuilt when
 // it did.

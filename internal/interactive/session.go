@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/learn"
@@ -378,55 +376,17 @@ func (s *Session) propagatePositive(word []string) int {
 
 // prune marks unlabelled nodes all of whose bounded-length words are
 // covered by the negative examples and returns how many new nodes were
-// pruned. The per-node CountUncoveredWith scan is the expensive part —
-// every candidate node re-enumerates its bounded words — so it is sharded
-// across the learner's worker pool: workers claim nodes off an atomic
-// cursor and record verdicts into index-aligned slots, which keeps the
-// pruned set (and hence the whole session transcript) identical to the
-// sequential scan at any Parallelism.
+// pruned. Every candidate node re-enumerates its bounded words against one
+// shared negative coverage, in node order.
 func (s *Session) prune() int {
 	cov := s.negCoverage()
 	bound := s.opts.Learn.MaxPathLength
-	candidates := make([]graph.NodeID, 0, s.g.NumNodes())
+	count := 0
 	for _, id := range s.g.Nodes() {
 		if s.sample.Labeled(id) || s.pruned[id] {
 			continue
 		}
-		candidates = append(candidates, id)
-	}
-	workers := s.opts.Learn.WorkerCount()
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
-	count := 0
-	if workers <= 1 {
-		for _, id := range candidates {
-			if paths.CountUncoveredWith(s.g, id, bound, cov) == 0 {
-				s.pruned[id] = true
-				count++
-			}
-		}
-		return count
-	}
-	uninformative := make([]bool, len(candidates))
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(candidates) {
-					return
-				}
-				uninformative[i] = paths.CountUncoveredWith(s.g, candidates[i], bound, cov) == 0
-			}
-		}()
-	}
-	wg.Wait()
-	for i, id := range candidates {
-		if uninformative[i] {
+		if paths.CountUncoveredWith(s.g, id, bound, cov) == 0 {
 			s.pruned[id] = true
 			count++
 		}

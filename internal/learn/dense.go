@@ -1,38 +1,34 @@
 package learn
 
-// The dense generalization engine: the integer-indexed implementation of
-// step 2 (RPNI-style state merging). It replaces the three allocation
-// hot-spots of the reference path — the partition-map copy per candidate,
-// the NFA quotient materialised per candidate, and the map[config]bool
-// product search with per-edge label hashing — with:
+// Step 2 of Learn (RPNI-style state merging) over integer-indexed state:
 //
 //   - a union-find partition held in a flat parent array that is kept fully
 //     compressed (parent[s] is always s's block root), so a candidate merge
-//     "block of j into block of i" needs no copy at all: checkers read the
-//     base array and apply the single j→i override on the fly;
+//     "block of j into block of i" needs no copy at all: the check reads the
+//     base array and applies the single j→i override on the fly;
 //   - a dense transition-table view of the PTA (automaton.DenseNFA) built
 //     once per Learn call, probed by integer label index;
 //   - a forward product reachability over graph.Indexed CSR adjacency and a
 //     []uint64 bitset of (node, block) configurations, seeded only from the
 //     negative examples and exiting on the first accepting block;
-//   - per-worker scratch (bitset + queue) reused across all O(n²) candidate
-//     checks of the merge fold, so the steady-state check allocates
-//     nothing.
+//   - one scratch bitset and queue reused across all O(n²) candidate checks
+//     of the merge fold, so the steady-state check allocates nothing.
 //
-// The fold order, the accepted merges, the Merges/CandidateMerges counters
-// and the final quotient automaton are byte-identical to the reference path
-// at any Parallelism; dense_test.go pins that on randomized graphs.
+// oracle_test.go pins the fold order, the accepted merges, the
+// Merges/CandidateMerges counters and the final quotient automaton against
+// a map-based reference on randomized graphs.
 
 import (
+	"fmt"
+	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/automaton"
 	"repro/internal/graph"
 )
 
-// denseGeneralizer is the per-Learn-call state of the dense engine.
+// denseGeneralizer is the per-Learn-call state of the merge fold.
 type denseGeneralizer struct {
 	ix    *graph.Indexed
 	dense *automaton.DenseNFA
@@ -49,7 +45,7 @@ type denseGeneralizer struct {
 	negatives []int32
 	// parent[s] is the root PTA state of s's block. merge keeps it fully
 	// compressed (roots map to themselves, every other state directly to
-	// its root), so concurrent checkers resolve a block with one load.
+	// its root), so a check resolves a block with one load.
 	parent []int32
 	// members[r] lists the states of root r's block (r included); nil once
 	// the block has been merged away.
@@ -57,22 +53,18 @@ type denseGeneralizer struct {
 	// blockAccepting[r] reports whether root r's block contains an
 	// accepting PTA state.
 	blockAccepting []bool
-	// scratch[k] is worker k's reusable product-search state.
-	scratch []*mergeScratch
-}
-
-// mergeScratch is one worker's reusable product-search state. seen is kept
-// all-zero between checks: every set bit's configuration is in the queue,
-// and the owner clears them before finishing a check.
-type mergeScratch struct {
+	// seen and queue are the product search's scratch. seen is kept
+	// all-zero between checks: every set bit's configuration is in the
+	// queue, and selectsNegative clears them before it returns.
 	seen  []uint64
 	queue []int32
 }
 
 // newDenseGeneralizer interns the negatives and sizes the partition and the
-// per-worker scratch for the PTA × graph product.
-func newDenseGeneralizer(g *graph.Graph, pta *automaton.NFA, dense *automaton.DenseNFA, negatives []graph.NodeID, workers int) *denseGeneralizer {
+// scratch for the PTA × graph product, which must fit in int32.
+func newDenseGeneralizer(g *graph.Graph, pta *automaton.NFA, negatives []graph.NodeID) *denseGeneralizer {
 	ix := g.Indexed()
+	dense := pta.Dense()
 	n := pta.NumStates()
 	dg := &denseGeneralizer{
 		ix:             ix,
@@ -83,7 +75,7 @@ func newDenseGeneralizer(g *graph.Graph, pta *automaton.NFA, dense *automaton.De
 		parent:         make([]int32, n),
 		members:        make([][]int32, n),
 		blockAccepting: make([]bool, n),
-		scratch:        make([]*mergeScratch, workers),
+		seen:           make([]uint64, (ix.NumNodes()*n+63)/64),
 	}
 	for gl := 0; gl < ix.NumLabels(); gl++ {
 		li, ok := dense.LabelIndex(string(ix.LabelAt(int32(gl))))
@@ -104,10 +96,6 @@ func newDenseGeneralizer(g *graph.Graph, pta *automaton.NFA, dense *automaton.De
 		dg.members[s] = memberBuf[s : s+1 : s+1]
 		dg.blockAccepting[s] = pta.IsAccepting(automaton.State(s))
 	}
-	words := (ix.NumNodes()*n + 63) / 64
-	for k := range dg.scratch {
-		dg.scratch[k] = &mergeScratch{seen: make([]uint64, words)}
-	}
 	return dg
 }
 
@@ -116,9 +104,8 @@ func newDenseGeneralizer(g *graph.Graph, pta *automaton.NFA, dense *automaton.De
 // node: a forward reachability over (node, block) product configurations
 // seeded from the negatives, exiting on the first accepting block. j must
 // be a root of the base partition and i a root below it; the base arrays
-// are only read, so any number of candidate checks may run concurrently on
-// distinct scratch.
-func (dg *denseGeneralizer) selectsNegative(j, i int32, sc *mergeScratch) bool {
+// are only read.
+func (dg *denseGeneralizer) selectsNegative(j, i int32) bool {
 	if len(dg.negatives) == 0 {
 		return false
 	}
@@ -133,7 +120,7 @@ func (dg *denseGeneralizer) selectsNegative(j, i int32, sc *mergeScratch) bool {
 	if dg.blockAccepting[startBlock] || (startBlock == i && iAccepting) {
 		return true
 	}
-	seen, queue := sc.seen, sc.queue[:0]
+	seen, queue := dg.seen, dg.queue[:0]
 	for _, neg := range dg.negatives {
 		c := neg*S + startBlock
 		if seen[c>>6]&(1<<(uint(c)&63)) == 0 {
@@ -192,7 +179,7 @@ search:
 	for _, c := range queue {
 		seen[c>>6] &^= 1 << (uint(c) & 63)
 	}
-	sc.queue = queue[:0]
+	dg.queue = queue[:0]
 	return found
 }
 
@@ -208,9 +195,10 @@ func (dg *denseGeneralizer) merge(j, i int32) {
 	dg.blockAccepting[i] = dg.blockAccepting[i] || dg.blockAccepting[j]
 }
 
-// mergeTargets is the dense twin of the reference mergeTargets: the roots
-// below j in increasing order, re-sorted by descending evidence weight for
-// MergeEvidence. buf is reused across j to avoid per-state allocation.
+// mergeTargets lists the candidate earlier states j may be merged into:
+// the roots below j in increasing order, re-sorted by descending evidence
+// weight for MergeEvidence (weights must then be non-nil). buf is reused
+// across j to avoid per-state allocation.
 func (dg *denseGeneralizer) mergeTargets(j automaton.State, order MergeOrder, weights []int, buf []automaton.State) []automaton.State {
 	for i := automaton.State(0); i < j; i++ {
 		if automaton.State(dg.parent[i]) != i {
@@ -238,75 +226,71 @@ func (dg *denseGeneralizer) partitionMap() map[automaton.State]automaton.State {
 	return out
 }
 
-// generalizeDense is the dense implementation of the generalisation
-// contract described on generalize: same fold order, counters and result
-// automaton as generalizeReference, with O(1) candidate setup and pooled
-// product-search scratch instead of per-candidate maps and quotients.
-func generalizeDense(g *graph.Graph, pta *automaton.NFA, dense *automaton.DenseNFA, negatives []graph.NodeID, opts Options, result *Result) *automaton.NFA {
-	workers := opts.WorkerCount()
+// evidenceWeights precomputes the MergeEvidence weight of every PTA state
+// (its total number of outgoing transitions). The weights depend only on
+// the immutable PTA, so one pass per generalize call replaces the
+// per-comparison recomputation the sort comparator used to do.
+func evidenceWeights(pta *automaton.NFA) []int {
+	labels := pta.Labels()
+	weights := make([]int, pta.NumStates())
+	for s := range weights {
+		for _, l := range labels {
+			weights[s] += len(pta.Successors(automaton.State(s), l))
+		}
+	}
+	return weights
+}
+
+// generalize merges states of the PTA while the automaton's language keeps
+// selecting no negative example on the graph. States are visited in a
+// single increasing pass: each state j is merged into the first earlier
+// (still unmerged) state i for which the merged automaton stays consistent,
+// the usual RPNI-style folding order. The evidence-weighted order instead
+// tries earlier states with more outgoing evidence first.
+//
+// Product configurations pack node*numStates+block into int32 (like the
+// rpq core packs its product); generalize returns an error when the graph ×
+// PTA product exceeds that range.
+func generalize(g *graph.Graph, pta *automaton.NFA, negatives []graph.NodeID, opts Options, result *Result) (*automaton.NFA, error) {
 	n := automaton.State(pta.NumStates())
-	dg := newDenseGeneralizer(g, pta, dense, negatives, workers)
+	if int64(g.NumNodes())*int64(n) > math.MaxInt32 {
+		return nil, fmt.Errorf("learn: a %d-node graph × %d-state prefix tree exceeds the merge fold's int32 configuration space",
+			g.NumNodes(), n)
+	}
+	dg := newDenseGeneralizer(g, pta, negatives)
 	var weights []int
 	if opts.MergeOrder == MergeEvidence {
 		weights = evidenceWeights(pta)
 	}
 	targets := make([]automaton.State, 0, int(n))
-	outcomes := make([]bool, workers)
 	traced := opts.Trace != nil
 	var checkTime time.Duration
 	for j := automaton.State(1); j < n; j++ {
 		targets = dg.mergeTargets(j, opts.MergeOrder, weights, targets[:0])
-		merged := false
-		for lo := 0; lo < len(targets) && !merged; lo += workers {
-			hi := lo + workers
-			if hi > len(targets) {
-				hi = len(targets)
-			}
-			chunk := targets[lo:hi]
-			var chunkStart time.Time
-			if traced {
-				chunkStart = time.Now()
-			}
-			if len(chunk) == 1 || workers == 1 {
-				for k, i := range chunk {
-					outcomes[k] = !dg.selectsNegative(int32(j), int32(i), dg.scratch[0])
-				}
-			} else {
-				var wg sync.WaitGroup
-				for k, i := range chunk {
-					wg.Add(1)
-					go func(k int, i automaton.State) {
-						defer wg.Done()
-						outcomes[k] = !dg.selectsNegative(int32(j), int32(i), dg.scratch[k])
-					}(k, i)
-				}
-				wg.Wait()
-			}
-			if traced {
-				checkTime += time.Since(chunkStart)
-			}
-			for k := range chunk {
-				// Count exactly the attempts the sequential fold would have
-				// made: everything up to and including the accepted merge.
-				result.CandidateMerges++
-				if !outcomes[k] {
-					continue
-				}
-				dg.merge(int32(j), int32(chunk[k]))
+		var checkStart time.Time
+		if traced {
+			checkStart = time.Now()
+		}
+		for _, i := range targets {
+			result.CandidateMerges++
+			if !dg.selectsNegative(int32(j), int32(i)) {
+				dg.merge(int32(j), int32(i))
 				result.Merges++
-				merged = true
 				break
 			}
+		}
+		if traced {
+			checkTime += time.Since(checkStart)
 		}
 	}
 	if traced {
 		opts.Trace("negative_checks", checkTime)
 	}
 	if result.Merges == 0 {
-		return pta
+		return pta, nil
 	}
 	// One quotient at the end instead of one per accepted merge: rejected
-	// candidates never changed the partition, so this is the same automaton
-	// the reference path's last accepted Quotient produced.
-	return pta.Quotient(dg.partitionMap())
+	// candidates never changed the partition, so this is the automaton a
+	// quotient after the last accepted merge would produce.
+	return pta.Quotient(dg.partitionMap()), nil
 }

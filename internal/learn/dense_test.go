@@ -3,9 +3,10 @@ package learn
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/automaton"
@@ -16,15 +17,13 @@ import (
 	"repro/internal/user"
 )
 
-// assertSameLearn runs Learn twice — dense engine vs map-based reference —
-// on the same sample and asserts byte-identical queries, witnesses and
+// assertSameLearn runs Learn and the map-based oracle (learnReference) on
+// the same sample and asserts byte-identical queries, witnesses and
 // counters. Both must also agree on failure.
 func assertSameLearn(t *testing.T, g *graph.Graph, sample *Sample, opts Options, label string) {
 	t.Helper()
-	opts.Reference = false
 	dense, denseErr := Learn(g, sample, opts)
-	opts.Reference = true
-	ref, refErr := Learn(g, sample, opts)
+	ref, refErr := learnReference(g, sample, opts)
 	if (denseErr == nil) != (refErr == nil) {
 		t.Fatalf("%s: dense err = %v, reference err = %v", label, denseErr, refErr)
 	}
@@ -54,7 +53,7 @@ func assertSameLearn(t *testing.T, g *graph.Graph, sample *Sample, opts Options,
 }
 
 // TestDenseReferenceEquivalenceFigure1 pins the paper's running example on
-// every merge order × parallelism combination.
+// both merge orders.
 func TestDenseReferenceEquivalenceFigure1(t *testing.T) {
 	g := figure1(t)
 	sample := NewSample()
@@ -62,18 +61,13 @@ func TestDenseReferenceEquivalenceFigure1(t *testing.T) {
 	sample.AddPositive("N6", []string{"cinema"})
 	sample.AddNegative("N5")
 	for _, order := range []MergeOrder{MergeBFS, MergeEvidence} {
-		for _, par := range []int{1, 4} {
-			assertSameLearn(t, g, sample, Options{MergeOrder: order, Parallelism: par},
-				fmt.Sprintf("figure1/order=%d/par=%d", order, par))
-		}
+		assertSameLearn(t, g, sample, Options{MergeOrder: order}, fmt.Sprintf("figure1/order=%d", order))
 	}
 }
 
-// TestDenseReferenceEquivalenceRandom drives both engines over randomized
-// graphs and samples — chosen witnesses and validated words, both merge
-// orders, sequential and parallel candidate checking — and requires
-// byte-identical results throughout. CI runs this under -race, which also
-// exercises the worker-chunk loop for unsynchronised scratch sharing.
+// TestDenseReferenceEquivalenceRandom drives Learn and the oracle over
+// randomized graphs and samples — chosen witnesses and validated words,
+// both merge orders — and requires byte-identical results throughout.
 func TestDenseReferenceEquivalenceRandom(t *testing.T) {
 	cases := 60
 	if testing.Short() {
@@ -102,10 +96,8 @@ func TestDenseReferenceEquivalenceRandom(t *testing.T) {
 			}
 		}
 		for _, order := range []MergeOrder{MergeBFS, MergeEvidence} {
-			for _, par := range []int{1, 4} {
-				assertSameLearn(t, g, sample, Options{MaxPathLength: 3, MergeOrder: order, Parallelism: par},
-					fmt.Sprintf("seed=%d/order=%d/par=%d", seed, order, par))
-			}
+			assertSameLearn(t, g, sample, Options{MaxPathLength: 3, MergeOrder: order},
+				fmt.Sprintf("seed=%d/order=%d", seed, order))
 		}
 	}
 }
@@ -132,8 +124,8 @@ func randomWalkWord(r *rand.Rand, g *graph.Graph, node graph.NodeID, maxLen int)
 }
 
 // TestDenseEngineZeroNegatives checks the every-merge-accepted fast path:
-// with no negative example the dense engine must still fold exactly like
-// the reference.
+// with no negative example the dense fold must still fold exactly like the
+// reference.
 func TestDenseEngineZeroNegatives(t *testing.T) {
 	g := figure1(t)
 	sample := NewSample()
@@ -143,7 +135,7 @@ func TestDenseEngineZeroNegatives(t *testing.T) {
 }
 
 // TestDenseEngineNegativeOutsideGraph checks that negatives not present in
-// the graph are skipped identically by both engines.
+// the graph are skipped identically by Learn and the oracle.
 func TestDenseEngineNegativeOutsideGraph(t *testing.T) {
 	g := figure1(t)
 	sample := NewSample()
@@ -154,7 +146,7 @@ func TestDenseEngineNegativeOutsideGraph(t *testing.T) {
 }
 
 // MergeCheck isolates the steady-state candidate-merge check of the dense
-// engine. TestMergeCheckRuns pins its allocation count at zero, which is
+// fold. TestMergeCheckRuns pins its allocation count at zero, which is
 // what keeps the O(n²) merge fold garbage-free.
 type MergeCheck struct {
 	dg   *denseGeneralizer
@@ -174,10 +166,7 @@ func NewMergeCheck(g *graph.Graph, sample *Sample, opts Options) (*MergeCheck, e
 	if err != nil {
 		return nil, err
 	}
-	if int64(g.NumNodes())*int64(pta.NumStates()) > math.MaxInt32 {
-		return nil, fmt.Errorf("learn: graph × PTA product exceeds the dense engine's int32 configuration space")
-	}
-	dg := newDenseGeneralizer(g, pta, pta.Dense(), sample.Negatives, 1)
+	dg := newDenseGeneralizer(g, pta, sample.Negatives)
 	return &MergeCheck{dg: dg, j: int32(pta.NumStates() - 1), i: 0}, nil
 }
 
@@ -187,7 +176,7 @@ func (c *MergeCheck) States() int { return c.dg.numStates }
 // Run performs one negative-selection product check and reports whether
 // the candidate merge would select a negative node.
 func (c *MergeCheck) Run() bool {
-	return c.dg.selectsNegative(c.j, c.i, c.dg.scratch[0])
+	return c.dg.selectsNegative(c.j, c.i)
 }
 
 // TestMergeCheckRuns sanity-checks the merge check: it must run, and a
@@ -219,40 +208,63 @@ func TestMergeCheckRuns(t *testing.T) {
 }
 
 // TestDenseNFAView pins the DenseNFA view against the map-based NFA API on
-// an ε-carrying Thompson automaton and on a PTA.
+// a PTA.
 func TestDenseNFAView(t *testing.T) {
 	pta := automaton.FromWords([][]string{{"a", "b"}, {"a", "c"}, {"b"}})
 	d := pta.Dense()
-	if d.HasEpsilon() {
-		t.Fatal("PTA must be ε-free")
-	}
-	if d.NumStates() != pta.NumStates() || d.Start() != pta.Start() {
-		t.Fatal("state count or start diverges")
-	}
-	labels := pta.Labels()
-	if d.NumLabels() != len(labels) {
-		t.Fatalf("NumLabels = %d, want %d", d.NumLabels(), len(labels))
-	}
 	for s := automaton.State(0); s < automaton.State(pta.NumStates()); s++ {
-		if d.IsAccepting(s) != pta.IsAccepting(s) {
-			t.Fatalf("acceptance of %d diverges", s)
-		}
-		for li, label := range labels {
+		for _, label := range pta.Labels() {
+			li, ok := d.LabelIndex(label)
+			if !ok {
+				t.Fatalf("label %q has no dense index", label)
+			}
 			got := d.Successors(s, li)
 			want := pta.Successors(s, label)
-			if len(got) != len(want) {
+			if !slices.Equal(got, want) {
 				t.Fatalf("successors of (%d, %s): dense %v, map %v", s, label, got, want)
 			}
-			for k := range got {
-				if got[k] != want[k] {
-					t.Fatalf("successors of (%d, %s): dense %v, map %v", s, label, got, want)
-				}
-			}
 		}
-		cl := d.Closure(s)
-		if len(cl) != 1 || cl[0] != s {
-			t.Fatalf("ε-free closure of %d = %v, want singleton", s, cl)
+	}
+	if _, ok := d.LabelIndex("z"); ok {
+		t.Fatal("label outside the PTA alphabet has a dense index")
+	}
+}
+
+// TestDenseNFAPanicsOnEpsilon checks that the dense view refuses an
+// ε-carrying automaton instead of silently dropping its ε-edges.
+func TestDenseNFAPanicsOnEpsilon(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Dense on an ε-carrying NFA did not panic")
 		}
+	}()
+	automaton.FromRegex(regex.MustParse("a*")).Dense()
+}
+
+// TestLearnProductTooLarge checks that a graph × PTA product beyond the
+// fold's int32 configuration space is an error returned by Learn, not a
+// panic: a 65,537-node a-chain whose head carries the validated word
+// a^32767 (a 32,768-state PTA) with the tail as the negative.
+func TestLearnProductTooLarge(t *testing.T) {
+	const nodes = 65537
+	g := graph.New()
+	id := func(k int) graph.NodeID { return graph.NodeID(fmt.Sprintf("n%d", k)) }
+	for k := 0; k < nodes; k++ {
+		g.MustAddNode(id(k))
+	}
+	for k := 0; k+1 < nodes; k++ {
+		g.MustAddEdge(id(k), "a", id(k+1))
+	}
+	word := strings.Split(strings.Repeat("a", 32767), "")
+	sample := NewSample()
+	sample.AddPositive(id(0), word)
+	sample.AddNegative(id(nodes - 1))
+	res, err := Learn(g, sample, Options{})
+	if err == nil {
+		t.Fatalf("Learn returned %v, want an error", res.Query)
+	}
+	if errors.Is(err, ErrInconsistent) {
+		t.Fatalf("Learn error %v wraps ErrInconsistent; the sample is consistent", err)
 	}
 }
 

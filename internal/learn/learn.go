@@ -13,14 +13,15 @@
 // interest (the third demonstration scenario), those validated words are
 // used directly in step 1, which is what guarantees that the learned query
 // generalises the paths the user cares about.
+//
+// Step 2 is one serial RPNI-style fold over a union-find partition of the
+// prefix tree (dense.go). oracle_test.go keeps the map-based reference fold
+// the dense one is tested against.
 package learn
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/automaton"
@@ -68,18 +69,6 @@ type Options struct {
 	// DisableGeneralization skips step 2 and returns the disjunction of
 	// the witness words. Used to measure the benefit of state merging.
 	DisableGeneralization bool
-	// Parallelism bounds the worker pool used to check independent
-	// candidate merges concurrently in step 2. Zero means min(GOMAXPROCS,
-	// 8); 1 forces sequential checking. The learned query is identical at
-	// any setting: candidates are still chosen in the sequential order.
-	Parallelism int
-	// Reference forces the original map-based generalization path (copied
-	// partition maps, a fresh NFA quotient per candidate, map-keyed product
-	// search). It is kept as the equivalence oracle for the dense engine:
-	// the randomized equivalence tests and the -learngate benchmark gate
-	// pin the dense path against it. The learned query, the Witnesses map
-	// and the Merges/CandidateMerges counters are identical on both paths.
-	Reference bool
 	// Trace, when non-nil, receives span timings of one Learn call: phase
 	// "witnesses" (step 1: witness selection and PTA construction),
 	// "generalize" (step 2 total) and "negative_checks" (the aggregated
@@ -87,21 +76,6 @@ type Options struct {
 	// run when Trace is set, so callers that leave it nil pay nothing on
 	// the merge hot path.
 	Trace func(phase string, d time.Duration)
-}
-
-// WorkerCount resolves the Parallelism option to a concrete pool size.
-func (o Options) WorkerCount() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // DefaultMaxPathLength bounds witness search when the caller does not
@@ -195,7 +169,10 @@ type Result struct {
 // negative examples.
 var ErrInconsistent = fmt.Errorf("learn: sample admits no consistent query")
 
-// Learn runs the two-step learning algorithm on the graph and sample.
+// Learn runs the two-step learning algorithm on the graph and sample. It
+// returns an error wrapping ErrInconsistent when step 1 finds no witness,
+// and a plain error when the graph × prefix-tree product is too large for
+// step 2.
 func Learn(g *graph.Graph, sample *Sample, opts Options) (*Result, error) {
 	if opts.MaxPathLength <= 0 {
 		opts.MaxPathLength = DefaultMaxPathLength
@@ -229,7 +206,10 @@ func Learn(g *graph.Graph, sample *Sample, opts Options) (*Result, error) {
 		if opts.Trace != nil {
 			t0 = time.Now()
 		}
-		nfa = generalize(g, pta, sample.Negatives, opts, result)
+		nfa, err = generalize(g, pta, sample.Negatives, opts, result)
+		if err != nil {
+			return nil, err
+		}
 		if opts.Trace != nil {
 			opts.Trace("generalize", time.Since(t0))
 		}
@@ -299,211 +279,6 @@ func chooseWitness(g *graph.Graph, node graph.NodeID, negatives []graph.NodeID, 
 	default:
 		return paths.SmallestUncovered(g, node, negatives, opts.MaxPathLength)
 	}
-}
-
-// generalize merges states of the PTA while the automaton's language keeps
-// selecting no negative example on the graph. States are visited in a
-// single increasing pass: each state j is merged into the first earlier
-// (still unmerged) state i for which the merged automaton stays consistent,
-// the usual RPNI-style folding order. The evidence-weighted order instead
-// tries earlier states with more outgoing evidence first.
-// Candidate merges for one state are independent of each other, so they are
-// evaluated concurrently in chunks of the worker-pool size. The chunk
-// results are then scanned in sequential order and the first consistent
-// candidate wins, which makes the outcome — and the CandidateMerges counter
-// — identical to the sequential RPNI-style fold.
-//
-// Two implementations share this contract. The dense engine (dense.go)
-// represents the partition as a union-find array and checks each candidate
-// with a bitset product reachability over graph.Indexed, reusing all
-// scratch across the O(n²) candidates. The reference path below copies the
-// partition map and materialises a fresh Quotient per candidate; it
-// survives as the equivalence oracle (Options.Reference) and as the
-// fallback for ε-carrying automata, which FromWords never produces.
-func generalize(g *graph.Graph, pta *automaton.NFA, negatives []graph.NodeID, opts Options, result *Result) *automaton.NFA {
-	if opts.Reference {
-		return generalizeReference(g, pta, negatives, opts, result)
-	}
-	// The dense engine packs product configurations node*numStates+block
-	// into int32 (like the rpq core packs its product); a graph × PTA
-	// product beyond that range must take the map-keyed path.
-	if int64(g.NumNodes())*int64(pta.NumStates()) > math.MaxInt32 {
-		return generalizeReference(g, pta, negatives, opts, result)
-	}
-	dense := pta.Dense()
-	if dense.HasEpsilon() {
-		return generalizeReference(g, pta, negatives, opts, result)
-	}
-	return generalizeDense(g, pta, dense, negatives, opts, result)
-}
-
-// generalizeReference is the map-based oracle implementation of the
-// generalisation contract described on generalize.
-func generalizeReference(g *graph.Graph, pta *automaton.NFA, negatives []graph.NodeID, opts Options, result *Result) *automaton.NFA {
-	workers := opts.WorkerCount()
-	partition := make(map[automaton.State]automaton.State)
-	current := pta
-	n := automaton.State(pta.NumStates())
-	var weights []int
-	if opts.MergeOrder == MergeEvidence {
-		weights = evidenceWeights(pta)
-	}
-	type outcome struct {
-		trial     map[automaton.State]automaton.State
-		candidate *automaton.NFA
-		ok        bool
-	}
-	tryMerge := func(j, i automaton.State) outcome {
-		trial := make(map[automaton.State]automaton.State, len(partition)+1)
-		for k, v := range partition {
-			trial[k] = v
-		}
-		trial[j] = i
-		candidate := pta.Quotient(trial)
-		return outcome{trial, candidate, !selectsAnyNegative(g, candidate, negatives)}
-	}
-	traced := opts.Trace != nil
-	var checkTime time.Duration
-	for j := automaton.State(1); j < n; j++ {
-		targets := mergeTargets(partition, j, opts.MergeOrder, weights)
-		merged := false
-		for lo := 0; lo < len(targets) && !merged; lo += workers {
-			hi := lo + workers
-			if hi > len(targets) {
-				hi = len(targets)
-			}
-			chunk := targets[lo:hi]
-			outcomes := make([]outcome, len(chunk))
-			var chunkStart time.Time
-			if traced {
-				chunkStart = time.Now()
-			}
-			if len(chunk) == 1 || workers == 1 {
-				for k, i := range chunk {
-					outcomes[k] = tryMerge(j, i)
-				}
-			} else {
-				var wg sync.WaitGroup
-				for k, i := range chunk {
-					wg.Add(1)
-					go func(k int, i automaton.State) {
-						defer wg.Done()
-						outcomes[k] = tryMerge(j, i)
-					}(k, i)
-				}
-				wg.Wait()
-			}
-			if traced {
-				checkTime += time.Since(chunkStart)
-			}
-			for k := range outcomes {
-				// Count exactly the attempts the sequential fold would have
-				// made: everything up to and including the accepted merge.
-				result.CandidateMerges++
-				if !outcomes[k].ok {
-					continue
-				}
-				partition = outcomes[k].trial
-				current = outcomes[k].candidate
-				result.Merges++
-				merged = true
-				break
-			}
-		}
-	}
-	if traced {
-		opts.Trace("negative_checks", checkTime)
-	}
-	return current
-}
-
-// evidenceWeights precomputes the MergeEvidence weight of every PTA state
-// (its total number of outgoing transitions). The weights depend only on
-// the immutable PTA, so one pass per generalize call replaces the
-// per-comparison recomputation the sort comparator used to do.
-func evidenceWeights(pta *automaton.NFA) []int {
-	labels := pta.Labels()
-	weights := make([]int, pta.NumStates())
-	for s := range weights {
-		for _, l := range labels {
-			weights[s] += len(pta.Successors(automaton.State(s), l))
-		}
-	}
-	return weights
-}
-
-// mergeTargets lists the candidate earlier states j may be merged into:
-// every state below j that has not itself been merged away, ordered by the
-// merge ordering (weights must be non-nil for MergeEvidence).
-func mergeTargets(partition map[automaton.State]automaton.State, j automaton.State, order MergeOrder, weights []int) []automaton.State {
-	var targets []automaton.State
-	for i := automaton.State(0); i < j; i++ {
-		if _, merged := partition[i]; merged {
-			continue
-		}
-		targets = append(targets, i)
-	}
-	if order == MergeEvidence {
-		sort.SliceStable(targets, func(a, b int) bool {
-			return weights[targets[a]] > weights[targets[b]]
-		})
-	}
-	return targets
-}
-
-// selectsAnyNegative reports whether the automaton's language selects at
-// least one negative node of the graph, i.e. some negative node has a path
-// whose word is accepted. The check is a reachability search over the
-// product of the NFA with the graph — no determinisation is needed, which
-// keeps each candidate merge cheap.
-func selectsAnyNegative(g *graph.Graph, n *automaton.NFA, negatives []graph.NodeID) bool {
-	if len(negatives) == 0 {
-		return false
-	}
-	type config struct {
-		state automaton.State
-		node  graph.NodeID
-	}
-	seen := make(map[config]bool)
-	var queue []config
-	push := func(states []automaton.State, node graph.NodeID) bool {
-		for _, s := range states {
-			if n.IsAccepting(s) {
-				return true
-			}
-			c := config{s, node}
-			if !seen[c] {
-				seen[c] = true
-				queue = append(queue, c)
-			}
-		}
-		return false
-	}
-	startClosure := n.EpsilonClosure([]automaton.State{n.Start()})
-	for _, neg := range negatives {
-		if !g.HasNode(neg) {
-			continue
-		}
-		if push(startClosure, neg) {
-			return true
-		}
-	}
-	// Pop with a head index: re-slicing the queue (queue = queue[1:]) keeps
-	// the whole backing array live for the rest of the search, so a long
-	// BFS would retain every already-processed configuration.
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		for _, e := range g.Out(cur.node) {
-			succ := n.Successors(cur.state, string(e.Label))
-			if len(succ) == 0 {
-				continue
-			}
-			if push(n.EpsilonClosure(succ), e.To) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Consistent reports whether the query is consistent with the sample on

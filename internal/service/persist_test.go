@@ -674,3 +674,36 @@ func TestWitnessFanOutMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestTerminalRecordPrecedesDoneStatus polls many short Figure 1 sessions
+// until they report done and requires the terminal record to be in the
+// journal by then: a client that saw a session finish must never find a
+// journal a crash would resume. The poll reads View, the snapshot the
+// session endpoint serves, in a tight loop so it lands inside any window
+// between publishing the status and journaling the record.
+func TestTerminalRecordPrecedesDoneStatus(t *testing.T) {
+	srv, ts := newDurableServer(t, t.TempDir())
+	loadFigure1(t, ts, "demo")
+	for i := 0; i < 100; i++ {
+		var v SessionView
+		if code := do(t, http.MethodPost, ts.URL+"/v1/sessions", SessionConfig{
+			Graph: "demo", Mode: "simulated", Goal: "(tram+bus)*.cinema",
+		}, &v); code != http.StatusCreated {
+			t.Fatalf("session %d: create returned %d", i, code)
+		}
+		s, ok := srv.Manager().Get(v.ID)
+		if !ok {
+			t.Fatalf("session %s is gone", v.ID)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for v = s.View(); v.Status != StatusDone; v = s.View() {
+			if v.Status == StatusFailed || time.Now().After(deadline) {
+				t.Fatalf("session %s: status %s, error %q", v.ID, v.Status, v.Error)
+			}
+		}
+		recs := s.Journal().Records()
+		if len(recs) == 0 || recs[len(recs)-1].Type != recDone {
+			t.Fatalf("session %s reported done before its terminal record was journaled (%d records)", v.ID, len(recs))
+		}
+	}
+}

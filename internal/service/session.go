@@ -734,6 +734,9 @@ func (m *Manager) launch(s *HostedSession, strat interactive.Strategy, goal *reg
 		defer close(s.done)
 		defer m.noteFinished(s)
 		tr, err := sess.RunContext(ctx)
+		// The terminal record is journaled before the status is published:
+		// a client that sees done or failed must find the record on disk,
+		// or a crash in between would re-run a session it saw finish.
 		s.mu.Lock()
 		fatal := s.fatal
 		if fatal == "" && err != nil {
@@ -742,18 +745,29 @@ func (m *Manager) launch(s *HostedSession, strat interactive.Strategy, goal *reg
 		var final doneRecord
 		terminal := recDone
 		if fatal != "" {
-			s.status = StatusFailed
-			s.errMsg = fatal
 			terminal = recFailed
 			final = doneRecord{Error: fatal, Learned: s.learned, Labels: s.labels}
 		} else {
-			s.status = StatusDone
-			s.halt = string(tr.Halt)
+			final = doneRecord{Halt: string(tr.Halt), Learned: s.learned, Labels: tr.Labels()}
 			if tr.Final != nil {
-				s.learned = tr.Final.String()
+				final.Learned = tr.Final.String()
 			}
-			s.labels = tr.Labels()
-			final = doneRecord{Halt: s.halt, Learned: s.learned, Labels: s.labels}
+		}
+		s.mu.Unlock()
+		// Best effort: the terminal record of a session torn down by
+		// Remove may land on an already-removed journal. AppendTerminal
+		// lets the engine fsync immediately (no group-commit window) and
+		// mark the session finished for compaction.
+		_ = s.journal.AppendTerminal(terminal, final)
+		s.mu.Lock()
+		if terminal == recFailed {
+			s.status = StatusFailed
+			s.errMsg = fatal
+		} else {
+			s.status = StatusDone
+			s.halt = final.Halt
+			s.learned = final.Learned
+			s.labels = final.Labels
 		}
 		s.mu.Unlock()
 		if terminal == recFailed {
@@ -763,11 +777,6 @@ func (m *Manager) launch(s *HostedSession, strat interactive.Strategy, goal *reg
 			m.log.Info("session finished",
 				"session_id", s.id, "graph", h.Name(), "halt", final.Halt, "labels", final.Labels, "learned", final.Learned)
 		}
-		// Best effort: the terminal record of a session torn down by
-		// Remove may land on an already-removed journal. AppendTerminal
-		// lets the engine fsync immediately (no group-commit window) and
-		// mark the session finished for compaction.
-		_ = s.journal.AppendTerminal(terminal, final)
 		_ = s.journal.Close()
 	}()
 }
