@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,18 +19,20 @@ import (
 	"repro/internal/user"
 )
 
-// goldenRun is one informative-strategy run of the in-process golden
-// corpus (internal/experiment/testdata/golden).
+// goldenRun is one run of the in-process golden corpus
+// (internal/experiment/testdata/golden).
 type goldenRun struct {
 	goal     string
+	strategy string
 	validate bool
 	turns    []string // turn lines without the pruned= and implied= fields
 	learned  []string // the non-empty learned query of each turn
 	end      string   // "end halt=… final=… labels=N" or "error …"
 }
 
-// readGoldenRuns parses the informative runs of one golden file.
-func readGoldenRuns(t *testing.T, file string) []goldenRun {
+// readGoldenRuns parses the runs of one golden file that use one of the
+// given strategies.
+func readGoldenRuns(t *testing.T, file string, strategies []string) []goldenRun {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("..", "experiment", "testdata", "golden", file))
 	if err != nil {
@@ -42,9 +45,10 @@ func readGoldenRuns(t *testing.T, file string) []goldenRun {
 		switch fields[0] {
 		case "run":
 			cur = nil
-			if fields[2] == "strategy=informative" {
+			if strategy := strings.TrimPrefix(fields[2], "strategy="); slices.Contains(strategies, strategy) {
 				runs = append(runs, goldenRun{
 					goal:     strings.TrimPrefix(fields[1], "goal="),
+					strategy: strategy,
 					validate: fields[3] == "validation=true",
 				})
 				cur = &runs[len(runs)-1]
@@ -81,7 +85,7 @@ func readGoldenRuns(t *testing.T, file string) []goldenRun {
 func journalRecords(t *testing.T, srv *Server, dir, id string) []store.Record {
 	t.Helper()
 	if dir == "" {
-		s, ok := srv.Manager().Get(id)
+		s, ok := srv.manager.Get(id)
 		if !ok {
 			t.Fatalf("session %s is gone", id)
 		}
@@ -216,26 +220,43 @@ func answerAs(t *testing.T, u *user.Simulated, q *Question) Answer {
 	return a
 }
 
-// TestSessionsMatchGoldenOverHTTP runs the golden corpus's informative
-// sessions on Figure 1 and the 10x10 transport grid through the service
-// and diffs their journals against the in-process golden lines, with and
-// without a store. A simulated session journals only its hypotheses and
-// end; a manual session answered by the same simulated user on the client
-// side also journals every question and answer, which pins each turn's
-// node, decision, zooms and validated word.
+// TestSessionsMatchGoldenOverHTTP runs golden-corpus sessions through the
+// service and diffs their journals against the in-process golden lines.
+// A manual session answered by the same simulated user on the client side
+// journals every question, answer and hypothesis, which pins each turn's
+// node, decision, zooms and validated word; every strategy runs on Figure 1
+// and the 10x10 transport grid, and the informative strategy on the 20x20
+// grid and the 200-node ScaleFree graph. A simulated session journals only
+// its hypotheses and end, which the manual run of the same golden line
+// pins too, so it runs for the informative strategy on the two small
+// graphs. The small graphs run with and without a store; the store changes
+// no record, so the large graphs, whose turns cost the most, run in memory.
 func TestSessionsMatchGoldenOverHTTP(t *testing.T) {
+	all := []string{"random", "informative", "hybrid", "disagreement"}
+	transport := func(size int) (DatasetSpec, func() *graph.Graph) {
+		opts := dataset.TransportOptions{Rows: size, Cols: size, Seed: 1, FacilityRate: 0.3}
+		return DatasetSpec{Kind: "transport", Rows: size, Cols: size, Seed: 1, FacilityRate: 0.3},
+			func() *graph.Graph { return dataset.Transport(opts) }
+	}
+	t10spec, t10 := transport(10)
+	t20spec, t20 := transport(20)
 	graphs := []struct {
-		file string
-		spec DatasetSpec
-		g    func() *graph.Graph
+		file       string
+		spec       DatasetSpec
+		g          func() *graph.Graph
+		strategies []string
+		small      bool
 	}{
-		{"figure1.txt", DatasetSpec{Kind: "figure1"}, dataset.Figure1},
-		{"transport10.txt", DatasetSpec{Kind: "transport", Rows: 10, Cols: 10, Seed: 1, FacilityRate: 0.3}, func() *graph.Graph {
-			return dataset.Transport(dataset.TransportOptions{Rows: 10, Cols: 10, Seed: 1, FacilityRate: 0.3})
-		}},
+		{"figure1.txt", DatasetSpec{Kind: "figure1"}, dataset.Figure1, all, true},
+		{"transport10.txt", t10spec, t10, all, true},
+		{"transport20.txt", t20spec, t20, []string{"informative"}, false},
+		{"scalefree200.txt", DatasetSpec{Kind: "scale-free", Nodes: 200, Seed: 1}, func() *graph.Graph {
+			return dataset.ScaleFree(dataset.ScaleFreeOptions{Nodes: 200, Seed: 1})
+		}, []string{"informative"}, false},
 	}
 	for _, durable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("durable=%t", durable), func(t *testing.T) {
+			t.Parallel()
 			var srv *Server
 			var ts *httptest.Server
 			dir := ""
@@ -246,47 +267,68 @@ func TestSessionsMatchGoldenOverHTTP(t *testing.T) {
 				srv, ts = newTestServer(t)
 			}
 			for _, gr := range graphs {
-				name := strings.TrimSuffix(gr.file, ".txt")
-				if code := do(t, http.MethodPut, ts.URL+"/v1/graphs/"+name, LoadSpec{Dataset: gr.spec}, nil); code != http.StatusCreated {
-					t.Fatalf("load %s returned %d", name, code)
+				if durable && !gr.small {
+					continue
 				}
-				g := gr.g()
-				for _, run := range readGoldenRuns(t, gr.file) {
-					for _, mode := range []string{"simulated", "manual"} {
-						label := fmt.Sprintf("%s goal=%s validation=%t mode=%s", name, run.goal, run.validate, mode)
-						var v SessionView
-						if code := do(t, http.MethodPost, ts.URL+"/v1/sessions", SessionConfig{
-							Graph: name, Mode: mode, Goal: run.goal, Strategy: "informative", PathValidation: run.validate,
-						}, &v); code != http.StatusCreated {
-							t.Fatalf("%s: create returned %d", label, code)
+				gr := gr
+				name := strings.TrimSuffix(gr.file, ".txt")
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					if code := do(t, http.MethodPut, ts.URL+"/v1/graphs/"+name, LoadSpec{Dataset: gr.spec}, nil); code != http.StatusCreated {
+						t.Fatalf("load %s returned %d", name, code)
+					}
+					g := gr.g()
+					for _, run := range readGoldenRuns(t, gr.file, gr.strategies) {
+						modes := []string{"manual"}
+						if gr.small && run.strategy == "informative" {
+							modes = append(modes, "simulated")
 						}
-						u := user.NewSimulated(g, regex.MustParse(run.goal))
-						for {
-							v = waitSession(t, ts, v.ID, func(v SessionView) bool {
-								return v.Pending != nil || v.Status == StatusDone || v.Status == StatusFailed
-							})
-							if v.Pending == nil {
-								break
-							}
-							a := answerAs(t, u, v.Pending)
-							if code := do(t, http.MethodPost, ts.URL+"/v1/sessions/"+v.ID+"/label", a, nil); code != http.StatusOK {
-								t.Fatalf("%s: answer returned %d for %+v", label, code, a)
-							}
-						}
-						turns, learned, end := journalTranscript(t, journalRecords(t, srv, dir, v.ID))
-						if mode == "manual" {
-							if got, want := strings.Join(turns, "\n"), strings.Join(run.turns, "\n"); got != want {
-								t.Errorf("%s: turns differ\n got:\n%s\nwant:\n%s", label, got, want)
-							}
-						} else if got, want := strings.Join(learned, " "), strings.Join(run.learned, " "); got != want {
-							t.Errorf("%s: hypotheses differ\n got: %s\nwant: %s", label, got, want)
-						}
-						if end != run.end {
-							t.Errorf("%s: end differs\n got: %s\nwant: %s", label, end, run.end)
+						for _, mode := range modes {
+							checkGoldenRun(t, srv, ts, dir, name, g, run, mode)
 						}
 					}
-				}
+				})
 			}
 		})
+	}
+}
+
+// checkGoldenRun runs one golden line as a session in the given mode and
+// diffs its journal against the line.
+func checkGoldenRun(t *testing.T, srv *Server, ts *httptest.Server, dir, name string, g *graph.Graph, run goldenRun, mode string) {
+	t.Helper()
+	label := fmt.Sprintf("goal=%s strategy=%s validation=%t mode=%s", run.goal, run.strategy, run.validate, mode)
+	var v SessionView
+	// Seed 1 is the golden corpus's random-strategy seed.
+	if code := do(t, http.MethodPost, ts.URL+"/v1/sessions", SessionConfig{
+		Graph: name, Mode: mode, Goal: run.goal, Strategy: run.strategy, Seed: 1, PathValidation: run.validate,
+	}, &v); code != http.StatusCreated {
+		t.Fatalf("%s: create returned %d", label, code)
+	}
+	s, ok := srv.manager.Get(v.ID)
+	if !ok {
+		t.Fatalf("%s: session %s is gone", label, v.ID)
+	}
+	u := user.NewSimulated(g, regex.MustParse(run.goal))
+	for {
+		if v = waitPendingOrEnd(t, s); v.Pending == nil {
+			break
+		}
+		a := answerAs(t, u, v.Pending)
+		if code := do(t, http.MethodPost, ts.URL+"/v1/sessions/"+v.ID+"/label", a, nil); code != http.StatusOK {
+			t.Fatalf("%s: answer returned %d for %+v", label, code, a)
+		}
+	}
+	turns, learned, end := journalTranscript(t, journalRecords(t, srv, dir, v.ID))
+	if mode == "manual" {
+		if got, want := strings.Join(turns, "\n"), strings.Join(run.turns, "\n"); got != want {
+			t.Errorf("%s: turns differ\n got:\n%s\nwant:\n%s", label, got, want)
+		}
+	}
+	if got, want := strings.Join(learned, " "), strings.Join(run.learned, " "); got != want {
+		t.Errorf("%s: hypotheses differ\n got: %s\nwant: %s", label, got, want)
+	}
+	if end != run.end {
+		t.Errorf("%s: end differs\n got: %s\nwant: %s", label, end, run.end)
 	}
 }
