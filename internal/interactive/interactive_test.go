@@ -584,7 +584,7 @@ func TestLearnedQueryMatchesPaperWitnesses(t *testing.T) {
 // it did.
 func TestCoverageSourceReuse(t *testing.T) {
 	g := dataset.Figure1()
-	s := NewSession(g, user.NewSimulated(g, regex.MustParse("(tram+bus)*.cinema")), Options{})
+	s := NewMachine(g, Options{})
 	c1 := s.negCoverage()
 	if c2 := s.negCoverage(); c2 != c1 {
 		t.Fatal("coverage rebuilt although negatives did not change")

@@ -122,10 +122,70 @@ type Transcript struct {
 // user effort).
 func (t *Transcript) Labels() int { return len(t.Interactions) }
 
-// Session drives the interactive loop against a User.
-type Session struct {
+// QuestionKind says what a Question asks.
+type QuestionKind int
+
+// Question kinds, in the order a round of Figure 2 asks them.
+const (
+	// AskLabel shows a node's neighbourhood and asks whether the node is
+	// part of the query result (steps 4-5); a Zoom answer enlarges it.
+	AskLabel QuestionKind = iota
+	// AskPath asks which path of interest explains a positive label (the
+	// path-validation step, Figure 3(c)).
+	AskPath
+	// AskSatisfied asks whether the learned query is the one the user wants.
+	AskSatisfied
+)
+
+// Question is what the Figure 2 loop waits on: one call of the user.User
+// interface, as data.
+type Question struct {
+	Kind QuestionKind
+	// Node is the proposed node (label and path questions).
+	Node graph.NodeID
+	// Neighborhood is the fragment shown around Node and CanZoom whether a
+	// Zoom answer may still enlarge it (label questions).
+	Neighborhood *graph.Neighborhood
+	CanZoom      bool
+	// Words are the node's uncovered words up to the shown radius and
+	// Candidate the one the system would pick (path questions).
+	Words     [][]string
+	Candidate []string
+	// Learned is the hypothesis under review (satisfied questions).
+	Learned *regex.Expr
+}
+
+// Answer is the reply to a Question; each kind reads one field.
+type Answer struct {
+	// Decision answers a label question.
+	Decision user.Decision
+	// Word answers a path question; nil accepts the candidate.
+	Word []string
+	// Satisfied answers a satisfied question.
+	Satisfied bool
+}
+
+// Ask puts the question to u and returns its reply.
+func Ask(u user.User, q Question) Answer {
+	switch q.Kind {
+	case AskLabel:
+		return Answer{Decision: u.LabelNode(q.Node, q.Neighborhood, q.CanZoom)}
+	case AskPath:
+		return Answer{Word: u.ValidatePath(q.Node, q.Words, q.Candidate)}
+	default:
+		return Answer{Satisfied: u.Satisfied(q.Learned)}
+	}
+}
+
+// Machine is the Figure 2 loop as a step function: Next returns the
+// question the loop waits on, and Answer applies the reply and runs every
+// step up to the next question — label, path validation, propagation,
+// pruning, learning, proposing the next node. It is plain state: it starts
+// no goroutine and holds no context or user, so a caller stops a session by
+// no longer answering, and a crashed session is rebuilt by answering a new
+// Machine with the recorded replies. Not safe for concurrent use.
+type Machine struct {
 	g    *graph.Graph
-	u    user.User
 	opts Options
 
 	sample *learn.Sample
@@ -140,50 +200,232 @@ type Session struct {
 	// as-is.
 	cov     *paths.Coverage
 	covNegs int
+
+	t *Transcript
+	// q is the pending question; nil once the loop halted.
+	q *Question
+	// round is the interaction in progress; Radius is the shown radius.
+	round Interaction
 }
 
-// NewSession prepares a session on the graph for the given user.
-func NewSession(g *graph.Graph, u user.User, opts Options) *Session {
+// NewMachine starts the loop on the graph and computes its first question.
+func NewMachine(g *graph.Graph, opts Options) *Machine {
 	cache := opts.Cache
 	if cache == nil || cache.Graph() != g {
 		cache = rpq.NewCache(g)
 	}
-	s := &Session{
+	m := &Machine{
 		g:      g,
-		u:      u,
 		opts:   opts.withDefaults(),
 		sample: learn.NewSample(),
 		pruned: make(map[graph.NodeID]bool),
 		cache:  cache,
 	}
-	if ca, ok := s.opts.Strategy.(CacheAware); ok {
-		ca.SetCache(s.cache)
+	if ca, ok := m.opts.Strategy.(CacheAware); ok {
+		ca.SetCache(m.cache)
 	}
-	if ca, ok := s.opts.Strategy.(CoverageAware); ok {
-		ca.SetCoverageSource(s.coverageAt)
+	if ca, ok := m.opts.Strategy.(CoverageAware); ok {
+		ca.SetCoverageSource(m.coverageAt)
 	}
-	return s
+	m.t = &Transcript{Sample: m.sample, Strategy: m.opts.Strategy.Name(), Halt: HaltMaxReached}
+	m.propose()
+	return m
+}
+
+// Next returns the pending question; false once the loop has halted.
+func (m *Machine) Next() (Question, bool) {
+	if m.q == nil {
+		return Question{}, false
+	}
+	return *m.q, true
+}
+
+// Transcript returns the session's record so far; Halt is final once Next
+// reports false.
+func (m *Machine) Transcript() *Transcript { return m.t }
+
+// Answer applies the reply to the pending question and runs the loop up to
+// its next question or halt. It fails when no question is pending, and when
+// the learner fails on a sample with validated paths, which halts the loop.
+func (m *Machine) Answer(a Answer) error {
+	q := m.q
+	if q == nil {
+		return errors.New("interactive: the session has halted")
+	}
+	switch q.Kind {
+	case AskLabel:
+		d := a.Decision
+		if d == user.Zoom {
+			if q.CanZoom {
+				m.round.Zooms++
+				m.round.Radius++
+				m.askLabel()
+				return nil
+			}
+			// The user insists on zooming but the radius limit is reached;
+			// treat the answer as negative to guarantee progress. The
+			// simulated users never hit this branch.
+			d = user.Negative
+		}
+		m.round.Decision = d
+		if d == user.Positive && m.opts.PathValidation && m.askPath() {
+			return nil
+		}
+		return m.label(nil)
+	case AskPath:
+		chosen := a.Word
+		if chosen == nil {
+			chosen = q.Candidate
+		}
+		// Guard against users returning a word that is not usable.
+		if !paths.HasWord(m.g, q.Node, chosen) || paths.Covered(m.g, chosen, m.sample.Negatives) {
+			chosen = nil
+		}
+		return m.label(chosen)
+	default:
+		if a.Satisfied {
+			m.halt(HaltSatisfied)
+		} else {
+			m.propose()
+		}
+		return nil
+	}
+}
+
+// propose starts the next round: it halts the loop at the interaction
+// bound or when the strategy finds no informative node, and otherwise asks
+// for a label on the proposed node.
+func (m *Machine) propose() {
+	if len(m.t.Interactions) >= m.opts.MaxInteractions {
+		m.halt(HaltMaxReached)
+		return
+	}
+	if ha, ok := m.opts.Strategy.(HypothesisAware); ok {
+		ha.SetHypothesis(m.t.Final)
+	}
+	node, ok := m.opts.Strategy.Propose(m.g, m.sample, m.pruned)
+	if !ok {
+		m.halt(HaltNoInformative)
+		return
+	}
+	m.round = Interaction{Node: node, Radius: m.opts.InitialRadius}
+	m.askLabel()
+}
+
+func (m *Machine) halt(reason HaltReason) {
+	m.t.Halt = reason
+	m.q = nil
+}
+
+// askLabel shows the round's node at the current radius (steps 4-5).
+func (m *Machine) askLabel() {
+	node, radius := m.round.Node, m.round.Radius
+	m.q = &Question{
+		Kind:         AskLabel,
+		Node:         node,
+		Neighborhood: m.g.NeighborhoodAround(node, radius, graph.NeighborhoodOptions{Directed: true}),
+		CanZoom:      radius < m.opts.MaxRadius,
+	}
+}
+
+// askPath implements the Figure 3(c) step: present the uncovered words of
+// the node (up to the last shown radius) as a prefix tree and highlight a
+// candidate for the user to validate or correct. It reports false, asking
+// nothing, when the node has no uncovered word; the learner then picks a
+// witness itself.
+func (m *Machine) askPath() bool {
+	node, radius := m.round.Node, m.round.Radius
+	words := paths.UncoveredWordsWith(m.g, node, radius, m.coverageAt(radius))
+	if len(words) == 0 {
+		return false
+	}
+	// The paper highlights the path whose length equals the last zoomed
+	// radius, inferring that the user zoomed because her path of interest
+	// was longer than the previous fragment.
+	candidate, ok := paths.BuildTrie(words).LongestWithin(radius)
+	if !ok {
+		candidate = words[0]
+	}
+	m.q = &Question{Kind: AskPath, Node: node, Words: words, Candidate: candidate}
+	return true
+}
+
+// label records the round's decision (step 6) with its validated word,
+// propagates it, learns a query from all labels so far and asks whether it
+// is the goal.
+func (m *Machine) label(word []string) error {
+	in := &m.round
+	switch in.Decision {
+	case user.Positive:
+		m.sample.AddPositive(in.Node, word)
+		in.ValidatedWord = word
+		// Label propagation: every other node that has a path spelling the
+		// validated word is selected by any query containing that word, so
+		// it is implied positive and never proposed.
+		if len(word) > 0 && !m.opts.DisablePropagation {
+			in.Implied = m.propagatePositive(word)
+		}
+	case user.Negative:
+		m.sample.AddNegative(in.Node)
+		// Label propagation, negative side: prune nodes that became
+		// uninformative (all their bounded-length paths covered by
+		// negatives). Only a new negative can prune additional nodes.
+		in.Pruned = m.prune()
+	}
+
+	res, err := learn.Learn(m.g, m.sample, m.opts.Learn)
+	if err == nil {
+		in.Learned = res.Query.String()
+	} else if m.opts.PathValidation {
+		// With path validation the sample should always stay consistent;
+		// surface unexpected failures instead of silently looping.
+		m.q = nil
+		return fmt.Errorf("interactive: learning failed on a validated sample: %w", err)
+	}
+	t := m.t
+	t.Interactions = append(t.Interactions, *in)
+	t.PrunedTotal += in.Pruned
+	t.ZoomsTotal += in.Zooms
+	t.ImpliedTotal += in.Implied
+	if in.Learned == "" {
+		m.propose()
+		return nil
+	}
+	t.Final = regex.MustParse(in.Learned)
+	m.q = &Question{Kind: AskSatisfied, Learned: t.Final}
+	return nil
 }
 
 // negCoverage returns the covered-word set of the current negatives at the
 // learner's path-length bound, rebuilding it only when the negative set
 // changed since the last probe.
-func (s *Session) negCoverage() *paths.Coverage {
-	if s.cov == nil || s.covNegs != len(s.sample.Negatives) {
-		s.cov = paths.NewCoverage(s.g, s.sample.Negatives, s.opts.Learn.MaxPathLength)
-		s.covNegs = len(s.sample.Negatives)
+func (m *Machine) negCoverage() *paths.Coverage {
+	if m.cov == nil || m.covNegs != len(m.sample.Negatives) {
+		m.cov = paths.NewCoverage(m.g, m.sample.Negatives, m.opts.Learn.MaxPathLength)
+		m.covNegs = len(m.sample.Negatives)
 	}
-	return s.cov
+	return m.cov
 }
 
 // coverageAt is the CoverageSource handed to coverage-aware strategies: at
 // the session's own bound it serves the cached round-to-round coverage, at
 // any other bound it builds a fresh one.
-func (s *Session) coverageAt(bound int) *paths.Coverage {
-	if bound == s.opts.Learn.MaxPathLength {
-		return s.negCoverage()
+func (m *Machine) coverageAt(bound int) *paths.Coverage {
+	if bound == m.opts.Learn.MaxPathLength {
+		return m.negCoverage()
 	}
-	return paths.NewCoverage(s.g, s.sample.Negatives, bound)
+	return paths.NewCoverage(m.g, m.sample.Negatives, bound)
+}
+
+// Session drives a Machine against a User.
+type Session struct {
+	m *Machine
+	u user.User
+}
+
+// NewSession prepares a session on the graph for the given user.
+func NewSession(g *graph.Graph, u user.User, opts Options) *Session {
+	return &Session{m: NewMachine(g, opts), u: u}
 }
 
 // Run executes the interactive loop until a halt condition fires and
@@ -192,166 +434,31 @@ func (s *Session) Run() (*Transcript, error) {
 	return s.RunContext(context.Background())
 }
 
-// errCanceled aborts an in-flight interaction when the session context is
-// done; RunContext translates it into HaltCanceled.
-var errCanceled = errors.New("interactive: session canceled")
-
 // RunContext executes the interactive loop like Run and additionally halts
-// with HaltCanceled as soon as the context is done. Cancellation is
-// checked between interactions and again inside each interaction after
-// every user callback, so a decision fabricated by a user implementation
-// that unblocked on the same context is never recorded and no learner
-// iteration runs on a canceled session.
+// with HaltCanceled as soon as the context is done. The context is checked
+// before each question is put to the user and again before its answer is
+// applied, so a reply fabricated by a user implementation that unblocked
+// on the same context is never recorded.
 func (s *Session) RunContext(ctx context.Context) (*Transcript, error) {
-	t := &Transcript{Sample: s.sample, Strategy: s.opts.Strategy.Name(), Halt: HaltMaxReached}
-	hypothesisAware, _ := s.opts.Strategy.(HypothesisAware)
-	for len(t.Interactions) < s.opts.MaxInteractions {
-		if ctx.Err() != nil {
-			t.Halt = HaltCanceled
-			break
-		}
-		if hypothesisAware != nil {
-			hypothesisAware.SetHypothesis(t.Final)
-		}
-		node, ok := s.opts.Strategy.Propose(s.g, s.sample, s.pruned)
-		if !ok {
-			t.Halt = HaltNoInformative
-			break
-		}
-		inter, err := s.interact(ctx, node)
-		if errors.Is(err, errCanceled) {
-			t.Halt = HaltCanceled
-			break
-		}
-		if err != nil {
-			return t, err
-		}
-		t.Interactions = append(t.Interactions, *inter)
-		t.PrunedTotal += inter.Pruned
-		t.ZoomsTotal += inter.Zooms
-		t.ImpliedTotal += inter.Implied
-		if inter.Learned != "" {
-			t.Final = regex.MustParse(inter.Learned)
-			if s.u.Satisfied(t.Final) {
-				t.Halt = HaltSatisfied
-				break
-			}
-		}
-	}
-	return t, nil
-}
-
-// interact runs one round: propose, show neighbourhood, zoom, label,
-// validate path, propagate labels/prune, learn.
-func (s *Session) interact(ctx context.Context, node graph.NodeID) (*Interaction, error) {
-	inter := &Interaction{Node: node}
-
-	// Steps 4-5 of Figure 2: show the neighbourhood, let the user zoom.
-	radius := s.opts.InitialRadius
-	var decision user.Decision
 	for {
-		n := s.g.NeighborhoodAround(node, radius, graph.NeighborhoodOptions{Directed: true})
-		canZoom := radius < s.opts.MaxRadius
-		decision = s.u.LabelNode(node, n, canZoom)
-		if decision != user.Zoom {
+		q, ok := s.m.Next()
+		if !ok {
+			return s.m.Transcript(), nil
+		}
+		if ctx.Err() != nil {
 			break
 		}
-		if !canZoom {
-			// The user insists on zooming but the radius limit is reached;
-			// treat the answer as negative to guarantee progress. The
-			// simulated users never hit this branch.
-			decision = user.Negative
+		a := Ask(s.u, q)
+		if ctx.Err() != nil {
 			break
 		}
-		inter.Zooms++
-		radius++
-	}
-	// A canceled session must not record whatever decision the unblocked
-	// user callback fabricated.
-	if ctx.Err() != nil {
-		return nil, errCanceled
-	}
-	inter.Radius = radius
-	inter.Decision = decision
-
-	// Step 6 / path validation: record the label (and validated word).
-	switch decision {
-	case user.Positive:
-		var word []string
-		if s.opts.PathValidation {
-			word = s.validatePath(node, radius)
-			// Same guard as after the label loop: a word fabricated by a
-			// ValidatePath callback that unblocked on cancellation must not
-			// enter the sample (nor drive label propagation).
-			if ctx.Err() != nil {
-				return nil, errCanceled
-			}
+		if err := s.m.Answer(a); err != nil {
+			return s.m.Transcript(), err
 		}
-		s.sample.AddPositive(node, word)
-		inter.ValidatedWord = word
-		// Label propagation: every other node that has a path spelling the
-		// validated word is selected by any query containing that word, so
-		// it is implied positive and never proposed.
-		if len(word) > 0 && !s.opts.DisablePropagation {
-			inter.Implied = s.propagatePositive(word)
-		}
-	case user.Negative:
-		s.sample.AddNegative(node)
 	}
-
-	// Label propagation, negative side: prune nodes that became
-	// uninformative (all their bounded-length paths covered by negatives).
-	// Only a new negative can prune additional nodes.
-	if decision == user.Negative {
-		inter.Pruned = s.prune()
-	}
-
-	// Skip the learner on a canceled session: its result would be thrown
-	// away, and the candidate-merge checks are the expensive part of a
-	// round.
-	if ctx.Err() != nil {
-		return nil, errCanceled
-	}
-
-	// Learn a query from all labels collected so far.
-	res, err := learn.Learn(s.g, s.sample, s.opts.Learn)
-	if err == nil {
-		inter.Learned = res.Query.String()
-	} else if s.opts.PathValidation {
-		// With path validation the sample should always stay consistent;
-		// surface unexpected failures instead of silently looping.
-		return nil, fmt.Errorf("interactive: learning failed on a validated sample: %w", err)
-	}
-	return inter, nil
-}
-
-// validatePath implements the Figure 3(c) step: present the uncovered words
-// of the node (up to the last shown radius) as a prefix tree, highlight a
-// candidate and let the user validate or correct it. It returns the chosen
-// word, or nil when the user's choice cannot be used (the learner then
-// picks a witness itself).
-func (s *Session) validatePath(node graph.NodeID, radius int) []string {
-	words := paths.UncoveredWordsWith(s.g, node, radius, s.coverageAt(radius))
-	if len(words) == 0 {
-		return nil
-	}
-	trie := paths.BuildTrie(words)
-	// The paper highlights the path whose length equals the last zoomed
-	// radius, inferring that the user zoomed because her path of interest
-	// was longer than the previous fragment.
-	candidate, ok := trie.LongestWithin(radius)
-	if !ok {
-		candidate = words[0]
-	}
-	chosen := s.u.ValidatePath(node, words, candidate)
-	if chosen == nil {
-		chosen = candidate
-	}
-	// Guard against users returning a word that is not usable.
-	if !paths.HasWord(s.g, node, chosen) || paths.Covered(s.g, chosen, s.sample.Negatives) {
-		return nil
-	}
-	return chosen
+	t := s.m.Transcript()
+	t.Halt = HaltCanceled
+	return t, nil
 }
 
 // propagatePositive labels every unlabelled node that has a path spelling
@@ -359,15 +466,15 @@ func (s *Session) validatePath(node graph.NodeID, radius int) []string {
 // witness) and returns how many nodes were implied. The membership test is
 // one backward StartsOfWord sweep shared by all nodes rather than a
 // per-node HasWord walk.
-func (s *Session) propagatePositive(word []string) int {
+func (m *Machine) propagatePositive(word []string) int {
 	count := 0
-	starts := paths.StartsOfWord(s.g, word)
-	for _, id := range s.g.Nodes() {
-		if s.sample.Labeled(id) || s.pruned[id] {
+	starts := paths.StartsOfWord(m.g, word)
+	for _, id := range m.g.Nodes() {
+		if m.sample.Labeled(id) || m.pruned[id] {
 			continue
 		}
 		if starts.Has(id) {
-			s.sample.AddPositive(id, append([]string(nil), word...))
+			m.sample.AddPositive(id, append([]string(nil), word...))
 			count++
 		}
 	}
@@ -378,16 +485,16 @@ func (s *Session) propagatePositive(word []string) int {
 // covered by the negative examples and returns how many new nodes were
 // pruned. Every candidate node re-enumerates its bounded words against one
 // shared negative coverage, in node order.
-func (s *Session) prune() int {
-	cov := s.negCoverage()
-	bound := s.opts.Learn.MaxPathLength
+func (m *Machine) prune() int {
+	cov := m.negCoverage()
+	bound := m.opts.Learn.MaxPathLength
 	count := 0
-	for _, id := range s.g.Nodes() {
-		if s.sample.Labeled(id) || s.pruned[id] {
+	for _, id := range m.g.Nodes() {
+		if m.sample.Labeled(id) || m.pruned[id] {
 			continue
 		}
-		if paths.CountUncoveredWith(s.g, id, bound, cov) == 0 {
-			s.pruned[id] = true
+		if paths.CountUncoveredWith(m.g, id, bound, cov) == 0 {
+			m.pruned[id] = true
 			count++
 		}
 	}

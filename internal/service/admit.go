@@ -40,8 +40,7 @@ var ErrQuota = errors.New("tenant quota exceeded")
 type tenantState struct {
 	name   string
 	limits TenantLimits
-	// live counts the tenant's sessions whose learning goroutine has not
-	// exited.
+	// live counts the tenant's sessions that have not finished.
 	live int
 	// pass is the tenant's stride virtual time; the eligible queued tenant
 	// with the smallest pass is granted the next freed slot.

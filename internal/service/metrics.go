@@ -254,7 +254,7 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc
 
 // BackpressureStats is the session manager's admission and queueing state.
 type BackpressureStats struct {
-	// LiveSessions counts learning loops that have not exited.
+	// LiveSessions counts sessions that have not finished.
 	LiveSessions int `json:"live_sessions"`
 	// MaxSessions is the admission limit LiveSessions is checked against.
 	MaxSessions int `json:"max_sessions"`
@@ -296,7 +296,7 @@ func (m *Manager) Backpressure() BackpressureStats {
 // the registration trivially idempotent and the cost is a few mutex
 // rounds per scrape.
 func (m *Manager) registerBackpressure(reg *obs.Registry) {
-	reg.GaugeFunc("gpsd_sessions_live", "Learning-loop goroutines that have not exited.",
+	reg.GaugeFunc("gpsd_sessions_live", "Sessions that have not finished.",
 		func() float64 { return float64(m.Backpressure().LiveSessions) })
 	reg.GaugeFunc("gpsd_sessions_max", "Admission limit for live sessions.",
 		func() float64 { return float64(m.opts.MaxSessions) })

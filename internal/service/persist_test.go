@@ -557,8 +557,8 @@ func TestManualSessionCrashResumeBinary(t *testing.T) {
 	if want.Learned == "" || want.Labels != 1 {
 		t.Fatalf("pre-crash session has no hypothesis: %+v", want)
 	}
-	sessA, _ := srvA.Manager().Get(id)
-	wantLen := sessA.Journal().Len()
+	sessA, _ := srvA.manager.Get(id)
+	wantLen := len(sessA.Journal().Records())
 
 	// "Crash": abandon server A mid-park and recover from the wal.
 	srvB, tsB := newBinaryServer(t, dir)
@@ -575,8 +575,8 @@ func TestManualSessionCrashResumeBinary(t *testing.T) {
 	if string(gotJSON) != string(wantJSON) {
 		t.Fatalf("resumed session diverged\n  got  %s\n  want %s", gotJSON, wantJSON)
 	}
-	sessB, _ := srvB.Manager().Get(id)
-	if gotLen := sessB.Journal().Len(); gotLen != wantLen {
+	sessB, _ := srvB.manager.Get(id)
+	if gotLen := len(sessB.Journal().Records()); gotLen != wantLen {
 		t.Fatalf("resume appended duplicates: journal has %d records, want %d", gotLen, wantLen)
 	}
 
@@ -691,7 +691,7 @@ func TestTerminalRecordPrecedesDoneStatus(t *testing.T) {
 		}, &v); code != http.StatusCreated {
 			t.Fatalf("session %d: create returned %d", i, code)
 		}
-		s, ok := srv.Manager().Get(v.ID)
+		s, ok := srv.manager.Get(v.ID)
 		if !ok {
 			t.Fatalf("session %s is gone", v.ID)
 		}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -27,10 +26,10 @@ type RecoveryReport struct {
 
 // Recover replays the configured store into the server: graph snapshots
 // re-register under their names, finished sessions come back as
-// inspectable records, and in-flight sessions resume — their learning
-// loops re-run against the journaled answers until they reach the exact
-// pre-crash state, then park on the next question as if the crash never
-// happened. Call it after NewServer and before serving requests.
+// inspectable records, and in-flight sessions resume — the journaled
+// answers are folded through a new learning loop until it reaches the
+// exact pre-crash state, which parks on the next question as if the crash
+// never happened. Call it after NewServer and before serving requests.
 func (s *Server) Recover() (RecoveryReport, error) {
 	st := s.opts.Store
 	if st == nil {
@@ -78,9 +77,13 @@ func (s *Server) Recover() (RecoveryReport, error) {
 }
 
 // Restore rebuilds one session from its recovered journal. A journal with
-// a terminal record restores as a finished session (no goroutine); an
-// unterminated journal is an in-flight session, whose loop is relaunched
-// with a replayState that re-feeds the journaled answers (resumed=true).
+// a terminal record restores as a finished session; an unterminated
+// journal is an in-flight session (resumed=true). A manual one folds its
+// journaled answers through a new learning loop, in order, and parks on
+// the question that follows; a regenerated question that differs from its
+// journaled record fails the session instead. A simulated one re-runs
+// with its oracle in its own goroutine. Records already on disk are not
+// appended again.
 func (m *Manager) Restore(reg *Registry, rs store.RecoveredSession) (resumed bool, err error) {
 	// Advance the id allocator even when the journal turns out to be
 	// unrestorable: its file stays on disk, and a future Create reusing
@@ -99,9 +102,7 @@ func (m *Manager) Restore(reg *Registry, rs store.RecoveredSession) (resumed boo
 		return false, fmt.Errorf("graph %q is not registered", cr.Graph)
 	}
 
-	var questions []Question
-	var answers []Answer
-	hypCount := 0
+	var disk journaled
 	lastHyp := ""
 	var final *doneRecord
 	failed := false
@@ -112,19 +113,19 @@ func (m *Manager) Restore(reg *Registry, rs store.RecoveredSession) (resumed boo
 			if err := json.Unmarshal(rec.Data, &q); err != nil {
 				return false, fmt.Errorf("record %d: %w", rec.Seq, err)
 			}
-			questions = append(questions, q)
+			disk.questions = append(disk.questions, q)
 		case recAnswer:
 			var a Answer
 			if err := json.Unmarshal(rec.Data, &a); err != nil {
 				return false, fmt.Errorf("record %d: %w", rec.Seq, err)
 			}
-			answers = append(answers, a)
+			disk.answers = append(disk.answers, a)
 		case recHypothesis:
 			var hr hypothesisRecord
 			if err := json.Unmarshal(rec.Data, &hr); err != nil {
 				return false, fmt.Errorf("record %d: %w", rec.Seq, err)
 			}
-			hypCount++
+			disk.hyps++
 			lastHyp = hr.Learned
 		case recDone, recFailed:
 			var d doneRecord
@@ -141,20 +142,10 @@ func (m *Manager) Restore(reg *Registry, rs store.RecoveredSession) (resumed boo
 		if learned == "" {
 			learned = lastHyp
 		}
-		done := make(chan struct{})
-		close(done)
-		s := &HostedSession{
-			id:      rs.ID,
-			handle:  h,
-			tenant:  tenantOrDefault(cr.Tenant),
-			cfg:     cr.Config,
-			cancel:  func() {},
-			done:    done,
-			journal: rs.Journal,
-			tr:      m.tr,
-			labels:  final.Labels,
-			learned: learned,
-		}
+		s := m.newSession(rs.ID, h, tenantOrDefault(cr.Tenant), cr.Config, rs.Journal, nil)
+		close(s.done)
+		s.labels = final.Labels
+		s.learned = learned
 		if failed {
 			s.status = StatusFailed
 			s.errMsg = final.Error
@@ -181,21 +172,7 @@ func (m *Manager) Restore(reg *Registry, rs store.RecoveredSession) (resumed boo
 			return false, err
 		}
 	}
-	s := &HostedSession{
-		id:      rs.ID,
-		handle:  h,
-		tenant:  tenantOrDefault(cr.Tenant),
-		cfg:     cr.Config,
-		done:    make(chan struct{}),
-		journal: rs.Journal,
-		tr:      m.tr,
-		status:  StatusRunning,
-	}
-	if len(questions) > 0 || len(answers) > 0 || hypCount > 0 {
-		s.replay = &replayState{answers: answers, questions: questions, hypSkip: hypCount, started: time.Now()}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s.cancel = cancel
+	s := m.newSession(rs.ID, h, tenantOrDefault(cr.Tenant), cr.Config, rs.Journal, goal)
 	// Resumed sessions bypass the admission check: they held a slot before
 	// the crash, and refusing them would lose user labels. adoptLocked still
 	// books the slot to the tenant, so post-recovery quotas see it.
@@ -205,8 +182,19 @@ func (m *Manager) Restore(reg *Registry, rs store.RecoveredSession) (resumed boo
 	m.mu.Unlock()
 	m.log.Info("session resumed",
 		"session_id", rs.ID, "graph", cr.Graph, "tenant", s.tenant, "mode", cr.Config.Mode,
-		"journaled_questions", len(questions), "journaled_answers", len(answers))
-	m.launch(s, strat, goal, ctx)
+		"journaled_questions", len(disk.questions), "journaled_answers", len(disk.answers))
+	s.machine = m.newMachine(s, strat)
+	if s.oracle != nil {
+		s.startTurn(nil)
+		return true, nil
+	}
+	started := time.Now()
+	s.turn.Lock()
+	s.advance(nil, &disk)
+	s.turn.Unlock()
+	if len(disk.questions) > 0 {
+		m.tr.replayDone(s.id, time.Since(started), len(disk.questions))
+	}
 	return true, nil
 }
 

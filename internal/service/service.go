@@ -5,10 +5,11 @@
 //     freezes the graph (graph.Graph.Freeze), and each graph owns one
 //     shared LRU engine cache, so every session and ad-hoc evaluation on
 //     that graph reuses each other's compiled queries;
-//   - a session Manager running many interactive.Session learning loops
-//     concurrently — one goroutine-safe state machine per session, driven
+//   - a session Manager hosting many interactive.Machine learning loops
+//     concurrently — one step-function state machine per session, answered
 //     either by a server-side simulated oracle or by a remote client that
-//     answers label/path/satisfied questions over the API;
+//     answers label/path/satisfied questions over the API; no goroutine
+//     waits on a client;
 //   - an HTTP front-end (see http.go and cmd/gpsd) exposing graph loading,
 //     session management, labelling, hypothesis retrieval, server-sent
 //     session event streams, cached query evaluation and server
@@ -17,9 +18,9 @@
 //     registered graphs are snapshotted, every session state transition is
 //     write-ahead journaled, and Server.Recover replays both after a crash
 //     — finished sessions come back as inspectable records and in-flight
-//     manual sessions resume at their exact pre-crash question by
-//     re-driving the deterministic learning loop with the journaled
-//     answers (see recover.go).
+//     manual sessions resume at their exact pre-crash question by folding
+//     the journaled answers through a new, deterministic learning loop
+//     (see recover.go).
 //
 // Query evaluation everywhere in the service goes through each graph's
 // rpq.EngineCache, which runs the one product sweep (a bitset fixpoint)

@@ -531,7 +531,7 @@ func TestStatsBackpressureAndLatency(t *testing.T) {
 	do(t, http.MethodDelete, ts.URL+"/v1/sessions/"+sess.ID, nil, nil)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		bp = srv.Manager().Backpressure()
+		bp = srv.manager.Backpressure()
 		if bp.LiveSessions == 0 && bp.QueueDepth == 0 {
 			break
 		}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -157,63 +156,54 @@ type SessionView struct {
 	Pending  *Question     `json:"pending,omitempty"`
 }
 
-// HostedSession is one interactive learning loop running in its own
-// goroutine. All exported methods are safe for concurrent use.
+// HostedSession is one interactive learning session: an
+// interactive.Machine plus the question/answer state a client sees. No
+// goroutine waits on a client. Creating the session, and each answer,
+// starts one goroutine that runs the machine to its next question or its
+// end, journals and publishes it, and exits; a simulated session's
+// goroutine answers with the server-side oracle until the loop ends. All
+// exported methods are safe for concurrent use.
 type HostedSession struct {
 	id     string
 	handle *GraphHandle
 	// tenant owns the session; its live-slot accounting is released when
-	// the learning goroutine exits.
+	// the session finishes.
 	tenant string
 	cfg    SessionConfig
-	cancel context.CancelFunc
-	// done is closed when the learning goroutine exits, after the manager
-	// has accounted for the finished session.
+	mgr    *Manager
+	// done is closed when the session finishes, after the manager has
+	// accounted for it.
 	done chan struct{}
 	// journal records every state transition; see the rec* constants.
 	journal *store.Journal
 	// tr records lifecycle spans (question waits, learner phases, replay)
-	// into the manager's tracer; nil only on sessions built outside the
-	// manager.
+	// into the manager's tracer.
 	tr *tracer
 
-	mu        sync.Mutex
-	status    SessionStatus
-	seq       int
-	pending   *Question
-	pendingCh chan Answer
-	labels    int
-	learned   string
-	halt      string
-	errMsg    string
-	// fatal is set when the session must die with an error that the
-	// learning loop itself cannot observe (journal write failure, journal
-	// divergence during resume); fail() records it and cancels the loop.
-	fatal string
-	// replay drives a resumed session back to its pre-crash state; nil on
-	// sessions created normally and after replay completes.
-	replay *replayState
+	// turn is held by the goroutine advancing the machine, from applying an
+	// answer through journaling the next question, so the records of
+	// successive turns land in the order the loop produced them.
+	turn    sync.Mutex
+	machine *interactive.Machine
+	// oracle answers a simulated session's questions; nil in manual mode.
+	oracle user.User
+
+	mu      sync.Mutex
+	status  SessionStatus
+	seq     int
+	pending *Question
+	// asked is when the pending question was published.
+	asked   time.Time
+	labels  int
+	learned string
+	halt    string
+	errMsg  string
+	// fatal is set when the session must die with an error (a journal write
+	// failure, a learner failure, a resume that diverged from its journal);
+	// canceled when it was canceled. The next turn finishes the session.
+	fatal    string
+	canceled bool
 }
-
-// replayState carries what recovery read from a resumed session's journal:
-// the answers to re-feed to the regenerated questions, the journaled
-// questions themselves (for divergence detection and to suppress
-// re-journaling records that already exist), and how many hypothesis
-// records are already on disk.
-type replayState struct {
-	answers   []Answer
-	questions []Question
-	hypSkip   int
-	// started clocks the replay span from Restore to the point the loop
-	// catches up with the journal.
-	started time.Time
-}
-
-// ID returns the session identifier.
-func (s *HostedSession) ID() string { return s.id }
-
-// Done returns a channel closed when the session's learning loop exits.
-func (s *HostedSession) Done() <-chan struct{} { return s.done }
 
 // View returns a consistent snapshot of the session state.
 func (s *HostedSession) View() SessionView {
@@ -245,122 +235,270 @@ func (s *HostedSession) Learned() string {
 	return s.learned
 }
 
-// Cancel stops the learning loop; the session halts with "canceled" after
-// the in-flight interaction finishes.
-func (s *HostedSession) Cancel() { s.cancel() }
+// Cancel stops the session: it halts with "canceled" right away when it
+// waits on a client, and after the running turn otherwise.
+func (s *HostedSession) Cancel() {
+	s.mu.Lock()
+	parked := s.pending != nil
+	s.pending = nil
+	s.canceled = true
+	s.mu.Unlock()
+	if parked {
+		s.startTurn(nil)
+	}
+}
 
 // Journal returns the session's event journal (the SSE endpoint tails it).
 func (s *HostedSession) Journal() *store.Journal { return s.journal }
 
-// fail marks the session as fatally broken and cancels its learning loop.
-// Safe to call from any goroutine; the first recorded reason wins.
+// fail records why the session must die; the first reason wins.
 func (s *HostedSession) fail(err error) {
 	s.mu.Lock()
 	if s.fatal == "" {
 		s.fatal = err.Error()
 	}
 	s.mu.Unlock()
-	s.cancel()
 }
 
-// ask publishes a question, parks the learning goroutine until a client
-// answers it (or the session is canceled) and returns the answer.
-//
-// On a resumed session, the journaled answers are re-fed here without ever
-// publishing: the learning loop regenerates the same questions it asked
-// before the crash (every strategy is deterministic given the restored
-// graph and the seed), each is checked against its journaled counterpart,
-// and a question whose record already exists on disk is not re-journaled,
-// so the journal stays free of duplicates across any number of crashes.
-func (s *HostedSession) ask(ctx context.Context, q *Question, st SessionStatus) (Answer, bool) {
-	ch := make(chan Answer, 1)
-	var replayDone bool
-	var replayD time.Duration
-	var replayQuestions int
+func (s *HostedSession) stopped() bool {
 	s.mu.Lock()
-	s.seq++
-	q.Seq = s.seq
-	journalQ := true
-	if r := s.replay; r != nil {
-		if s.seq <= len(r.questions) {
-			jq := r.questions[s.seq-1]
-			if jq.Kind != q.Kind || jq.Node != q.Node {
-				s.mu.Unlock()
-				s.fail(fmt.Errorf("service: resume diverged at question %d: journal asked %s %q, loop asked %s %q",
-					s.seq, jq.Kind, jq.Node, q.Kind, q.Node))
-				return Answer{}, false
-			}
-			journalQ = false
+	defer s.mu.Unlock()
+	return s.canceled || s.fatal != ""
+}
+
+// startTurn starts the goroutine that applies a (nil: no answer) to the
+// machine and runs it to its next question or its end.
+func (s *HostedSession) startTurn(a *interactive.Answer) {
+	go func() {
+		s.turn.Lock()
+		defer s.turn.Unlock()
+		s.advance(a, nil)
+	}()
+}
+
+// journaled is what a resumed session's journal already holds: the answers
+// to fold back through the machine, the questions they answered, and how
+// many hypothesis records exist. Regenerated records that are already on
+// disk are checked or skipped, never appended twice.
+type journaled struct {
+	answers   []Answer
+	questions []Question
+	hyps      int
+}
+
+// advance applies a to the machine's pending question, then runs the loop:
+// each question is answered by the oracle (simulated mode) or by the next
+// journaled answer (resume), until one must go to the client — it is
+// journaled and published, and advance returns — or the loop ends and the
+// session finishes. Hypotheses are journaled as the satisfied questions
+// that carry them come up. The caller holds s.turn.
+func (s *HostedSession) advance(a *interactive.Answer, disk *journaled) {
+	if disk == nil {
+		disk = &journaled{}
+	}
+	for {
+		q, ok := s.machine.Next()
+		if !ok || s.stopped() {
+			break
 		}
-		if len(r.answers) > 0 {
-			a := r.answers[0]
-			r.answers = r.answers[1:]
-			s.mu.Unlock()
+		if a != nil {
+			if q.Kind == interactive.AskLabel && a.Decision != user.Zoom {
+				s.mu.Lock()
+				s.labels++
+				s.mu.Unlock()
+			}
+			if err := s.machine.Answer(*a); err != nil {
+				s.fail(err)
+				break
+			}
+			a = nil
+			continue
+		}
+		if q.Kind == interactive.AskSatisfied && !s.noteHypothesis(q.Learned.String(), disk) {
+			break
+		}
+		if s.oracle != nil {
+			ans := interactive.Ask(s.oracle, q)
+			a = &ans
+			continue
+		}
+		wq, st := wireQuestion(q)
+		s.mu.Lock()
+		s.seq++
+		wq.Seq = s.seq
+		s.mu.Unlock()
+		onDisk := wq.Seq <= len(disk.questions)
+		if onDisk {
+			if jq := disk.questions[wq.Seq-1]; jq.Kind != wq.Kind || jq.Node != wq.Node {
+				s.fail(fmt.Errorf("service: resume diverged at question %d: journal asked %s %q, loop asked %s %q",
+					wq.Seq, jq.Kind, jq.Node, wq.Kind, wq.Node))
+				break
+			}
+		}
+		if len(disk.answers) > 0 {
 			// A journaled answer can exist without its question's record
 			// (the answer's append can win the journal mutex, or the crash
 			// landed between the two). Re-journal the question now, or a
 			// second crash would pair this position against the next
-			// question's record and trip the divergence guard.
-			if journalQ {
-				if err := s.journal.Append(recQuestion, q); err != nil {
+			// question's record.
+			if !onDisk {
+				if err := s.journal.Append(recQuestion, wq); err != nil {
 					s.fail(err)
-					return Answer{}, false
+					break
 				}
 			}
-			return a, true
+			ans := machineAnswer(disk.answers[0])
+			disk.answers = disk.answers[1:]
+			a = &ans
+			continue
 		}
-		if s.seq >= len(r.questions) {
-			// Replay complete: every journaled answer is consumed and the
-			// loop has caught up with the journaled questions.
-			s.replay = nil
-			replayDone = true
-			replayD = time.Since(r.started)
-			replayQuestions = s.seq - 1
+		if !s.publish(wq, st, !onDisk) {
+			break
 		}
+		return
 	}
-	// Publish the pending question before the journal append wakes the SSE
-	// tailers: a stream-driven client that answers the moment it sees the
-	// question event must find the question answerable, not get a 409. If
-	// the concurrent answer's journal record then lands before the
-	// question's, recovery still pairs them correctly (questions and
-	// answers replay by order within their types, and a question whose
-	// record was lost to the crash is deterministically re-asked and
-	// re-journaled).
-	s.pending = q
-	s.pendingCh = ch
-	s.status = st
+	s.finish()
+}
+
+// noteHypothesis records a freshly learned hypothesis in the view and, unless
+// a resumed session's journal already holds it, in the journal. It reports
+// false when the journal write failed.
+func (s *HostedSession) noteHypothesis(learned string, disk *journaled) bool {
+	s.mu.Lock()
+	s.learned = learned
 	s.mu.Unlock()
-	if replayDone && s.tr != nil {
-		s.tr.replayDone(s.id, replayD, replayQuestions)
+	if disk.hyps > 0 {
+		disk.hyps--
+		return true
 	}
-	published := time.Now()
-	if journalQ {
-		if err := s.journal.Append(recQuestion, q); err != nil {
-			s.mu.Lock()
-			s.pending = nil
-			s.pendingCh = nil
-			s.mu.Unlock()
-			s.fail(err)
-			return Answer{}, false
-		}
+	s.tr.log.Debug("hypothesis", "session_id", s.id, "learned", learned)
+	if err := s.journal.Append(recHypothesis, hypothesisRecord{Learned: learned}); err != nil {
+		s.fail(err)
+		return false
 	}
-	select {
-	case a := <-ch:
-		s.mu.Lock()
-		s.status = StatusRunning
+	return true
+}
+
+// publish parks the session on q and journals it unless its record already
+// exists. The question is published before the journal append wakes the
+// SSE tailers: a stream-driven client that answers the moment it sees the
+// question event must find the question answerable, not get a 409. If the
+// answer's journal record then lands before the question's, recovery still
+// pairs them, since questions and answers pair by order within their
+// types. publish reports false, publishing nothing, on a canceled session,
+// and when the append fails before any client took the question; the
+// caller then finishes the session. Otherwise the goroutine that took the
+// question finishes it.
+func (s *HostedSession) publish(q *Question, st SessionStatus, journal bool) bool {
+	s.mu.Lock()
+	if s.canceled {
 		s.mu.Unlock()
-		if s.tr != nil {
-			s.tr.questionAnswered(s.id, q.Kind, time.Since(published))
-		}
-		return a, true
-	case <-ctx.Done():
+		return false
+	}
+	s.pending = q
+	s.status = st
+	s.asked = time.Now()
+	s.mu.Unlock()
+	if !journal {
+		return true
+	}
+	if err := s.journal.Append(recQuestion, q); err != nil {
 		s.mu.Lock()
+		if s.fatal == "" {
+			s.fatal = err.Error()
+		}
+		taken := s.pending != q
 		s.pending = nil
-		s.pendingCh = nil
-		s.status = StatusRunning
 		s.mu.Unlock()
-		return Answer{}, false
+		return taken
 	}
+	return true
+}
+
+// finish journals the terminal record, then publishes the final status,
+// frees the session's slot and closes done. The caller holds s.turn.
+func (s *HostedSession) finish() {
+	t := s.machine.Transcript()
+	_, asking := s.machine.Next()
+	// The terminal record is journaled before the status is published: a
+	// client that sees done or failed must find the record on disk, or a
+	// crash in between would re-run a session it saw finish.
+	s.mu.Lock()
+	var final doneRecord
+	terminal := recDone
+	if s.fatal != "" {
+		terminal = recFailed
+		final = doneRecord{Error: s.fatal, Learned: s.learned, Labels: s.labels}
+	} else {
+		final = doneRecord{Halt: string(t.Halt), Learned: s.learned, Labels: t.Labels()}
+		if asking {
+			final.Halt = string(interactive.HaltCanceled)
+		}
+		if t.Final != nil {
+			final.Learned = t.Final.String()
+		}
+	}
+	s.mu.Unlock()
+	// Best effort: the terminal record of a session torn down by Remove may
+	// land on an already-removed journal. AppendTerminal lets the engine
+	// fsync immediately (no group-commit window) and mark the session
+	// finished for compaction.
+	_ = s.journal.AppendTerminal(terminal, final)
+	s.mu.Lock()
+	if terminal == recFailed {
+		s.status = StatusFailed
+		s.errMsg = final.Error
+	} else {
+		s.status = StatusDone
+		s.halt = final.Halt
+		s.learned = final.Learned
+		s.labels = final.Labels
+	}
+	s.mu.Unlock()
+	if terminal == recFailed {
+		s.mgr.log.Warn("session failed",
+			"session_id", s.id, "graph", s.handle.Name(), "error", final.Error, "labels", final.Labels)
+	} else {
+		s.mgr.log.Info("session finished",
+			"session_id", s.id, "graph", s.handle.Name(), "halt", final.Halt, "labels", final.Labels, "learned", final.Learned)
+	}
+	_ = s.journal.Close()
+	s.mgr.noteFinished(s)
+	close(s.done)
+}
+
+// wireQuestion renders a machine question for the client, with the status
+// a session waiting on it shows.
+func wireQuestion(q interactive.Question) (*Question, SessionStatus) {
+	switch q.Kind {
+	case interactive.AskLabel:
+		w := &Question{Kind: "label", Node: q.Node, CanZoom: q.CanZoom}
+		if n := q.Neighborhood; n != nil {
+			w.Neighborhood = n.Fragment.Text()
+			w.Frontier = n.Frontier
+		}
+		return w, StatusAwaitingLabel
+	case interactive.AskPath:
+		return &Question{Kind: "path", Node: q.Node, Words: q.Words, Candidate: q.Candidate}, StatusAwaitingPath
+	default:
+		return &Question{Kind: "satisfied", Learned: q.Learned.String()}, StatusAwaitingSatisfied
+	}
+}
+
+// machineAnswer reads a client answer as the machine's: an accepted path
+// answer takes the system's candidate.
+func machineAnswer(a Answer) interactive.Answer {
+	ma := interactive.Answer{Decision: user.Negative, Satisfied: a.Satisfied != nil && *a.Satisfied}
+	switch a.Decision {
+	case "positive":
+		ma.Decision = user.Positive
+	case "zoom":
+		ma.Decision = user.Zoom
+	}
+	if !a.Accept {
+		ma.Word = a.Word
+	}
+	return ma
 }
 
 // ErrConflict marks answer failures caused by session state (no pending
@@ -377,9 +515,10 @@ var ErrLimit = errors.New("session limit reached")
 // writes); the HTTP layer maps it to 500.
 var ErrStore = errors.New("store failure")
 
-// Answer delivers the client's reply to the pending question. On a durable
-// service the answer is journaled before it reaches the learning loop:
-// once the client has seen this call succeed, the answer survives a crash.
+// Answer takes the client's reply to the pending question and starts the
+// turn that applies it. On a durable service the answer is journaled
+// first: once the client has seen this call succeed, the answer survives a
+// crash.
 func (s *HostedSession) Answer(a Answer) error {
 	s.mu.Lock()
 	if s.pending == nil {
@@ -416,115 +555,23 @@ func (s *HostedSession) Answer(a Answer) error {
 		s.mu.Unlock()
 		return err
 	}
-	ch := s.pendingCh
+	q := s.pending
 	s.pending = nil
-	s.pendingCh = nil
+	s.status = StatusRunning
+	asked := s.asked
 	s.mu.Unlock()
-	// Write-ahead: the answer must be durable before the loop acts on it.
-	// The fsync happens outside the session lock so views are not blocked.
+	// Write-ahead: the answer must be durable before the learner acts on
+	// it. The fsync happens outside the session lock so views are not
+	// blocked.
 	if err := s.journal.Append(recAnswer, a); err != nil {
 		s.fail(err)
+		s.startTurn(nil)
 		return fmt.Errorf("service: %w: %w", ErrStore, err)
 	}
-	ch <- a
+	s.tr.questionAnswered(s.id, q.Kind, time.Since(asked))
+	ma := machineAnswer(a)
+	s.startTurn(&ma)
 	return nil
-}
-
-// bridgeUser adapts the user.User callbacks of the interactive loop to the
-// question/answer state machine of a manual session.
-type bridgeUser struct {
-	s   *HostedSession
-	ctx context.Context
-}
-
-func (b *bridgeUser) LabelNode(node graph.NodeID, n *graph.Neighborhood, canZoom bool) user.Decision {
-	q := &Question{Kind: "label", Node: node, CanZoom: canZoom}
-	if n != nil {
-		q.Neighborhood = n.Fragment.Text()
-		q.Frontier = n.Frontier
-	}
-	a, ok := b.s.ask(b.ctx, q, StatusAwaitingLabel)
-	if !ok {
-		// Canceled: answer negative so the loop reaches its context check.
-		return user.Negative
-	}
-	switch a.Decision {
-	case "positive":
-		return user.Positive
-	case "zoom":
-		return user.Zoom
-	default:
-		return user.Negative
-	}
-}
-
-func (b *bridgeUser) ValidatePath(node graph.NodeID, words [][]string, candidate []string) []string {
-	a, ok := b.s.ask(b.ctx, &Question{Kind: "path", Node: node, Words: words, Candidate: candidate}, StatusAwaitingPath)
-	if !ok || a.Accept {
-		return nil // accept the system's candidate
-	}
-	return a.Word
-}
-
-func (b *bridgeUser) Satisfied(learned *regex.Expr) bool {
-	if learned == nil {
-		return false
-	}
-	a, ok := b.s.ask(b.ctx, &Question{Kind: "satisfied", Learned: learned.String()}, StatusAwaitingSatisfied)
-	if !ok {
-		return false
-	}
-	return a.Satisfied != nil && *a.Satisfied
-}
-
-// observedUser wraps the session's inner user (bridge or simulated oracle)
-// to keep the hosted session's label count and current hypothesis fresh.
-type observedUser struct {
-	inner user.User
-	s     *HostedSession
-}
-
-func (o *observedUser) LabelNode(node graph.NodeID, n *graph.Neighborhood, canZoom bool) user.Decision {
-	d := o.inner.LabelNode(node, n, canZoom)
-	if d == user.Positive || d == user.Negative {
-		o.s.mu.Lock()
-		o.s.labels++
-		o.s.mu.Unlock()
-	}
-	return d
-}
-
-func (o *observedUser) ValidatePath(node graph.NodeID, words [][]string, candidate []string) []string {
-	return o.inner.ValidatePath(node, words, candidate)
-}
-
-func (o *observedUser) Satisfied(learned *regex.Expr) bool {
-	if learned != nil {
-		o.s.noteHypothesis(learned.String())
-	}
-	return o.inner.Satisfied(learned)
-}
-
-// noteHypothesis records a freshly learned hypothesis in the view and the
-// journal. During resume, the first replayState.hypSkip hypotheses are
-// regenerations of records already on disk and are not re-journaled.
-func (s *HostedSession) noteHypothesis(learned string) {
-	s.mu.Lock()
-	s.learned = learned
-	skip := false
-	if s.replay != nil && s.replay.hypSkip > 0 {
-		s.replay.hypSkip--
-		skip = true
-	}
-	s.mu.Unlock()
-	if !skip {
-		if s.tr != nil {
-			s.tr.log.Debug("hypothesis", "session_id", s.id, "learned", learned)
-		}
-		if err := s.journal.Append(recHypothesis, hypothesisRecord{Learned: learned}); err != nil {
-			s.fail(err)
-		}
-	}
 }
 
 // Manager owns the hosted sessions. Live sessions are bounded by
@@ -542,8 +589,8 @@ type Manager struct {
 	mu       sync.Mutex
 	sessions map[string]*HostedSession
 	nextID   int
-	// live counts sessions whose learning goroutine has not exited yet;
-	// it makes the MaxSessions admission check O(1).
+	// live counts sessions that have not finished; it makes the
+	// MaxSessions admission check O(1).
 	live int
 	// tenants and vtime are the fair-share admission state (admit.go):
 	// per-tenant live counts, quotas, stride passes and pending queues.
@@ -566,9 +613,9 @@ func NewManager(opts Options) *Manager {
 	}
 }
 
-// noteFinished is called exactly once by each session's learning goroutine
-// when it exits: it frees the live slot (waking fair-share waiters) and
-// enrolls the session in the bounded finished-retention queue.
+// noteFinished is called exactly once by each session as it finishes: it
+// frees the live slot (waking fair-share waiters) and enrolls the session
+// in the bounded finished-retention queue.
 func (m *Manager) noteFinished(s *HostedSession) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -629,15 +676,10 @@ func parseQuery(s string) (*regex.Expr, error) {
 	return q, nil
 }
 
-// Create starts a new hosted session on the graph for the default tenant —
-// the open-mode path and the one embedders use.
-func (m *Manager) Create(h *GraphHandle, cfg SessionConfig) (*HostedSession, error) {
-	return m.CreateFor(TenantInfo{Name: DefaultTenant}, h, cfg)
-}
-
 // CreateFor starts a new hosted session on the graph, charged to the
-// tenant's quota and fair-share account. The learning loop runs in its own
-// goroutine until it halts, is canceled, or converges.
+// tenant's quota and fair-share account. The session's first turn runs in
+// its own goroutine: a manual session parks on its first question, a
+// simulated one runs until the loop ends.
 func (m *Manager) CreateFor(tn TenantInfo, h *GraphHandle, cfg SessionConfig) (*HostedSession, error) {
 	if cfg.Mode == "" {
 		cfg.Mode = "manual"
@@ -680,38 +722,46 @@ func (m *Manager) CreateFor(tn TenantInfo, h *GraphHandle, cfg SessionConfig) (*
 		return nil, fmt.Errorf("service: %w: %w", ErrStore, err)
 	}
 
-	s := &HostedSession{
-		id:      id,
-		handle:  h,
-		tenant:  tn.Name,
-		cfg:     cfg,
-		done:    make(chan struct{}),
-		journal: jr,
-		tr:      m.tr,
-		status:  StatusRunning,
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s.cancel = cancel
+	s := m.newSession(id, h, tn.Name, cfg, jr, goal)
 	m.mu.Lock()
 	m.sessions[id] = s
 	m.mu.Unlock()
 	m.log.Info("session created",
 		"session_id", id, "graph", h.Name(), "tenant", tn.Name, "mode", cfg.Mode, "strategy", cfg.Strategy)
-	m.launch(s, strat, goal, ctx)
+	go func() {
+		s.turn.Lock()
+		defer s.turn.Unlock()
+		s.machine = m.newMachine(s, strat)
+		s.advance(nil, nil)
+	}()
 	return s, nil
 }
 
-// launch starts the learning goroutine of a session whose slot, journal,
-// cancel function and manager registration are already in place. Shared by
-// Create and the resume path of Restore.
-func (m *Manager) launch(s *HostedSession, strat interactive.Strategy, goal *regex.Expr, ctx context.Context) {
-	h := s.handle
-	var inner user.User
-	if s.cfg.Mode == "simulated" {
-		inner = user.NewSimulatedWith(h.Graph(), goal, h.Cache())
-	} else {
-		inner = &bridgeUser{s: s, ctx: ctx}
+// newSession builds a running session around its journal; goal is the
+// simulated oracle's goal (nil in manual mode). Shared by CreateFor and
+// Restore.
+func (m *Manager) newSession(id string, h *GraphHandle, tenant string, cfg SessionConfig, jr *store.Journal, goal *regex.Expr) *HostedSession {
+	s := &HostedSession{
+		id:      id,
+		handle:  h,
+		tenant:  tenant,
+		cfg:     cfg,
+		mgr:     m,
+		done:    make(chan struct{}),
+		journal: jr,
+		tr:      m.tr,
+		status:  StatusRunning,
 	}
+	if goal != nil {
+		s.oracle = user.NewSimulatedWith(h.Graph(), goal, h.Cache())
+	}
+	return s
+}
+
+// newMachine starts the session's learning loop, which computes its first
+// question.
+func (m *Manager) newMachine(s *HostedSession, strat interactive.Strategy) *interactive.Machine {
+	h := s.handle
 	opts := interactive.Options{
 		Strategy:        strat,
 		InitialRadius:   s.cfg.InitialRadius,
@@ -720,65 +770,10 @@ func (m *Manager) launch(s *HostedSession, strat interactive.Strategy, goal *reg
 		Learn:           learn.Options{MaxPathLength: s.cfg.MaxPathLength},
 		Cache:           h.Cache(),
 	}
-	if m.tr != nil {
-		sid := s.id
-		opts.Learn.Trace = func(phase string, d time.Duration) {
-			m.tr.learnPhaseDone(sid, phase, d)
-		}
+	opts.Learn.Trace = func(phase string, d time.Duration) {
+		m.tr.learnPhaseDone(s.id, phase, d)
 	}
-	sess := interactive.NewSession(h.Graph(), &observedUser{inner: inner, s: s}, opts)
-	go func() {
-		// Deferred calls run last-in first-out: done closes only after
-		// noteFinished has freed the slot and enrolled the session for
-		// retention, so a Done waiter sees the manager already updated.
-		defer close(s.done)
-		defer m.noteFinished(s)
-		tr, err := sess.RunContext(ctx)
-		// The terminal record is journaled before the status is published:
-		// a client that sees done or failed must find the record on disk,
-		// or a crash in between would re-run a session it saw finish.
-		s.mu.Lock()
-		fatal := s.fatal
-		if fatal == "" && err != nil {
-			fatal = err.Error()
-		}
-		var final doneRecord
-		terminal := recDone
-		if fatal != "" {
-			terminal = recFailed
-			final = doneRecord{Error: fatal, Learned: s.learned, Labels: s.labels}
-		} else {
-			final = doneRecord{Halt: string(tr.Halt), Learned: s.learned, Labels: tr.Labels()}
-			if tr.Final != nil {
-				final.Learned = tr.Final.String()
-			}
-		}
-		s.mu.Unlock()
-		// Best effort: the terminal record of a session torn down by
-		// Remove may land on an already-removed journal. AppendTerminal
-		// lets the engine fsync immediately (no group-commit window) and
-		// mark the session finished for compaction.
-		_ = s.journal.AppendTerminal(terminal, final)
-		s.mu.Lock()
-		if terminal == recFailed {
-			s.status = StatusFailed
-			s.errMsg = fatal
-		} else {
-			s.status = StatusDone
-			s.halt = final.Halt
-			s.learned = final.Learned
-			s.labels = final.Labels
-		}
-		s.mu.Unlock()
-		if terminal == recFailed {
-			m.log.Warn("session failed",
-				"session_id", s.id, "graph", h.Name(), "error", final.Error, "labels", final.Labels)
-		} else {
-			m.log.Info("session finished",
-				"session_id", s.id, "graph", h.Name(), "halt", final.Halt, "labels", final.Labels, "learned", final.Learned)
-		}
-		_ = s.journal.Close()
-	}()
+	return interactive.NewMachine(h.Graph(), opts)
 }
 
 // Get returns the session with the given id.

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -139,23 +140,23 @@ func TestFinishedSessionRetention(t *testing.T) {
 	}
 	ids := make([]string, 0, 5)
 	for i := 0; i < 5; i++ {
-		s, err := srv.Manager().Create(h, SessionConfig{
+		s, err := srv.manager.CreateFor(TenantInfo{Name: DefaultTenant}, h, SessionConfig{
 			Graph: "demo", Mode: "simulated", Goal: "(tram+bus)*.cinema",
 		})
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
-		<-s.Done() // sequential: each finishes before the next is created
-		ids = append(ids, s.ID())
+		<-s.done // sequential: each finishes before the next is created
+		ids = append(ids, s.id)
 	}
 	// Only the newest MaxSessions finished sessions are retained.
 	for _, id := range ids[:3] {
-		if _, ok := srv.Manager().Get(id); ok {
+		if _, ok := srv.manager.Get(id); ok {
 			t.Fatalf("session %s should have been evicted", id)
 		}
 	}
 	for _, id := range ids[3:] {
-		s, ok := srv.Manager().Get(id)
+		s, ok := srv.manager.Get(id)
 		if !ok {
 			t.Fatalf("session %s should still be retained", id)
 		}
@@ -174,7 +175,7 @@ func TestCanceledParkedSessionRecordsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := srv.Manager().Create(h, SessionConfig{Graph: "demo", Mode: "manual"})
+	s, err := srv.manager.CreateFor(TenantInfo{Name: DefaultTenant}, h, SessionConfig{Graph: "demo", Mode: "manual"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestCanceledParkedSessionRecordsNothing(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	s.Cancel()
-	<-s.Done()
+	<-s.done
 	v := s.View()
 	if v.Status != StatusDone || v.Halt != "canceled" {
 		t.Fatalf("canceled session ended %s/%q", v.Status, v.Halt)
@@ -227,5 +228,37 @@ func TestSessionLimit(t *testing.T) {
 			t.Fatal("create kept failing after a slot was freed")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestParkedSessionsHoldNoGoroutine pins that a manual session waiting on
+// its client holds no goroutine: the turn that publishes a question exits
+// once the question is journaled, so 50 parked Figure 1 sessions add fewer
+// than 5 goroutines.
+func TestParkedSessionsHoldNoGoroutine(t *testing.T) {
+	srv := NewServer(Options{})
+	h, err := srv.Registry().Register("demo", dataset.Figure1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitIndexReady(t, h)
+	base := runtime.NumGoroutine()
+	sessions := make([]*HostedSession, 50)
+	for i := range sessions {
+		if sessions[i], err = srv.manager.CreateFor(TenantInfo{Name: DefaultTenant}, h, SessionConfig{Graph: "demo", Mode: "manual"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range sessions {
+		if v := waitPendingOrEnd(t, s); v.Pending == nil {
+			t.Fatalf("session %s ended %s without asking", v.ID, v.Status)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); n-base >= 5; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d parked sessions hold %d goroutines (%d before, %d after)", len(sessions), n-base, base, n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

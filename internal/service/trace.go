@@ -73,9 +73,8 @@ func (t *tracer) learnPhaseDone(sessionID, phase string, d time.Duration) {
 		"session_id", sessionID, "phase", phase, "duration_us", d.Microseconds())
 }
 
-// replayDone records a completed recovery replay: the resumed session's
-// loop has consumed every journaled answer and caught up with the
-// journaled questions.
+// replayDone records a completed recovery replay: the journaled answers
+// of a resumed session have been folded through its new learning loop.
 func (t *tracer) replayDone(sessionID string, d time.Duration, questions int) {
 	t.replay.Observe(d.Microseconds())
 	t.log.Info("session replay complete",
