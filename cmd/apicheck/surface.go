@@ -17,6 +17,7 @@ import (
 var noReaderNeeded = map[string]string{
 	"service.NewKeyring": "public constructor for embedders; pkg/client's tests arm a keyring with it",
 	"experiment.Lookup":  "the paper-table runner gpsbench -exp resolves experiment IDs with it",
+	"rpq.DefaultWorkers": "bench/replay.go sizes the deprecated rpq.Options.Workers with it; both go at the next change to the benchmark",
 }
 
 // interfaceMethods are method names the standard library calls through an

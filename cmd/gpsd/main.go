@@ -6,7 +6,7 @@
 // Usage:
 //
 //	gpsd                                  # listen on :8080, in-memory
-//	gpsd -addr :9090 -shards 8            # custom port, 8 witness workers
+//	gpsd -addr :9090                      # custom port
 //	gpsd -preload demo=figure1            # register a built-in dataset at boot
 //	gpsd -preload big=transport:30x30     # sized transport grid
 //	gpsd -data-dir /var/lib/gpsd          # durable: snapshots + journals,
@@ -100,7 +100,6 @@ func crashFault(log *slog.Logger) func(string) error {
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		shards      = flag.Int("shards", 0, "goroutines computing the witnesses of one /evaluate request (0 = one per CPU, 1 = sequential); the product sweep is always sequential")
 		cacheCap    = flag.Int("cache-cap", 0, "per-graph engine-cache capacity (0 = default)")
 		useIndex    = flag.Bool("index", true, "build per-graph reachability indexes in the background for faster /evaluate (per-graph opt-out: no_index in the load spec)")
 		maxSess     = flag.Int("max-sessions", 0, "live session limit (0 = default)")
@@ -256,7 +255,6 @@ func main() {
 	// exactly crash recovery.
 	bootServer := func(eng store.Engine) (*service.Server, error) {
 		srv := service.NewServer(service.Options{
-			EvalWorkers:    *shards,
 			CacheCapacity:  *cacheCap,
 			DisableIndex:   !*useIndex,
 			MaxSessions:    *maxSess,

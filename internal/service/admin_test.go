@@ -19,7 +19,7 @@ func TestAdminCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	srv := NewServer(Options{EvalWorkers: 1, CacheCapacity: 16, Store: eng})
+	srv := NewServer(Options{CacheCapacity: 16, Store: eng})
 	ts := newHTTPServer(t, srv)
 	loadFigure1(t, ts, "demo")
 
@@ -62,7 +62,7 @@ func TestAdminCompactNotDurable(t *testing.T) {
 // expiring RequestTimeout an evaluation answers 503, while the SSE event
 // stream — exempt by design — still opens and replays the journal.
 func TestRequestTimeout(t *testing.T) {
-	srv := NewServer(Options{EvalWorkers: 2, CacheCapacity: 16, RequestTimeout: time.Nanosecond})
+	srv := NewServer(Options{CacheCapacity: 16, RequestTimeout: time.Nanosecond})
 	ts := newHTTPServer(t, srv)
 	loadFigure1(t, ts, "demo")
 
@@ -92,7 +92,7 @@ func TestRequestTimeout(t *testing.T) {
 // TestRequestTimeoutGenerous pins that a sane deadline does not break the
 // ordinary request path.
 func TestRequestTimeoutGenerous(t *testing.T) {
-	srv := NewServer(Options{EvalWorkers: 2, CacheCapacity: 16, RequestTimeout: 30 * time.Second})
+	srv := NewServer(Options{CacheCapacity: 16, RequestTimeout: 30 * time.Second})
 	ts := newHTTPServer(t, srv)
 	loadFigure1(t, ts, "demo")
 	var eval struct {

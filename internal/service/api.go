@@ -72,7 +72,6 @@ type SessionPage struct {
 // only on a durable service.
 type ServerStats struct {
 	UptimeSeconds int64                         `json:"uptime_seconds"`
-	EvalWorkers   int                           `json:"eval_workers"`
 	IndexEnabled  bool                          `json:"index_enabled"`
 	CacheCapacity int                           `json:"cache_capacity"`
 	MaxSessions   int                           `json:"max_sessions"`

@@ -29,7 +29,7 @@ func newFollowerT(t *testing.T, dir, primaryURL string) (*Follower, *httptest.Se
 			return store.OpenEngine(dir, store.EngineOptions{Kind: store.EngineKindBinary})
 		},
 		BuildServer: func(e store.Engine) (*Server, error) {
-			srv := NewServer(Options{EvalWorkers: 1, CacheCapacity: 16, Store: e})
+			srv := NewServer(Options{CacheCapacity: 16, Store: e})
 			if _, err := srv.Recover(); err != nil {
 				return nil, err
 			}
@@ -150,7 +150,7 @@ func TestFenceLatchPersistsAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(Options{EvalWorkers: 1, CacheCapacity: 16, Store: eng})
+	srv := NewServer(Options{CacheCapacity: 16, Store: eng})
 	ts := newHTTPServer(t, srv)
 	loadFigure1(t, ts, "demo")
 
@@ -185,7 +185,7 @@ func TestFenceLatchPersistsAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng2.Close()
-	srv2 := NewServer(Options{EvalWorkers: 1, CacheCapacity: 16, Store: eng2})
+	srv2 := NewServer(Options{CacheCapacity: 16, Store: eng2})
 	ts2 := newHTTPServer(t, srv2)
 	var rst ReplicationStatus
 	if code := do(t, http.MethodGet, ts2.URL+"/v1/replication/status", nil, &rst); code != http.StatusOK || !rst.Fenced {
@@ -207,7 +207,7 @@ func TestKeyringReloadRacesInflightRequests(t *testing.T) {
 		Tenants: map[string]TenantLimits{"acme": {MaxSessions: 8, MaxGraphs: 8}},
 		Keys:    map[string]string{"sk-0": "acme"},
 	})
-	srv := NewServer(Options{EvalWorkers: 1, CacheCapacity: 16, Keyring: kr})
+	srv := NewServer(Options{CacheCapacity: 16, Keyring: kr})
 	ts := newHTTPServer(t, srv)
 	if code := doKey(t, http.MethodPut, ts.URL+"/v1/graphs/demo", "sk-0",
 		LoadSpec{Dataset: DatasetSpec{Kind: "figure1"}}, nil); code != http.StatusCreated {

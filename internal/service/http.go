@@ -326,9 +326,9 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		Nodes:      nodes,
 	}
 	if req.Witnesses {
-		resp.Witnesses = witnessFanOut(ctx, engine, nodes, s.opts.EvalWorkers)
-		// A fan-out cut short by the deadline would return a silently
-		// partial witness map; fail the request instead.
+		resp.Witnesses = witnesses(ctx, engine, nodes)
+		// A witness map cut short by the deadline would be silently
+		// partial; fail the request instead.
 		if deadlineHit(w, ctx) {
 			return
 		}
@@ -370,51 +370,17 @@ func deadlineHit(w http.ResponseWriter, ctx context.Context) bool {
 	return false
 }
 
-// witnessFanOut computes one shortest witness path per selected node,
-// spreading the per-node searches over Options.EvalWorkers goroutines. Each
-// rpq.Engine.Witness call is independent (it draws its scratch from a
-// pool), so the fan-out parallelises cleanly; workers claim nodes off an
-// atomic cursor and write into index-aligned slots, and the result map is
-// identical to the sequential loop's. A canceled context stops workers
-// at the next claim — the caller must check ctx before trusting the map
-// to be complete.
-func witnessFanOut(ctx context.Context, engine *rpq.Engine, nodes []graph.NodeID, workers int) map[graph.NodeID][]graph.Edge {
+// witnesses computes one shortest witness path per selected node. A
+// canceled context stops it at the next node: the caller must check ctx
+// before trusting the map to be complete.
+func witnesses(ctx context.Context, engine *rpq.Engine, nodes []graph.NodeID) map[graph.NodeID][]graph.Edge {
 	out := make(map[graph.NodeID][]graph.Edge, len(nodes))
-	if workers > len(nodes) {
-		workers = len(nodes)
-	}
-	if workers <= 1 {
-		for _, n := range nodes {
-			if ctx.Err() != nil {
-				return out
-			}
-			if path, ok := engine.Witness(n); ok {
-				out[n] = path
-			}
+	for _, n := range nodes {
+		if ctx.Err() != nil {
+			return out
 		}
-		return out
-	}
-	paths := make([][]graph.Edge, len(nodes))
-	found := make([]bool, len(nodes))
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(nodes) {
-					return
-				}
-				paths[i], found[i] = engine.Witness(nodes[i])
-			}
-		}()
-	}
-	wg.Wait()
-	for i, n := range nodes {
-		if found[i] {
-			out[n] = paths[i]
+		if path, ok := engine.Witness(n); ok {
+			out[n] = path
 		}
 	}
 	return out
@@ -611,7 +577,6 @@ func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := ServerStats{
 		UptimeSeconds: int64(time.Since(s.start).Seconds()),
-		EvalWorkers:   s.opts.EvalWorkers,
 		IndexEnabled:  !s.opts.DisableIndex,
 		CacheCapacity: s.opts.CacheCapacity,
 		MaxSessions:   s.opts.MaxSessions,

@@ -28,7 +28,7 @@ func waitIndexReady(t *testing.T, h *GraphHandle) {
 // background index build and that indexed evaluation through the handle's
 // cache answers queries.
 func TestIndexBuiltOnRegister(t *testing.T) {
-	srv := NewServer(Options{EvalWorkers: 1, CacheCapacity: 16})
+	srv := NewServer(Options{CacheCapacity: 16})
 	h, err := srv.Registry().Register("fig1", dataset.Figure1())
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestIndexBuiltOnRegister(t *testing.T) {
 // TestIndexOptOutAndDisable checks both opt-out paths: per-registration
 // NoIndex and the service-wide DisableIndex option.
 func TestIndexOptOutAndDisable(t *testing.T) {
-	srv := NewServer(Options{EvalWorkers: 1, CacheCapacity: 16})
+	srv := NewServer(Options{CacheCapacity: 16})
 	h, err := srv.Registry().RegisterForWith(TenantInfo{Name: DefaultTenant}, "noidx", dataset.Figure1(), RegisterOptions{NoIndex: true})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestIndexOptOutAndDisable(t *testing.T) {
 		t.Fatal("NoIndex graph returned an index")
 	}
 
-	srvOff := NewServer(Options{EvalWorkers: 1, CacheCapacity: 16, DisableIndex: true})
+	srvOff := NewServer(Options{CacheCapacity: 16, DisableIndex: true})
 	h2, err := srvOff.Registry().Register("fig1", dataset.Figure1())
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestIndexOptOutAndDisable(t *testing.T) {
 // fresh handle whose index is rebuilt against the new graph — the old
 // handle's index must not leak onto the new one.
 func TestIndexRebuiltOnReRegister(t *testing.T) {
-	srv := NewServer(Options{EvalWorkers: 1, CacheCapacity: 16})
+	srv := NewServer(Options{CacheCapacity: 16})
 	reg := srv.Registry()
 	h1, err := reg.Register("g", dataset.Figure1())
 	if err != nil {
@@ -127,7 +127,7 @@ func TestIndexRebuiltAfterRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvA := NewServer(Options{EvalWorkers: 1, CacheCapacity: 16, Store: st})
+	srvA := NewServer(Options{CacheCapacity: 16, Store: st})
 	hA, err := srvA.Registry().Register("fig1", dataset.Figure1())
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestIndexRebuiltAfterRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvB := NewServer(Options{EvalWorkers: 1, CacheCapacity: 16, Store: st2})
+	srvB := NewServer(Options{CacheCapacity: 16, Store: st2})
 	rep, err := srvB.Recover()
 	if err != nil {
 		t.Fatal(err)

@@ -114,7 +114,7 @@ func TestMetricsEndpointCoversAllSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	srv := NewServer(Options{EvalWorkers: 2, CacheCapacity: 64, Store: eng})
+	srv := NewServer(Options{CacheCapacity: 64, Store: eng})
 	ts := newHTTPServer(t, srv)
 	loadFigure1(t, ts, "demo")
 

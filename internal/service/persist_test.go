@@ -2,7 +2,6 @@ package service
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -13,9 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dataset"
-	"repro/internal/regex"
-	"repro/internal/rpq"
 	"repro/internal/store"
 )
 
@@ -25,7 +21,7 @@ func newDurableServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(Options{EvalWorkers: 1, CacheCapacity: 16, Store: st})
+	srv := NewServer(Options{CacheCapacity: 16, Store: st})
 	return srv, newHTTPServer(t, srv)
 }
 
@@ -37,7 +33,7 @@ func newBinaryServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Close() })
-	srv := NewServer(Options{EvalWorkers: 1, CacheCapacity: 16, Store: eng})
+	srv := NewServer(Options{CacheCapacity: 16, Store: eng})
 	return srv, newHTTPServer(t, srv)
 }
 
@@ -627,7 +623,7 @@ func TestBinaryFinishedSessionSurvivesCompactedRestart(t *testing.T) {
 	if rep.SessionsCompacted != 1 {
 		t.Fatalf("compaction report %+v, want one compacted session", rep)
 	}
-	srvB := NewServer(Options{EvalWorkers: 1, CacheCapacity: 16, Store: eng})
+	srvB := NewServer(Options{CacheCapacity: 16, Store: eng})
 	tsB := newHTTPServer(t, srvB)
 	if _, err := srvB.Recover(); err != nil {
 		t.Fatal(err)
@@ -648,30 +644,6 @@ func TestBinaryFinishedSessionSurvivesCompactedRestart(t *testing.T) {
 	}
 	if len(names) != 2 || names[0] != "create" || names[1] != "done" {
 		t.Fatalf("compacted SSE replay = %v, want [create done]", names)
-	}
-}
-
-// TestWitnessFanOutMatchesSequential pins the sharded /evaluate witness
-// fan-out to the sequential loop it replaced: same nodes, same witness
-// paths, on a graph large enough to exercise several workers.
-func TestWitnessFanOutMatchesSequential(t *testing.T) {
-	g := dataset.Transport(dataset.TransportOptions{Rows: 14, Cols: 14, Seed: 3, FacilityRate: 0.4})
-	engine := rpq.New(g, regex.MustParse("(tram+bus)*.cinema"))
-	nodes := engine.Selected()
-	if len(nodes) < 16 {
-		t.Fatalf("test graph selects only %d nodes", len(nodes))
-	}
-	sequential := witnessFanOut(context.Background(), engine, nodes, 1)
-	for _, workers := range []int{2, 4, 8, 64} {
-		sharded := witnessFanOut(context.Background(), engine, nodes, workers)
-		if len(sharded) != len(sequential) {
-			t.Fatalf("workers=%d: %d witnesses, want %d", workers, len(sharded), len(sequential))
-		}
-		for n, path := range sequential {
-			if fmt.Sprint(sharded[n]) != fmt.Sprint(path) {
-				t.Fatalf("workers=%d node %s: %v != %v", workers, n, sharded[n], path)
-			}
-		}
 	}
 }
 

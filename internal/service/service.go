@@ -25,7 +25,6 @@
 // Query evaluation everywhere in the service goes through each graph's
 // rpq.EngineCache, which runs the one product sweep (a bitset fixpoint)
 // with the graph's closure index once that index is built.
-// Options.EvalWorkers sizes only the witness fan-out of /evaluate.
 package service
 
 import (
@@ -40,11 +39,6 @@ import (
 
 // Options configures a service instance.
 type Options struct {
-	// EvalWorkers is the number of goroutines that compute the witness
-	// paths of one /evaluate request that asks for witnesses. 0 means
-	// rpq.DefaultWorkers() (one per CPU); 1 computes them sequentially.
-	// The product sweep itself is always sequential.
-	EvalWorkers int
 	// CacheCapacity is the per-graph engine-cache capacity (LRU entries).
 	// 0 means rpq.DefaultCacheCapacity.
 	CacheCapacity int
@@ -94,9 +88,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.EvalWorkers == 0 {
-		o.EvalWorkers = rpq.DefaultWorkers()
-	}
 	if o.CacheCapacity <= 0 {
 		o.CacheCapacity = rpq.DefaultCacheCapacity
 	}

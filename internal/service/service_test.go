@@ -21,7 +21,7 @@ import (
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := NewServer(Options{EvalWorkers: 2, CacheCapacity: 64})
+	srv := NewServer(Options{CacheCapacity: 64})
 	return srv, newHTTPServer(t, srv)
 }
 
@@ -256,7 +256,7 @@ const (
 )
 
 func TestWarmEvaluateBudget(t *testing.T) {
-	srv := NewServer(Options{EvalWorkers: 2, CacheCapacity: 64})
+	srv := NewServer(Options{CacheCapacity: 64})
 	g, err := BuildGraph(LoadSpec{Format: "dataset", Dataset: DatasetSpec{Kind: "transport", Rows: 60, Cols: 60, Seed: 1, FacilityRate: 0.3}})
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +295,7 @@ func TestWarmEvaluateBudget(t *testing.T) {
 // violates the service contract and panics instead of serving mixed
 // revisions.
 func TestSnapshotGuardRejectsMutatedGraph(t *testing.T) {
-	srv := NewServer(Options{EvalWorkers: 1, CacheCapacity: 16})
+	srv := NewServer(Options{CacheCapacity: 16})
 	for _, noIndex := range []bool{true, false} {
 		g := dataset.Figure1()
 		if _, err := srv.Registry().RegisterForWith(TenantInfo{Name: DefaultTenant}, "demo", g, RegisterOptions{NoIndex: noIndex}); err != nil {
@@ -459,14 +459,13 @@ func TestStatsEndpoint(t *testing.T) {
 	do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate", EvaluateRequest{Query: "bus"}, nil)
 
 	var stats struct {
-		EvalWorkers int                   `json:"eval_workers"`
-		Graphs      []GraphInfo           `json:"graphs"`
-		Sessions    map[SessionStatus]int `json:"sessions"`
+		Graphs   []GraphInfo           `json:"graphs"`
+		Sessions map[SessionStatus]int `json:"sessions"`
 	}
 	if code := do(t, http.MethodGet, ts.URL+"/v1/stats", nil, &stats); code != http.StatusOK {
 		t.Fatalf("stats returned %d", code)
 	}
-	if stats.EvalWorkers != 2 || len(stats.Graphs) != 1 {
+	if len(stats.Graphs) != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
 	if c := stats.Graphs[0].Cache; c.Hits < 1 || c.Misses < 1 {

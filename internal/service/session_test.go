@@ -75,7 +75,7 @@ func TestConcurrentSimulatedSessionsConverge(t *testing.T) {
 // canceled mid-question, and ad-hoc evaluations over a deliberately tiny
 // cache so evictions keep happening.
 func TestConcurrentSessionsAndEvaluations(t *testing.T) {
-	srv := NewServer(Options{EvalWorkers: 2, CacheCapacity: 2})
+	srv := NewServer(Options{CacheCapacity: 2})
 	ts := newHTTPServer(t, srv)
 	loadFigure1(t, ts, "demo")
 
@@ -133,7 +133,7 @@ func TestConcurrentSessionsAndEvaluations(t *testing.T) {
 // evicted oldest-first, so a long-running daemon does not accumulate
 // session state without bound.
 func TestFinishedSessionRetention(t *testing.T) {
-	srv := NewServer(Options{EvalWorkers: 1, MaxSessions: 2})
+	srv := NewServer(Options{MaxSessions: 2})
 	h, err := srv.Registry().Register("demo", dataset.Figure1())
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestFinishedSessionRetention(t *testing.T) {
 // manual session torn down while parked on its first label question halts
 // as canceled without recording a fabricated label or running the learner.
 func TestCanceledParkedSessionRecordsNothing(t *testing.T) {
-	srv := NewServer(Options{EvalWorkers: 1})
+	srv := NewServer(Options{})
 	h, err := srv.Registry().Register("demo", dataset.Figure1())
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestCanceledParkedSessionRecordsNothing(t *testing.T) {
 
 // TestSessionLimit pins the MaxSessions backpressure.
 func TestSessionLimit(t *testing.T) {
-	srv := NewServer(Options{EvalWorkers: 1, MaxSessions: 2})
+	srv := NewServer(Options{MaxSessions: 2})
 	ts := newHTTPServer(t, srv)
 	loadFigure1(t, ts, "demo")
 

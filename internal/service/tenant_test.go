@@ -76,7 +76,7 @@ func TestAPIKeyAuthAndHotReload(t *testing.T) {
 		Tenants: map[string]TenantLimits{"acme": {MaxSessions: 4, MaxGraphs: 4}},
 		Keys:    map[string]string{"sk-old": "acme"},
 	})
-	srv := NewServer(Options{EvalWorkers: 1, CacheCapacity: 16, Keyring: kr})
+	srv := NewServer(Options{CacheCapacity: 16, Keyring: kr})
 	ts := newHTTPServer(t, srv)
 
 	if code := do(t, http.MethodGet, ts.URL+"/healthz", nil, nil); code != http.StatusOK {
@@ -118,7 +118,7 @@ func TestTenantQuotaOffByOne(t *testing.T) {
 		Tenants: map[string]TenantLimits{"acme": {MaxSessions: 2, MaxGraphs: 2}},
 		Keys:    map[string]string{"sk-acme": "acme"},
 	})
-	srv := NewServer(Options{EvalWorkers: 1, CacheCapacity: 16, Keyring: kr})
+	srv := NewServer(Options{CacheCapacity: 16, Keyring: kr})
 	ts := newHTTPServer(t, srv)
 
 	// Graphs: 2 of 2 register, the third answers quota_exceeded.
@@ -204,7 +204,7 @@ func TestTenantAccountingSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvA := NewServer(Options{EvalWorkers: 1, CacheCapacity: 16, Store: st, Keyring: NewKeyring(cfg)})
+	srvA := NewServer(Options{CacheCapacity: 16, Store: st, Keyring: NewKeyring(cfg)})
 	tsA := newHTTPServer(t, srvA)
 
 	if code := doKey(t, http.MethodPut, tsA.URL+"/v1/graphs/demo", "sk-acme",
@@ -225,7 +225,7 @@ func TestTenantAccountingSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvB := NewServer(Options{EvalWorkers: 1, CacheCapacity: 16, Store: stB, Keyring: NewKeyring(cfg)})
+	srvB := NewServer(Options{CacheCapacity: 16, Store: stB, Keyring: NewKeyring(cfg)})
 	tsB := newHTTPServer(t, srvB)
 	rep, err := srvB.Recover()
 	if err != nil {
@@ -292,7 +292,6 @@ func TestFairShareAdversarialRace(t *testing.T) {
 		Keys: map[string]string{"sk-greedy": "greedy", "sk-p1": "p1", "sk-p2": "p2"},
 	})
 	srv := NewServer(Options{
-		EvalWorkers:   2,
 		CacheCapacity: 64,
 		MaxSessions:   4,
 		AdmitWait:     50 * time.Millisecond,

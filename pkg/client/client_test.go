@@ -14,9 +14,6 @@ import (
 
 func newTestServer(t *testing.T, opts service.Options) (*service.Server, *httptest.Server) {
 	t.Helper()
-	if opts.EvalWorkers == 0 {
-		opts.EvalWorkers = 2
-	}
 	if opts.CacheCapacity == 0 {
 		opts.CacheCapacity = 16
 	}
