@@ -158,9 +158,6 @@ func (s *Server) NotifyShutdown() {
 // tests).
 func (s *Server) Registry() *Registry { return s.registry }
 
-// Manager exposes the session manager.
-func (s *Server) Manager() *Manager { return s.manager }
-
 // RecoveryReport returns what the last Recover restored (the zero value
 // before Recover ran). A promoted follower surfaces it so the failover
 // harness can assert the adopted session counts.

@@ -745,7 +745,7 @@ func TestBinaryMigratesTextJournals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recovered) != 1 || recovered[0].ID != "s0001" || recovered[0].Journal.Len() != 3 {
+	if len(recovered) != 1 || recovered[0].ID != "s0001" || len(recovered[0].Journal.Records()) != 3 {
 		t.Fatalf("legacy session not migrated: %+v", recovered)
 	}
 	// The migrated journal keeps appending (into its JSONL file), the id

@@ -120,13 +120,6 @@ func (j *Journal) Records() []Record {
 	return recs
 }
 
-// Len returns the number of records.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.recs)
-}
-
 // Close releases the backing storage, keeping the in-memory tail readable.
 // Appending to a closed journal fails, and every tailer parked on the
 // After channel is woken so it can observe Closed. Close is idempotent.

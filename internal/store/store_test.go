@@ -184,7 +184,7 @@ func TestRecoverForeignFilename(t *testing.T) {
 		t.Fatalf("recovered %d journals, want 2 (incl. the foreign filename)", len(recovered))
 	}
 	for _, rs := range recovered {
-		if rs.Journal.Len() == 0 {
+		if len(rs.Journal.Records()) == 0 {
 			t.Fatalf("journal %s recovered empty", rs.ID)
 		}
 	}
