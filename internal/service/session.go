@@ -420,6 +420,9 @@ func (s *HostedSession) publish(q *Question, st SessionStatus, journal bool) boo
 func (s *HostedSession) finish() {
 	t := s.machine.Transcript()
 	_, asking := s.machine.Next()
+	// A finished session is retained for inspection; its loop state (the
+	// sample, coverage and oracle) is not.
+	s.machine, s.oracle = nil, nil
 	// The terminal record is journaled before the status is published: a
 	// client that sees done or failed must find the record on disk, or a
 	// crash in between would re-run a session it saw finish.
