@@ -403,10 +403,8 @@ func (s *HostedSession) publish(q *Question, st SessionStatus, journal bool) boo
 		return true
 	}
 	if err := s.journal.Append(recQuestion, q); err != nil {
+		s.fail(err)
 		s.mu.Lock()
-		if s.fatal == "" {
-			s.fatal = err.Error()
-		}
 		taken := s.pending != q
 		s.pending = nil
 		s.mu.Unlock()
@@ -419,52 +417,38 @@ func (s *HostedSession) publish(q *Question, st SessionStatus, journal bool) boo
 // frees the session's slot and closes done. The caller holds s.turn.
 func (s *HostedSession) finish() {
 	t := s.machine.Transcript()
-	_, asking := s.machine.Next()
+	if _, asking := s.machine.Next(); asking {
+		t.Halt = interactive.HaltCanceled
+	}
 	// A finished session is retained for inspection; its loop state (the
 	// sample, coverage and oracle) is not.
 	s.machine, s.oracle = nil, nil
+	s.mu.Lock()
+	terminal, final := recDone, doneRecord{Halt: string(t.Halt), Learned: s.learned, Labels: t.Labels()}
+	if t.Final != nil {
+		final.Learned = t.Final.String()
+	}
+	if s.fatal != "" {
+		terminal, final = recFailed, doneRecord{Error: s.fatal, Learned: s.learned, Labels: s.labels}
+	}
+	s.mu.Unlock()
 	// The terminal record is journaled before the status is published: a
 	// client that sees done or failed must find the record on disk, or a
-	// crash in between would re-run a session it saw finish.
-	s.mu.Lock()
-	var final doneRecord
-	terminal := recDone
-	if s.fatal != "" {
-		terminal = recFailed
-		final = doneRecord{Error: s.fatal, Learned: s.learned, Labels: s.labels}
-	} else {
-		final = doneRecord{Halt: string(t.Halt), Learned: s.learned, Labels: t.Labels()}
-		if asking {
-			final.Halt = string(interactive.HaltCanceled)
-		}
-		if t.Final != nil {
-			final.Learned = t.Final.String()
-		}
-	}
-	s.mu.Unlock()
-	// Best effort: the terminal record of a session torn down by Remove may
-	// land on an already-removed journal. AppendTerminal lets the engine
-	// fsync immediately (no group-commit window) and mark the session
-	// finished for compaction.
+	// crash in between would re-run a session it saw finish. Best effort:
+	// the record of a session torn down by Remove may land on an
+	// already-removed journal. AppendTerminal lets the engine fsync
+	// immediately (no group-commit window) and mark the session finished
+	// for compaction.
 	_ = s.journal.AppendTerminal(terminal, final)
 	s.mu.Lock()
+	s.status, s.halt, s.learned, s.labels, s.errMsg = StatusDone, final.Halt, final.Learned, final.Labels, final.Error
+	log, msg := s.mgr.log.Info, "session finished"
 	if terminal == recFailed {
-		s.status = StatusFailed
-		s.errMsg = final.Error
-	} else {
-		s.status = StatusDone
-		s.halt = final.Halt
-		s.learned = final.Learned
-		s.labels = final.Labels
+		s.status, log, msg = StatusFailed, s.mgr.log.Warn, "session failed"
 	}
 	s.mu.Unlock()
-	if terminal == recFailed {
-		s.mgr.log.Warn("session failed",
-			"session_id", s.id, "graph", s.handle.Name(), "error", final.Error, "labels", final.Labels)
-	} else {
-		s.mgr.log.Info("session finished",
-			"session_id", s.id, "graph", s.handle.Name(), "halt", final.Halt, "labels", final.Labels, "learned", final.Learned)
-	}
+	log(msg, "session_id", s.id, "graph", s.handle.Name(), "halt", final.Halt, "error", final.Error,
+		"labels", final.Labels, "learned", final.Learned)
 	_ = s.journal.Close()
 	s.mgr.noteFinished(s)
 	close(s.done)
