@@ -190,9 +190,6 @@ type Machine struct {
 
 	sample *learn.Sample
 	pruned map[graph.NodeID]bool
-	// cache memoises evaluated query engines across the whole session; the
-	// cache-aware strategies keep probing the same hypothesis queries.
-	cache *rpq.EngineCache
 	// cov caches the covered-word set of the current negatives at the
 	// learner's path-length bound. Pruning and the coverage-aware
 	// strategies probe it every round, but it only changes when a new
@@ -219,10 +216,11 @@ func NewMachine(g *graph.Graph, opts Options) *Machine {
 		opts:   opts.withDefaults(),
 		sample: learn.NewSample(),
 		pruned: make(map[graph.NodeID]bool),
-		cache:  cache,
 	}
+	// The cache memoises evaluated query engines across the whole session;
+	// the cache-aware strategies keep probing the same hypothesis queries.
 	if ca, ok := m.opts.Strategy.(CacheAware); ok {
-		ca.SetCache(m.cache)
+		ca.SetCache(cache)
 	}
 	if ca, ok := m.opts.Strategy.(CoverageAware); ok {
 		ca.SetCoverageSource(m.coverageAt)

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/rpq"
 	"repro/internal/rpq/index"
 	"repro/internal/store"
 )
@@ -323,7 +322,15 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		Nodes:      nodes,
 	}
 	if req.Witnesses {
-		resp.Witnesses = witnesses(ctx, engine, nodes)
+		resp.Witnesses = make(map[graph.NodeID][]graph.Edge, len(nodes))
+		for _, n := range nodes {
+			if ctx.Err() != nil {
+				break
+			}
+			if path, ok := engine.Witness(n); ok {
+				resp.Witnesses[n] = path
+			}
+		}
 		// A witness map cut short by the deadline would be silently
 		// partial; fail the request instead.
 		if deadlineHit(w, ctx) {
@@ -365,22 +372,6 @@ func deadlineHit(w http.ResponseWriter, ctx context.Context) bool {
 		return true
 	}
 	return false
-}
-
-// witnesses computes one shortest witness path per selected node. A
-// canceled context stops it at the next node: the caller must check ctx
-// before trusting the map to be complete.
-func witnesses(ctx context.Context, engine *rpq.Engine, nodes []graph.NodeID) map[graph.NodeID][]graph.Edge {
-	out := make(map[graph.NodeID][]graph.Edge, len(nodes))
-	for _, n := range nodes {
-		if ctx.Err() != nil {
-			return out
-		}
-		if path, ok := engine.Witness(n); ok {
-			out[n] = path
-		}
-	}
-	return out
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
@@ -447,7 +438,7 @@ func (s *Server) handleHypothesis(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	learned := sess.Learned()
+	learned := sess.View().Learned
 	if learned == "" {
 		writeJSON(w, http.StatusOK, HypothesisResult{Nodes: []graph.NodeID{}})
 		return

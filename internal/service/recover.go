@@ -107,33 +107,28 @@ func (m *Manager) Restore(reg *Registry, rs store.RecoveredSession) (resumed boo
 	var final *doneRecord
 	failed := false
 	for _, rec := range recs[1:] {
+		var err error
 		switch rec.Type {
 		case recQuestion:
 			var q Question
-			if err := json.Unmarshal(rec.Data, &q); err != nil {
-				return false, fmt.Errorf("record %d: %w", rec.Seq, err)
-			}
+			err = json.Unmarshal(rec.Data, &q)
 			disk.questions = append(disk.questions, q)
 		case recAnswer:
 			var a Answer
-			if err := json.Unmarshal(rec.Data, &a); err != nil {
-				return false, fmt.Errorf("record %d: %w", rec.Seq, err)
-			}
+			err = json.Unmarshal(rec.Data, &a)
 			disk.answers = append(disk.answers, a)
 		case recHypothesis:
 			var hr hypothesisRecord
-			if err := json.Unmarshal(rec.Data, &hr); err != nil {
-				return false, fmt.Errorf("record %d: %w", rec.Seq, err)
-			}
+			err = json.Unmarshal(rec.Data, &hr)
 			disk.hyps++
 			lastHyp = hr.Learned
 		case recDone, recFailed:
-			var d doneRecord
-			if err := json.Unmarshal(rec.Data, &d); err != nil {
-				return false, fmt.Errorf("record %d: %w", rec.Seq, err)
-			}
-			final = &d
+			final = &doneRecord{}
+			err = json.Unmarshal(rec.Data, final)
 			failed = rec.Type == recFailed
+		}
+		if err != nil {
+			return false, fmt.Errorf("record %d: %w", rec.Seq, err)
 		}
 	}
 

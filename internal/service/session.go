@@ -228,13 +228,6 @@ func (s *HostedSession) View() SessionView {
 	return v
 }
 
-// Learned returns the current hypothesis query string ("" if none yet).
-func (s *HostedSession) Learned() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.learned
-}
-
 // Cancel stops the session: it halts with "canceled" right away when it
 // waits on a client, and after the running turn otherwise.
 func (s *HostedSession) Cancel() {
@@ -290,8 +283,8 @@ type journaled struct {
 // each question is answered by the oracle (simulated mode) or by the next
 // journaled answer (resume), until one must go to the client — it is
 // journaled and published, and advance returns — or the loop ends and the
-// session finishes. Hypotheses are journaled as the satisfied questions
-// that carry them come up. The caller holds s.turn.
+// session finishes. A hypothesis is journaled when the satisfied question
+// carrying it comes up. The caller holds s.turn.
 func (s *HostedSession) advance(a *interactive.Answer, disk *journaled) {
 	if disk == nil {
 		disk = &journaled{}
@@ -314,8 +307,20 @@ func (s *HostedSession) advance(a *interactive.Answer, disk *journaled) {
 			a = nil
 			continue
 		}
-		if q.Kind == interactive.AskSatisfied && !s.noteHypothesis(q.Learned.String(), disk) {
-			break
+		if q.Kind == interactive.AskSatisfied {
+			learned := q.Learned.String()
+			s.mu.Lock()
+			s.learned = learned
+			s.mu.Unlock()
+			if disk.hyps > 0 {
+				disk.hyps--
+			} else {
+				s.tr.log.Debug("hypothesis", "session_id", s.id, "learned", learned)
+				if err := s.journal.Append(recHypothesis, hypothesisRecord{Learned: learned}); err != nil {
+					s.fail(err)
+					break
+				}
+			}
 		}
 		if s.oracle != nil {
 			ans := interactive.Ask(s.oracle, q)
@@ -360,35 +365,14 @@ func (s *HostedSession) advance(a *interactive.Answer, disk *journaled) {
 	s.finish()
 }
 
-// noteHypothesis records a freshly learned hypothesis in the view and, unless
-// a resumed session's journal already holds it, in the journal. It reports
-// false when the journal write failed.
-func (s *HostedSession) noteHypothesis(learned string, disk *journaled) bool {
-	s.mu.Lock()
-	s.learned = learned
-	s.mu.Unlock()
-	if disk.hyps > 0 {
-		disk.hyps--
-		return true
-	}
-	s.tr.log.Debug("hypothesis", "session_id", s.id, "learned", learned)
-	if err := s.journal.Append(recHypothesis, hypothesisRecord{Learned: learned}); err != nil {
-		s.fail(err)
-		return false
-	}
-	return true
-}
-
 // publish parks the session on q and journals it unless its record already
 // exists. The question is published before the journal append wakes the
 // SSE tailers: a stream-driven client that answers the moment it sees the
-// question event must find the question answerable, not get a 409. If the
-// answer's journal record then lands before the question's, recovery still
-// pairs them, since questions and answers pair by order within their
-// types. publish reports false, publishing nothing, on a canceled session,
-// and when the append fails before any client took the question; the
-// caller then finishes the session. Otherwise the goroutine that took the
-// question finishes it.
+// question event must find it answerable, not get a 409. If the answer's
+// record then lands first, recovery still pairs them by order within their
+// types. publish reports false on a canceled session, and when the append
+// fails before a client took the question: the caller then finishes the
+// session; otherwise the goroutine the taker started does.
 func (s *HostedSession) publish(q *Question, st SessionStatus, journal bool) bool {
 	s.mu.Lock()
 	if s.canceled {
