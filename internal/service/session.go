@@ -170,15 +170,14 @@ type HostedSession struct {
 	// the session finishes.
 	tenant string
 	cfg    SessionConfig
-	mgr    *Manager
+	// mgr owns the session; its tracer records the session's lifecycle
+	// spans (question waits, learner phases, replay).
+	mgr *Manager
 	// done is closed when the session finishes, after the manager has
 	// accounted for it.
 	done chan struct{}
 	// journal records every state transition; see the rec* constants.
 	journal *store.Journal
-	// tr records lifecycle spans (question waits, learner phases, replay)
-	// into the manager's tracer.
-	tr *tracer
 
 	// turn is held by the goroutine advancing the machine, from applying an
 	// answer through journaling the next question, so the records of
@@ -315,7 +314,7 @@ func (s *HostedSession) advance(a *interactive.Answer, disk *journaled) {
 			if disk.hyps > 0 {
 				disk.hyps--
 			} else {
-				s.tr.log.Debug("hypothesis", "session_id", s.id, "learned", learned)
+				s.mgr.log.Debug("hypothesis", "session_id", s.id, "learned", learned)
 				if err := s.journal.Append(recHypothesis, hypothesisRecord{Learned: learned}); err != nil {
 					s.fail(err)
 					break
@@ -539,7 +538,7 @@ func (s *HostedSession) Answer(a Answer) error {
 		s.startTurn(nil)
 		return fmt.Errorf("service: %w: %w", ErrStore, err)
 	}
-	s.tr.questionAnswered(s.id, q.Kind, time.Since(asked))
+	s.mgr.tr.questionAnswered(s.id, q.Kind, time.Since(asked))
 	ma := machineAnswer(a)
 	s.startTurn(&ma)
 	return nil
@@ -720,7 +719,6 @@ func (m *Manager) newSession(id string, h *GraphHandle, tenant string, cfg Sessi
 		mgr:     m,
 		done:    make(chan struct{}),
 		journal: jr,
-		tr:      m.tr,
 		status:  StatusRunning,
 	}
 	if goal != nil {
