@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro/internal/regex"
 	"repro/internal/store"
@@ -26,10 +25,11 @@ type RecoveryReport struct {
 
 // Recover replays the configured store into the server: graph snapshots
 // re-register under their names, finished sessions come back as
-// inspectable records, and in-flight sessions resume — the journaled
-// answers are folded through a new learning loop until it reaches the
-// exact pre-crash state, which parks on the next question as if the crash
-// never happened. Call it after NewServer and before serving requests.
+// inspectable records, and in-flight sessions resume, each in its own
+// goroutine — the journaled answers are folded through a new learning loop
+// until it reaches the exact pre-crash state, which parks on the next
+// question as if the crash never happened. Call it after NewServer and
+// before serving requests.
 func (s *Server) Recover() (RecoveryReport, error) {
 	st := s.opts.Store
 	if st == nil {
@@ -78,12 +78,12 @@ func (s *Server) Recover() (RecoveryReport, error) {
 
 // Restore rebuilds one session from its recovered journal. A journal with
 // a terminal record restores as a finished session; an unterminated
-// journal is an in-flight session (resumed=true). A manual one folds its
-// journaled answers through a new learning loop, in order, and parks on
-// the question that follows; a regenerated question that differs from its
-// journaled record fails the session instead. A simulated one re-runs
-// with its oracle in its own goroutine. Records already on disk are not
-// appended again.
+// journal is an in-flight session (resumed=true). It resumes in its own
+// goroutine: a manual one folds its journaled answers through a new
+// learning loop, in order, and parks on the question that follows (a
+// regenerated question that differs from its journaled record fails the
+// session instead); a simulated one re-runs with its oracle. Either way,
+// records already on disk are not appended again.
 func (m *Manager) Restore(reg *Registry, rs store.RecoveredSession) (resumed bool, err error) {
 	// Advance the id allocator even when the journal turns out to be
 	// unrestorable: its file stays on disk, and a future Create reusing
@@ -178,18 +178,7 @@ func (m *Manager) Restore(reg *Registry, rs store.RecoveredSession) (resumed boo
 	m.log.Info("session resumed",
 		"session_id", rs.ID, "graph", cr.Graph, "tenant", s.tenant, "mode", cr.Config.Mode,
 		"journaled_questions", len(disk.questions), "journaled_answers", len(disk.answers))
-	s.machine = m.newMachine(s, strat)
-	if s.oracle != nil {
-		s.startTurn(nil)
-		return true, nil
-	}
-	started := time.Now()
-	s.turn.Lock()
-	s.advance(nil, &disk)
-	s.turn.Unlock()
-	if len(disk.questions) > 0 {
-		m.tr.replayDone(s.id, time.Since(started), len(disk.questions))
-	}
+	s.start(strat, &disk)
 	return true, nil
 }
 

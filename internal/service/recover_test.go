@@ -286,3 +286,62 @@ func TestResumeDivergedQuestionFails(t *testing.T) {
 		t.Fatalf("diverged resume ended %s with error %q, want failed at question 1", v.Status, v.Error)
 	}
 }
+
+// TestResumeSimulatedSessionSkipsJournaledHypotheses crashes a durable
+// simulated session after each of its journaled hypotheses: the resumed
+// oracle run regenerates them without appending them again, and ends with
+// the hypotheses and end of the uncut run.
+func TestResumeSimulatedSessionSkipsJournaledHypotheses(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(Options{CacheCapacity: 16, DisableIndex: true, Store: st})
+	g, err := BuildGraph(LoadSpec{Dataset: DatasetSpec{Kind: "transport", Rows: 10, Cols: 10, Seed: 1, FacilityRate: 0.3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := srv.Registry().Register("g", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := srv.manager.CreateFor(TenantInfo{Name: DefaultTenant}, h, SessionConfig{
+		Graph: "g", Mode: "simulated", Goal: "(tram+bus)*.cinema", PathValidation: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-s.done
+	cs := crashSession{dir: dir, id: s.id}
+	if cs.journal, err = os.ReadFile(journalPath(t, dir, s.id)); err != nil {
+		t.Fatal(err)
+	}
+	recs := journalLines(t, cs.journal)
+	_, wantLearned, wantEnd := journalTranscript(t, recs)
+	if len(wantLearned) < 2 {
+		t.Fatalf("uncut run journaled %d hypotheses, want at least 2", len(wantLearned))
+	}
+	end := 0
+	for _, rec := range recs[:len(recs)-1] { // every cut leaves the session in flight
+		end += strings.IndexByte(string(cs.journal[end:]), '\n') + 1
+		if rec.Type != recHypothesis {
+			continue
+		}
+		t.Run(fmt.Sprintf("cut=%d", end), func(t *testing.T) {
+			s, dir := recoverCut(t, cs, cs.journal[:end])
+			<-s.done
+			data, err := os.ReadFile(journalPath(t, dir, cs.id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, learned, gotEnd := journalTranscript(t, journalLines(t, data))
+			if got, want := strings.Join(learned, " "), strings.Join(wantLearned, " "); got != want {
+				t.Errorf("hypotheses differ\n got: %s\nwant: %s", got, want)
+			}
+			if gotEnd != wantEnd {
+				t.Errorf("end differs\n got: %s\nwant: %s", gotEnd, wantEnd)
+			}
+		})
+	}
+}

@@ -268,6 +268,23 @@ func (s *HostedSession) startTurn(a *interactive.Answer) {
 	}()
 }
 
+// start runs the session's first turn in its own goroutine: it builds the
+// learning loop, folds a resumed session's journaled records (disk; nil for
+// a new session) back through it, and runs it to the first question for
+// the client or to its end.
+func (s *HostedSession) start(strat interactive.Strategy, disk *journaled) {
+	go func() {
+		s.turn.Lock()
+		defer s.turn.Unlock()
+		started := time.Now()
+		s.machine = s.mgr.newMachine(s, strat)
+		s.advance(nil, disk)
+		if disk != nil && len(disk.questions) > 0 {
+			s.mgr.tr.replayDone(s.id, time.Since(started), len(disk.questions))
+		}
+	}()
+}
+
 // journaled is what a resumed session's journal already holds: the answers
 // to fold back through the machine, the questions they answered, and how
 // many hypothesis records exist. Regenerated records that are already on
@@ -698,12 +715,7 @@ func (m *Manager) CreateFor(tn TenantInfo, h *GraphHandle, cfg SessionConfig) (*
 	m.mu.Unlock()
 	m.log.Info("session created",
 		"session_id", id, "graph", h.Name(), "tenant", tn.Name, "mode", cfg.Mode, "strategy", cfg.Strategy)
-	go func() {
-		s.turn.Lock()
-		defer s.turn.Unlock()
-		s.machine = m.newMachine(s, strat)
-		s.advance(nil, nil)
-	}()
+	s.start(strat, nil)
 	return s, nil
 }
 
