@@ -121,28 +121,12 @@ type SessionConfig struct {
 	MaxPathLength int
 }
 
-// strategyByName resolves a strategy name.
-func strategyByName(cfg SessionConfig) (interactive.Strategy, error) {
-	switch cfg.Strategy {
-	case "", "informative":
-		return &interactive.InformativeStrategy{MaxPathLength: cfg.MaxPathLength}, nil
-	case "random":
-		return interactive.NewRandomStrategy(cfg.Seed), nil
-	case "hybrid":
-		return &interactive.HybridStrategy{MaxPathLength: cfg.MaxPathLength}, nil
-	case "disagreement":
-		return &interactive.DisagreementStrategy{MaxPathLength: cfg.MaxPathLength}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown strategy %q (want informative, random, hybrid or disagreement)", cfg.Strategy)
-	}
-}
-
 // InteractiveSession runs the Figure 2 loop against the given user and
 // returns the transcript.
 func (s *System) InteractiveSession(u user.User, cfg SessionConfig) (*interactive.Transcript, error) {
-	strat, err := strategyByName(cfg)
+	strat, err := interactive.StrategyByName(cfg.Strategy, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return interactive.Run(s.g, u, interactive.Options{
 		Strategy:        strat,

@@ -85,13 +85,9 @@ func TestInteractiveSessionFacade(t *testing.T) {
 	if tr.Final == nil || !sys.SameAnswerSet(tr.Final, goal) {
 		t.Fatalf("interactive session did not reach the goal answer set: %v", tr.Final)
 	}
-	if _, err := sys.InteractiveSession(u, SessionConfig{Strategy: "bogus"}); err == nil {
-		t.Fatal("unknown strategy must error")
-	}
-	for _, name := range []string{"random", "hybrid", "informative", "disagreement", ""} {
-		if _, err := strategyByName(SessionConfig{Strategy: name}); err != nil {
-			t.Fatalf("strategy %q should resolve: %v", name, err)
-		}
+	want := `core: unknown strategy "bogus" (want informative, random, hybrid or disagreement)`
+	if _, err := sys.InteractiveSession(u, SessionConfig{Strategy: "bogus"}); err == nil || err.Error() != want {
+		t.Fatalf("unknown strategy: err = %v, want %s", err, want)
 	}
 }
 

@@ -39,17 +39,11 @@ func InteractionsVsQuerySize(cfg Config) *stats.Table {
 	if !cfg.Quick {
 		size = 6
 	}
-	strategies := []func() interactive.Strategy{
-		func() interactive.Strategy { return interactive.NewRandomStrategy(cfg.Seed) },
-		func() interactive.Strategy { return &interactive.InformativeStrategy{MaxPathLength: pathBound(size)} },
-		func() interactive.Strategy { return &interactive.DisagreementStrategy{MaxPathLength: pathBound(size)} },
-	}
 	reps := cfg.repetitions()
 	for _, goal := range transportGoalWorkload() {
-		for _, mk := range strategies {
+		for _, name := range []string{"random", "informative", "disagreement"} {
 			var labels []float64
 			converged, runs := 0, 0
-			name := ""
 			for rep := 0; rep < reps; rep++ {
 				seed := cfg.Seed + int64(rep)
 				g := dataset.Transport(dataset.TransportOptions{Rows: size, Cols: size, Seed: seed, FacilityRate: 0.4})
@@ -57,11 +51,9 @@ func InteractionsVsQuerySize(cfg Config) *stats.Table {
 					continue
 				}
 				runs++
-				strat := mk()
-				name = strat.Name()
 				u := user.NewSimulated(g, goal)
 				tr, err := interactive.Run(g, u, interactive.Options{
-					Strategy:        strat,
+					Strategy:        mustStrategy(name, cfg.Seed),
 					PathValidation:  true,
 					MaxInteractions: g.NumNodes(),
 					Learn:           learn.Options{MaxPathLength: pathBound(size)},
@@ -73,9 +65,6 @@ func InteractionsVsQuerySize(cfg Config) *stats.Table {
 				if tr.Halt == interactive.HaltSatisfied {
 					converged++
 				}
-			}
-			if name == "" {
-				name = mk().Name()
 			}
 			table.AddRow(goal.String(), goal.Size(), name, runs,
 				stats.Summarize(labels).Mean, fmt.Sprintf("%d/%d", converged, runs))
@@ -186,21 +175,8 @@ func StrategyComparison(cfg Config) *stats.Table {
 		size = 6
 	}
 	goal := figure2Goal()
-	strategies := []func(seed int64) interactive.Strategy{
-		func(seed int64) interactive.Strategy { return interactive.NewRandomStrategy(seed) },
-		func(seed int64) interactive.Strategy {
-			return &interactive.InformativeStrategy{MaxPathLength: pathBound(size)}
-		},
-		func(seed int64) interactive.Strategy {
-			return &interactive.HybridStrategy{MaxPathLength: pathBound(size)}
-		},
-		func(seed int64) interactive.Strategy {
-			return &interactive.DisagreementStrategy{MaxPathLength: pathBound(size)}
-		},
-	}
-	names := []string{"random", "informative", "hybrid", "disagreement"}
 	reps := cfg.repetitions()
-	for i, mk := range strategies {
+	for _, name := range []string{"random", "informative", "hybrid", "disagreement"} {
 		var labels, zooms, pruned []float64
 		converged, runs := 0, 0
 		for rep := 0; rep < reps; rep++ {
@@ -212,7 +188,7 @@ func StrategyComparison(cfg Config) *stats.Table {
 			runs++
 			u := user.NewSimulated(g, goal)
 			tr, err := interactive.Run(g, u, interactive.Options{
-				Strategy:        mk(seed),
+				Strategy:        mustStrategy(name, seed),
 				PathValidation:  true,
 				MaxInteractions: g.NumNodes(),
 				Learn:           learn.Options{MaxPathLength: pathBound(size)},
@@ -227,7 +203,7 @@ func StrategyComparison(cfg Config) *stats.Table {
 				converged++
 			}
 		}
-		table.AddRow(names[i], runs,
+		table.AddRow(name, runs,
 			stats.Summarize(labels).Mean,
 			stats.Summarize(zooms).Mean,
 			stats.Summarize(pruned).Mean,

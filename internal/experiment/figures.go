@@ -134,6 +134,16 @@ func InteractiveVsStatic(cfg Config) *stats.Table {
 	return table
 }
 
+// mustStrategy returns the strategy StrategyByName gives the name, which
+// must be one it knows.
+func mustStrategy(name string, seed int64) interactive.Strategy {
+	s, err := interactive.StrategyByName(name, seed)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // pathBound picks the witness/informativeness path-length bound so that a
 // corner neighbourhood of a size×size grid can still reach a facility.
 func pathBound(gridSize int) int {

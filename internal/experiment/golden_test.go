@@ -48,21 +48,6 @@ func transportGolden(size int) *graph.Graph {
 	return dataset.Transport(dataset.TransportOptions{Rows: size, Cols: size, Seed: 1, FacilityRate: 0.3})
 }
 
-// goldenStrategy builds a strategy by the name the service accepts.
-func goldenStrategy(name string) interactive.Strategy {
-	switch name {
-	case "random":
-		return interactive.NewRandomStrategy(1)
-	case "informative":
-		return &interactive.InformativeStrategy{}
-	case "hybrid":
-		return &interactive.HybridStrategy{}
-	case "disagreement":
-		return &interactive.DisagreementStrategy{}
-	}
-	panic("unknown strategy " + name)
-}
-
 // dash renders an empty field as "-" so every line splits on spaces.
 func dash(s string) string {
 	if s == "" {
@@ -83,7 +68,7 @@ func renderCorpus(c goldenCorpus) []byte {
 				g := c.graph()
 				fmt.Fprintf(&buf, "run goal=%s strategy=%s validation=%t\n", goalText, strat, validate)
 				tr, err := interactive.Run(g, user.NewSimulated(g, goal), interactive.Options{
-					Strategy:       goldenStrategy(strat),
+					Strategy:       mustStrategy(strat, 1),
 					PathValidation: validate,
 				})
 				for i, in := range tr.Interactions {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/learn"
+	"repro/internal/paths"
 	"repro/internal/regex"
 	"repro/internal/rpq"
 	"repro/internal/user"
@@ -209,6 +210,22 @@ func TransportOptionsForTest() dataset.TransportOptions {
 	return dataset.TransportOptions{Rows: 3, Cols: 3, Seed: 42, FacilityRate: 0.4}
 }
 
+// turnFor builds the Turn a Machine would hand a strategy on the sample at
+// bound k: the open nodes are the unlabelled ones not in excluded.
+func turnFor(g *graph.Graph, k int, sample *learn.Sample, excluded ...graph.NodeID) *Turn {
+	out := make(map[graph.NodeID]bool)
+	for _, id := range excluded {
+		out[id] = true
+	}
+	var open []graph.NodeID
+	for _, id := range g.Nodes() {
+		if !labeled(sample, id) && !out[id] {
+			open = append(open, id)
+		}
+	}
+	return &Turn{Graph: g, K: k, Open: open, Coverage: paths.NewCoverage(g, sample.Negatives, k), Cache: rpq.NewCache(g)}
+}
+
 func TestInformativeStrategySkipsUninformativeNodes(t *testing.T) {
 	// Build a graph where after one negative label every path of some node
 	// is covered, so it must never be proposed.
@@ -219,9 +236,8 @@ func TestInformativeStrategySkipsUninformativeNodes(t *testing.T) {
 	g.MustAddEdge("neg", "a", "w")
 	sample := learn.NewSample()
 	sample.AddNegative("neg")
-	s := &InformativeStrategy{MaxPathLength: 3}
-	excluded := map[graph.NodeID]bool{}
-	node, ok := s.Propose(g, sample, excluded)
+	s := &InformativeStrategy{}
+	node, ok := s.Propose(turnFor(g, 3, sample))
 	if !ok {
 		t.Fatal("p is informative and should be proposed")
 	}
@@ -230,8 +246,7 @@ func TestInformativeStrategySkipsUninformativeNodes(t *testing.T) {
 	}
 	// Exclude p: q's single word is covered, sinks have no words, so no
 	// informative node remains.
-	excluded["p"] = true
-	if n, ok := s.Propose(g, sample, excluded); ok {
+	if n, ok := s.Propose(turnFor(g, 3, sample, "p")); ok {
 		t.Fatalf("no informative node should remain, got %s", n)
 	}
 }
@@ -240,10 +255,10 @@ func TestRandomStrategyRespectsExclusions(t *testing.T) {
 	g := dataset.Figure1()
 	sample := learn.NewSample()
 	sample.AddPositive("N1", nil)
-	excluded := map[graph.NodeID]bool{"N2": true, "N3": true}
+	turn := turnFor(g, learn.DefaultMaxPathLength, sample, "N2", "N3")
 	s := NewRandomStrategy(9)
 	for i := 0; i < 20; i++ {
-		node, ok := s.Propose(g, sample, excluded)
+		node, ok := s.Propose(turn)
 		if !ok {
 			t.Fatal("nodes remain")
 		}
@@ -251,12 +266,8 @@ func TestRandomStrategyRespectsExclusions(t *testing.T) {
 			t.Fatalf("proposed labelled or excluded node %s", node)
 		}
 	}
-	// Everything labelled -> no proposal.
-	all := map[graph.NodeID]bool{}
-	for _, n := range g.Nodes() {
-		all[n] = true
-	}
-	if _, ok := s.Propose(g, sample, all); ok {
+	// Nothing open -> no proposal.
+	if _, ok := s.Propose(turnFor(g, learn.DefaultMaxPathLength, sample, g.Nodes()...)); ok {
 		t.Fatal("no candidate should remain")
 	}
 }
@@ -266,16 +277,12 @@ func TestDisagreementStrategyWithoutHypothesis(t *testing.T) {
 	// it must propose an informative node and refuse when none remains.
 	g := dataset.Figure1()
 	sample := learn.NewSample()
-	s := &DisagreementStrategy{MaxPathLength: 3}
-	node, ok := s.Propose(g, sample, nil)
+	s := &DisagreementStrategy{}
+	node, ok := s.Propose(turnFor(g, 3, sample))
 	if !ok || node == "" {
 		t.Fatal("proposal expected")
 	}
-	all := map[graph.NodeID]bool{}
-	for _, n := range g.Nodes() {
-		all[n] = true
-	}
-	if _, ok := s.Propose(g, sample, all); ok {
+	if _, ok := s.Propose(turnFor(g, 3, sample, g.Nodes()...)); ok {
 		t.Fatal("no candidate should remain")
 	}
 }
@@ -287,9 +294,9 @@ func TestDisagreementStrategyTargetsFalsePositives(t *testing.T) {
 	// neighbourhood.
 	g := dataset.Figure1()
 	sample := learn.NewSample()
-	s := &DisagreementStrategy{MaxPathLength: 3}
-	s.SetHypothesis(regex.MustParse("cinema?"))
-	node, ok := s.Propose(g, sample, nil)
+	turn := turnFor(g, 3, sample)
+	turn.Hypothesis = regex.MustParse("cinema?")
+	node, ok := (&DisagreementStrategy{}).Propose(turn)
 	if !ok {
 		t.Fatal("proposal expected")
 	}
@@ -329,8 +336,7 @@ func TestDisagreementStrategyConvergesFast(t *testing.T) {
 func TestHybridStrategyPrefersHighDegree(t *testing.T) {
 	g := dataset.Figure1()
 	sample := learn.NewSample()
-	s := &HybridStrategy{TopK: 3}
-	node, ok := s.Propose(g, sample, nil)
+	node, ok := (&HybridStrategy{}).Propose(turnFor(g, learn.DefaultMaxPathLength, sample))
 	if !ok {
 		t.Fatal("proposal expected")
 	}
@@ -579,24 +585,63 @@ func TestLearnedQueryMatchesPaperWitnesses(t *testing.T) {
 	}
 }
 
-// TestCoverageSourceReuse checks that the session's cached coverage is
-// reused across rounds whose negative set did not change, and rebuilt when
-// it did.
+// turnRecorder proposes like the informative strategy and keeps each
+// proposal's Turn.Coverage.
+type turnRecorder struct {
+	InformativeStrategy
+	coverages []*paths.Coverage
+}
+
+func (r *turnRecorder) Propose(t *Turn) (graph.NodeID, bool) {
+	r.coverages = append(r.coverages, t.Coverage)
+	return r.InformativeStrategy.Propose(t)
+}
+
+// TestCoverageSourceReuse checks that Turn.Coverage is the same coverage
+// across rounds whose negative set did not change, and is rebuilt after a
+// negative label.
 func TestCoverageSourceReuse(t *testing.T) {
+	// On Figure 1 this goal's session labels negative, positive, positive,
+	// negative.
 	g := dataset.Figure1()
-	s := NewMachine(g, Options{})
-	c1 := s.negCoverage()
-	if c2 := s.negCoverage(); c2 != c1 {
-		t.Fatal("coverage rebuilt although negatives did not change")
+	rec := &turnRecorder{}
+	tr, err := Run(g, user.NewSimulated(g, regex.MustParse("tram.bus.restaurant+bus.park")), Options{Strategy: rec, PathValidation: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c := s.coverageAt(s.opts.Learn.MaxPathLength); c != c1 {
-		t.Fatal("coverageAt at the session bound must serve the cached coverage")
+	reused, rebuilt := 0, 0
+	// Proposal i (from 0) follows the labels of interactions 0..i-1.
+	for i := 1; i < len(rec.coverages); i++ {
+		same := rec.coverages[i] == rec.coverages[i-1]
+		if negative := tr.Interactions[i-1].Decision == user.Negative; negative == same {
+			t.Fatalf("proposal %d: after a negative = %t but coverage reused = %t", i+1, negative, same)
+		}
+		if same {
+			reused++
+		} else {
+			rebuilt++
+		}
 	}
-	if c := s.coverageAt(s.opts.Learn.MaxPathLength + 1); c == c1 {
-		t.Fatal("coverageAt at another bound must build a fresh coverage")
+	if reused == 0 || rebuilt == 0 {
+		t.Fatalf("want both a reused and a rebuilt coverage, got %d reused and %d rebuilt", reused, rebuilt)
 	}
-	s.sample.AddNegative("N5")
-	if c3 := s.negCoverage(); c3 == c1 {
-		t.Fatal("coverage not rebuilt after a new negative")
+}
+
+func TestStrategyByName(t *testing.T) {
+	for _, c := range []struct{ name, want string }{
+		{"informative", "informative"},
+		{"random", "random"},
+		{"hybrid", "hybrid"},
+		{"disagreement", "disagreement"},
+		{"", "informative"},
+	} {
+		s, err := StrategyByName(c.name, 1)
+		if err != nil || s.Name() != c.want {
+			t.Fatalf("StrategyByName(%q) = %v, %v; want %s", c.name, s, err, c.want)
+		}
+	}
+	want := `unknown strategy "bogus" (want informative, random, hybrid or disagreement)`
+	if s, err := StrategyByName("bogus", 1); err == nil || err.Error() != want || s != nil {
+		t.Fatalf(`StrategyByName("bogus") = %v, %v; want error %s`, s, err, want)
 	}
 }

@@ -22,15 +22,7 @@ func labeled(s *learn.Sample, id graph.NodeID) bool {
 
 // openNodes returns the nodes the Machine may still propose: neither
 // labelled nor pruned, in sorted order.
-func openNodes(m *Machine) []graph.NodeID {
-	var open []graph.NodeID
-	for _, id := range m.g.Nodes() {
-		if !m.pruned[id] && !labeled(m.sample, id) {
-			open = append(open, id)
-		}
-	}
-	return open
-}
+func openNodes(m *Machine) []graph.NodeID { return m.open }
 
 // informativeChoice is the node the informative strategy must propose:
 // the first open node of maximal uncovered count at bound k, counted

@@ -46,7 +46,7 @@ type Options struct {
 func (o *Options) withDefaults() Options {
 	out := *o
 	if out.Strategy == nil {
-		out.Strategy = &InformativeStrategy{MaxPathLength: out.Learn.MaxPathLength}
+		out.Strategy = &InformativeStrategy{}
 	}
 	if out.InitialRadius <= 0 {
 		out.InitialRadius = 2
@@ -185,16 +185,18 @@ func Ask(u user.User, q Question) Answer {
 // no longer answering, and a crashed session is rebuilt by answering a new
 // Machine with the recorded replies. Not safe for concurrent use.
 type Machine struct {
-	g    *graph.Graph
-	opts Options
+	g     *graph.Graph
+	opts  Options
+	cache *rpq.EngineCache
 
 	sample *learn.Sample
-	pruned map[graph.NodeID]bool
+	// open holds the nodes that are neither labelled nor pruned, in sorted
+	// order. It starts as every node and is only ever filtered in place.
+	open []graph.NodeID
 	// cov caches the covered-word set of the current negatives at the
-	// learner's path-length bound. Pruning and the coverage-aware
-	// strategies probe it every round, but it only changes when a new
-	// negative label arrives, so rounds that add positive labels reuse it
-	// as-is.
+	// learner's path-length bound. Pruning and the strategies probe it
+	// every round, but it only changes when a new negative label arrives,
+	// so rounds that add positive labels reuse it as-is.
 	cov     *paths.Coverage
 	covNegs int
 
@@ -214,16 +216,9 @@ func NewMachine(g *graph.Graph, opts Options) *Machine {
 	m := &Machine{
 		g:      g,
 		opts:   opts.withDefaults(),
+		cache:  cache,
 		sample: learn.NewSample(),
-		pruned: make(map[graph.NodeID]bool),
-	}
-	// The cache memoises evaluated query engines across the whole session;
-	// the cache-aware strategies keep probing the same hypothesis queries.
-	if ca, ok := m.opts.Strategy.(CacheAware); ok {
-		ca.SetCache(cache)
-	}
-	if ca, ok := m.opts.Strategy.(CoverageAware); ok {
-		ca.SetCoverageSource(m.coverageAt)
+		open:   g.Nodes(),
 	}
 	m.t = &Transcript{Sample: m.sample, Strategy: m.opts.Strategy.Name(), Halt: HaltMaxReached}
 	m.propose()
@@ -298,10 +293,14 @@ func (m *Machine) propose() {
 		m.halt(HaltMaxReached)
 		return
 	}
-	if ha, ok := m.opts.Strategy.(HypothesisAware); ok {
-		ha.SetHypothesis(m.t.Final)
-	}
-	node, ok := m.opts.Strategy.Propose(m.g, m.sample, m.pruned)
+	node, ok := m.opts.Strategy.Propose(&Turn{
+		Graph:      m.g,
+		K:          m.opts.Learn.MaxPathLength,
+		Open:       m.open,
+		Coverage:   m.negCoverage(),
+		Hypothesis: m.t.Final,
+		Cache:      m.cache,
+	})
 	if !ok {
 		m.halt(HaltNoInformative)
 		return
@@ -353,6 +352,7 @@ func (m *Machine) askPath() bool {
 // is the goal.
 func (m *Machine) label(word []string) error {
 	in := &m.round
+	m.filterOpen(func(id graph.NodeID) bool { return id == in.Node })
 	switch in.Decision {
 	case user.Positive:
 		m.sample.AddPositive(in.Node, word)
@@ -405,9 +405,8 @@ func (m *Machine) negCoverage() *paths.Coverage {
 	return m.cov
 }
 
-// coverageAt is the CoverageSource handed to coverage-aware strategies: at
-// the session's own bound it serves the cached round-to-round coverage, at
-// any other bound it builds a fresh one.
+// coverageAt returns the negatives' coverage at the given bound: the cached
+// round-to-round one at the session's own bound, else a fresh one.
 func (m *Machine) coverageAt(bound int) *paths.Coverage {
 	if bound == m.opts.Learn.MaxPathLength {
 		return m.negCoverage()
@@ -459,44 +458,46 @@ func (s *Session) RunContext(ctx context.Context) (*Transcript, error) {
 	return t, nil
 }
 
-// propagatePositive labels every unlabelled node that has a path spelling
+// propagatePositive labels every open node that has a path spelling
 // the validated word as an implied positive (with that same word as its
 // witness) and returns how many nodes were implied. The membership test is
 // one backward StartsOfWord sweep shared by all nodes rather than a
 // per-node HasWord walk.
 func (m *Machine) propagatePositive(word []string) int {
-	count := 0
 	starts := paths.StartsOfWord(m.g, word)
-	for _, id := range m.g.Nodes() {
-		if m.sample.Labeled(id) || m.pruned[id] {
-			continue
+	return m.filterOpen(func(id graph.NodeID) bool {
+		if !starts.Has(id) {
+			return false
 		}
-		if starts.Has(id) {
-			m.sample.AddPositive(id, append([]string(nil), word...))
-			count++
-		}
-	}
-	return count
+		m.sample.AddPositive(id, append([]string(nil), word...))
+		return true
+	})
 }
 
-// prune marks unlabelled nodes all of whose bounded-length words are
-// covered by the negative examples and returns how many new nodes were
-// pruned. Every candidate node re-enumerates its bounded words against one
+// prune drops from the open set the nodes all of whose bounded-length
+// words are covered by the negative examples and returns how many it
+// pruned. Every open node re-enumerates its bounded words against one
 // shared negative coverage, in node order.
 func (m *Machine) prune() int {
 	cov := m.negCoverage()
 	bound := m.opts.Learn.MaxPathLength
-	count := 0
-	for _, id := range m.g.Nodes() {
-		if m.sample.Labeled(id) || m.pruned[id] {
-			continue
-		}
-		if paths.CountUncoveredWith(m.g, id, bound, cov) == 0 {
-			m.pruned[id] = true
-			count++
+	return m.filterOpen(func(id graph.NodeID) bool {
+		return paths.CountUncoveredWith(m.g, id, bound, cov) == 0
+	})
+}
+
+// filterOpen removes from the open set, in order, the nodes for which drop
+// reports true, and returns how many it removed.
+func (m *Machine) filterOpen(drop func(graph.NodeID) bool) int {
+	kept := m.open[:0]
+	for _, id := range m.open {
+		if !drop(id) {
+			kept = append(kept, id)
 		}
 	}
-	return count
+	removed := len(m.open) - len(kept)
+	m.open = kept
+	return removed
 }
 
 // Run is a convenience wrapper creating and running a session.

@@ -6,42 +6,67 @@
 package interactive
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/learn"
 	"repro/internal/paths"
 	"repro/internal/regex"
 	"repro/internal/rpq"
 )
 
-// Strategy is the node-proposal function Υ of the paper: given the graph
-// and the current example set it returns the next node to ask the user
-// about. Nodes already labelled or pruned must not be proposed.
+// Turn is the state the node-proposal function Υ reads. The Machine builds
+// one per proposal; strategies must not modify it.
+type Turn struct {
+	Graph *graph.Graph
+	// K is the path-length bound: the learner's MaxPathLength.
+	K int
+	// Open lists the nodes that are neither labelled nor pruned, in sorted
+	// order; only they may be proposed.
+	Open []graph.NodeID
+	// Coverage is the covered-word set of the negative examples at bound K.
+	Coverage *paths.Coverage
+	// Hypothesis is the query learned so far (nil before the first one).
+	Hypothesis *regex.Expr
+	// Cache is the session's engine cache on Graph.
+	Cache *rpq.EngineCache
+}
+
+// uncovered returns the number of words of length at most K that node id
+// spells and no negative example covers: the paper's informativeness.
+func (t *Turn) uncovered(id graph.NodeID) int {
+	return paths.CountUncoveredWith(t.Graph, id, t.K, t.Coverage)
+}
+
+// Strategy is the node-proposal function Υ of the paper: it returns the
+// next node to ask the user about, one of t.Open.
 type Strategy interface {
 	// Name identifies the strategy in transcripts and experiment tables.
 	Name() string
 	// Propose returns the next node to label. ok=false means no
 	// informative node remains.
-	Propose(g *graph.Graph, sample *learn.Sample, excluded map[graph.NodeID]bool) (graph.NodeID, bool)
+	Propose(t *Turn) (graph.NodeID, bool)
 }
 
-// candidateNodes lists nodes that are neither labelled nor excluded, in
-// sorted order for determinism.
-func candidateNodes(g *graph.Graph, sample *learn.Sample, excluded map[graph.NodeID]bool) []graph.NodeID {
-	var out []graph.NodeID
-	for _, id := range g.Nodes() {
-		if sample.Labeled(id) || excluded[id] {
-			continue
-		}
-		out = append(out, id)
+// StrategyByName returns the strategy a session names: "" or
+// "informative", "random" (drawing from seed), "hybrid" or "disagreement".
+func StrategyByName(name string, seed int64) (Strategy, error) {
+	switch name {
+	case "", "informative":
+		return &InformativeStrategy{}, nil
+	case "random":
+		return NewRandomStrategy(seed), nil
+	case "hybrid":
+		return &HybridStrategy{}, nil
+	case "disagreement":
+		return &DisagreementStrategy{}, nil
 	}
-	return out
+	return nil, fmt.Errorf("unknown strategy %q (want informative, random, hybrid or disagreement)", name)
 }
 
-// RandomStrategy proposes an unlabelled, unpruned node uniformly at random.
-// It is the baseline strategy in the experiments.
+// RandomStrategy proposes an open node uniformly at random. It is the
+// baseline strategy in the experiments.
 type RandomStrategy struct {
 	rng *rand.Rand
 }
@@ -55,12 +80,11 @@ func NewRandomStrategy(seed int64) *RandomStrategy {
 func (s *RandomStrategy) Name() string { return "random" }
 
 // Propose implements Strategy.
-func (s *RandomStrategy) Propose(g *graph.Graph, sample *learn.Sample, excluded map[graph.NodeID]bool) (graph.NodeID, bool) {
-	candidates := candidateNodes(g, sample, excluded)
-	if len(candidates) == 0 {
+func (s *RandomStrategy) Propose(t *Turn) (graph.NodeID, bool) {
+	if len(t.Open) == 0 {
 		return "", false
 	}
-	return candidates[s.rng.Intn(len(candidates))], true
+	return t.Open[s.rng.Intn(len(t.Open))], true
 }
 
 // InformativeStrategy proposes the node with the largest number of
@@ -69,39 +93,20 @@ func (s *RandomStrategy) Propose(g *graph.Graph, sample *learn.Sample, excluded 
 // important number of paths that are shorter than a fixed bound and not
 // covered by any negative node". Nodes with zero uncovered paths are
 // uninformative and never proposed.
-type InformativeStrategy struct {
-	// MaxPathLength is the path-length bound; zero means
-	// learn.DefaultMaxPathLength.
-	MaxPathLength int
-
-	coverage CoverageSource
-}
+type InformativeStrategy struct{}
 
 // Name implements Strategy.
 func (s *InformativeStrategy) Name() string { return "informative" }
 
-// SetCoverageSource implements CoverageAware.
-func (s *InformativeStrategy) SetCoverageSource(src CoverageSource) { s.coverage = src }
-
-// Propose implements Strategy.
-func (s *InformativeStrategy) Propose(g *graph.Graph, sample *learn.Sample, excluded map[graph.NodeID]bool) (graph.NodeID, bool) {
-	bound := s.MaxPathLength
-	if bound <= 0 {
-		bound = learn.DefaultMaxPathLength
-	}
-	cov := coverageFrom(s.coverage, g, sample.Negatives, bound)
-	best := graph.NodeID("")
-	bestCount := 0
-	for _, id := range candidateNodes(g, sample, excluded) {
-		count := paths.CountUncoveredWith(g, id, bound, cov)
-		if count > bestCount || (count == bestCount && count > 0 && (best == "" || id < best)) {
+// Propose implements Strategy. Ties go to the smallest id.
+func (s *InformativeStrategy) Propose(t *Turn) (graph.NodeID, bool) {
+	best, bestCount := graph.NodeID(""), 0
+	for _, id := range t.Open {
+		if count := t.uncovered(id); count > bestCount {
 			best, bestCount = id, count
 		}
 	}
-	if bestCount == 0 {
-		return "", false
-	}
-	return best, true
+	return best, bestCount > 0
 }
 
 // DisagreementStrategy is an extension beyond the paper's count-based
@@ -112,194 +117,80 @@ func (s *InformativeStrategy) Propose(g *graph.Graph, sample *learn.Sample, excl
 // hypothesis does not select but that have many uncovered paths are likely
 // false negatives (their positive label extends it). Before any query has
 // been learned it behaves like InformativeStrategy.
-//
-// The session feeds the hypothesis in through SetHypothesis before each
-// proposal (see the HypothesisAware interface).
-type DisagreementStrategy struct {
-	// MaxPathLength is the path-length bound; zero means
-	// learn.DefaultMaxPathLength.
-	MaxPathLength int
-
-	hypothesis *regex.Expr
-	cache      *rpq.EngineCache
-	coverage   CoverageSource
-}
+type DisagreementStrategy struct{}
 
 // Name implements Strategy.
 func (s *DisagreementStrategy) Name() string { return "disagreement" }
 
-// SetHypothesis implements HypothesisAware.
-func (s *DisagreementStrategy) SetHypothesis(q *regex.Expr) { s.hypothesis = q }
-
-// SetCache implements CacheAware: the session shares its engine cache so
-// that re-probing an unchanged hypothesis costs one map lookup.
-func (s *DisagreementStrategy) SetCache(c *rpq.EngineCache) { s.cache = c }
-
-// SetCoverageSource implements CoverageAware.
-func (s *DisagreementStrategy) SetCoverageSource(src CoverageSource) { s.coverage = src }
-
 // Propose implements Strategy.
-func (s *DisagreementStrategy) Propose(g *graph.Graph, sample *learn.Sample, excluded map[graph.NodeID]bool) (graph.NodeID, bool) {
-	bound := s.MaxPathLength
-	if bound <= 0 {
-		bound = learn.DefaultMaxPathLength
-	}
-	cov := coverageFrom(s.coverage, g, sample.Negatives, bound)
-	candidates := candidateNodes(g, sample, excluded)
-	counts := make(map[graph.NodeID]int, len(candidates))
-	maxCount := 0
-	for _, id := range candidates {
-		c := paths.CountUncoveredWith(g, id, bound, cov)
-		counts[id] = c
-		if c > maxCount {
-			maxCount = c
+func (s *DisagreementStrategy) Propose(t *Turn) (graph.NodeID, bool) {
+	counts := make([]int, len(t.Open))
+	maxCount, first := 0, 0
+	for i, id := range t.Open {
+		counts[i] = t.uncovered(id)
+		if counts[i] > maxCount {
+			maxCount, first = counts[i], i
 		}
 	}
 	if maxCount == 0 {
 		return "", false
 	}
-	if s.hypothesis == nil || s.hypothesis.IsEmptyLanguage() {
+	if t.Hypothesis == nil || t.Hypothesis.IsEmptyLanguage() {
 		// No usable hypothesis yet: behave like the informative strategy.
-		return bestByCount(candidates, counts)
+		return t.Open[first], true
 	}
-	var engine *rpq.Engine
-	if s.cache != nil && s.cache.Graph() == g {
-		engine = s.cache.Get(s.hypothesis)
-	} else {
-		engine = rpq.New(g, s.hypothesis)
-	}
-	best := graph.NodeID("")
-	bestScore := -1
-	for _, id := range candidates {
-		if counts[id] == 0 {
+	engine := t.Cache.Get(t.Hypothesis)
+	best, bestScore := 0, -1
+	for i, id := range t.Open {
+		if counts[i] == 0 {
 			continue // uninformative, never propose
 		}
 		// Likely false positive: hypothesis selects it, few uncovered
 		// paths. Likely false negative: hypothesis misses it, many
 		// uncovered paths.
-		var score int
+		score := counts[i]
 		if engine.Selects(id) {
-			score = maxCount - counts[id]
-		} else {
-			score = counts[id]
+			score = maxCount - counts[i]
 		}
-		if score > bestScore || (score == bestScore && id < best) {
-			best, bestScore = id, score
+		if score > bestScore {
+			best, bestScore = i, score
 		}
 	}
-	if best == "" {
-		return "", false
-	}
-	return best, true
+	return t.Open[best], true
 }
 
-func bestByCount(candidates []graph.NodeID, counts map[graph.NodeID]int) (graph.NodeID, bool) {
-	best := graph.NodeID("")
-	bestCount := 0
-	for _, id := range candidates {
-		if counts[id] > bestCount || (counts[id] == bestCount && counts[id] > 0 && (best == "" || id < best)) {
-			best, bestCount = id, counts[id]
-		}
-	}
-	if bestCount == 0 {
-		return "", false
-	}
-	return best, true
-}
-
-// HypothesisAware is implemented by strategies that want to see the query
-// learned so far; the session calls SetHypothesis before each proposal.
-type HypothesisAware interface {
-	SetHypothesis(q *regex.Expr)
-}
-
-// CoverageSource supplies the covered-word set of the current negative
-// examples at the given path-length bound. The session implements it with
-// a cache that survives across rounds (negatives only change on negative
-// labels), so strategies that probe coverage on every proposal stop
-// re-walking the graph for rounds that added positive labels.
-type CoverageSource func(bound int) *paths.Coverage
-
-// CoverageAware is implemented by strategies that test nodes against the
-// negatives' covered words and want to share the session's cached
-// coverage; the session calls SetCoverageSource once at start-up.
-type CoverageAware interface {
-	SetCoverageSource(src CoverageSource)
-}
-
-// coverageFrom resolves a strategy's coverage: through the session's
-// shared source when wired, else built fresh (the stand-alone path used by
-// the static scenario and direct strategy calls).
-func coverageFrom(src CoverageSource, g *graph.Graph, negatives []graph.NodeID, bound int) *paths.Coverage {
-	if src != nil {
-		return src(bound)
-	}
-	return paths.NewCoverage(g, negatives, bound)
-}
-
-// CacheAware is implemented by strategies that evaluate queries and want to
-// share the session's engine cache; the session calls SetCache once at
-// start-up.
-type CacheAware interface {
-	SetCache(c *rpq.EngineCache)
-}
+// hybridShortlist is how many highest-out-degree open nodes the hybrid
+// strategy scores exactly.
+const hybridShortlist = 8
 
 // HybridStrategy proposes high-degree nodes first (cheap to compute) and
 // falls back to the informative count to break ties. It trades a little
 // precision for speed on large graphs, matching the paper's requirement
 // that the user "does not have to wait too much between two consecutive
 // interactions".
-type HybridStrategy struct {
-	// MaxPathLength bounds the tie-breaking informativeness computation.
-	MaxPathLength int
-	// TopK is how many highest-out-degree candidates are scored exactly.
-	// Zero means 8.
-	TopK int
-
-	coverage CoverageSource
-}
+type HybridStrategy struct{}
 
 // Name implements Strategy.
 func (s *HybridStrategy) Name() string { return "hybrid" }
 
-// SetCoverageSource implements CoverageAware.
-func (s *HybridStrategy) SetCoverageSource(src CoverageSource) { s.coverage = src }
-
 // Propose implements Strategy.
-func (s *HybridStrategy) Propose(g *graph.Graph, sample *learn.Sample, excluded map[graph.NodeID]bool) (graph.NodeID, bool) {
-	bound := s.MaxPathLength
-	if bound <= 0 {
-		bound = learn.DefaultMaxPathLength
-	}
-	topK := s.TopK
-	if topK <= 0 {
-		topK = 8
-	}
-	candidates := candidateNodes(g, sample, excluded)
-	if len(candidates) == 0 {
-		return "", false
-	}
+func (s *HybridStrategy) Propose(t *Turn) (graph.NodeID, bool) {
+	candidates := append([]graph.NodeID(nil), t.Open...)
 	sort.Slice(candidates, func(i, j int) bool {
-		di, dj := g.OutDegree(candidates[i]), g.OutDegree(candidates[j])
+		di, dj := t.Graph.OutDegree(candidates[i]), t.Graph.OutDegree(candidates[j])
 		if di != dj {
 			return di > dj
 		}
 		return candidates[i] < candidates[j]
 	})
-	if len(candidates) > topK {
-		candidates = candidates[:topK]
+	if len(candidates) > hybridShortlist {
+		candidates = candidates[:hybridShortlist]
 	}
-	cov := coverageFrom(s.coverage, g, sample.Negatives, bound)
-	best := graph.NodeID("")
-	bestCount := 0
+	best, bestCount := graph.NodeID(""), 0
 	for _, id := range candidates {
-		count := paths.CountUncoveredWith(g, id, bound, cov)
-		if count > bestCount {
+		if count := t.uncovered(id); count > bestCount {
 			best, bestCount = id, count
 		}
 	}
-	if bestCount == 0 {
-		return "", false
-	}
-	return best, true
+	return best, bestCount > 0
 }

@@ -91,7 +91,7 @@ func TestDenseReferenceEquivalenceRandom(t *testing.T) {
 		}
 		for i := 0; i < 1+r.Intn(3); i++ {
 			node := ids[r.Intn(len(ids))]
-			if !sample.IsPositive(node) {
+			if !isPositive(sample, node) {
 				sample.AddNegative(node)
 			}
 		}

@@ -115,27 +115,6 @@ func (s *Sample) AddNegative(node graph.NodeID) {
 	s.Negatives = append(s.Negatives, node)
 }
 
-// IsPositive reports whether the node is a positive example.
-func (s *Sample) IsPositive(node graph.NodeID) bool {
-	_, ok := s.Positives[node]
-	return ok
-}
-
-// IsNegative reports whether the node is a negative example.
-func (s *Sample) IsNegative(node graph.NodeID) bool {
-	for _, n := range s.Negatives {
-		if n == node {
-			return true
-		}
-	}
-	return false
-}
-
-// Labeled reports whether the node is labelled either way.
-func (s *Sample) Labeled(node graph.NodeID) bool {
-	return s.IsPositive(node) || s.IsNegative(node)
-}
-
 // PositiveNodes returns the positive nodes in sorted order.
 func (s *Sample) PositiveNodes() []graph.NodeID {
 	out := make([]graph.NodeID, 0, len(s.Positives))

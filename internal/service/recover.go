@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/interactive"
 	"repro/internal/regex"
 	"repro/internal/store"
 )
@@ -157,9 +158,9 @@ func (m *Manager) Restore(reg *Registry, rs store.RecoveredSession) (resumed boo
 		return false, nil
 	}
 
-	strat, err := strategyFor(cr.Config)
+	strat, err := interactive.StrategyByName(cr.Config.Strategy, cr.Config.Seed)
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("service: %w", err)
 	}
 	var goal *regex.Expr
 	if cr.Config.Mode == "simulated" {

@@ -637,21 +637,6 @@ func (m *Manager) newJournal(id string) (*store.Journal, error) {
 	return m.opts.Store.CreateJournal(id)
 }
 
-func strategyFor(cfg SessionConfig) (interactive.Strategy, error) {
-	switch cfg.Strategy {
-	case "", "informative":
-		return &interactive.InformativeStrategy{MaxPathLength: cfg.MaxPathLength}, nil
-	case "random":
-		return interactive.NewRandomStrategy(cfg.Seed), nil
-	case "hybrid":
-		return &interactive.HybridStrategy{MaxPathLength: cfg.MaxPathLength}, nil
-	case "disagreement":
-		return &interactive.DisagreementStrategy{MaxPathLength: cfg.MaxPathLength}, nil
-	default:
-		return nil, fmt.Errorf("service: unknown strategy %q (want informative, random, hybrid or disagreement)", cfg.Strategy)
-	}
-}
-
 func parseQuery(s string) (*regex.Expr, error) {
 	if s == "" {
 		return nil, fmt.Errorf("service: empty query")
@@ -671,9 +656,9 @@ func (m *Manager) CreateFor(tn TenantInfo, h *GraphHandle, cfg SessionConfig) (*
 	if cfg.Mode == "" {
 		cfg.Mode = "manual"
 	}
-	strat, err := strategyFor(cfg)
+	strat, err := interactive.StrategyByName(cfg.Strategy, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("service: %w", err)
 	}
 	cfg.Strategy = strat.Name()
 	var goal *regex.Expr

@@ -197,6 +197,18 @@ func TestCanceledParkedSessionRecordsNothing(t *testing.T) {
 	}
 }
 
+func TestCreateUnknownStrategy(t *testing.T) {
+	srv := NewServer(Options{})
+	h, err := srv.Registry().Register("demo", dataset.Figure1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `service: unknown strategy "bogus" (want informative, random, hybrid or disagreement)`
+	if _, err := srv.manager.CreateFor(TenantInfo{Name: DefaultTenant}, h, SessionConfig{Graph: "demo", Strategy: "bogus"}); err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %s", err, want)
+	}
+}
+
 // TestSessionLimit pins the MaxSessions backpressure.
 func TestSessionLimit(t *testing.T) {
 	srv := NewServer(Options{MaxSessions: 2})
