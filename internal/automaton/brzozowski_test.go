@@ -55,7 +55,7 @@ func dfaToNFA(d *DFA) *NFA {
 	for i := 1; i < d.NumStates(); i++ {
 		n.AddState()
 	}
-	n.SetStart(d.Start())
+	n.start = d.Start()
 	for s := State(0); s < State(d.NumStates()); s++ {
 		if d.IsAccepting(s) {
 			n.SetAccepting(s, true)

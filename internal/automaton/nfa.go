@@ -57,9 +57,6 @@ func (n *NFA) NumStates() int { return n.numStates }
 // Start returns the start state.
 func (n *NFA) Start() State { return n.start }
 
-// SetStart changes the start state.
-func (n *NFA) SetStart(s State) { n.start = s }
-
 // SetAccepting marks a state accepting or not.
 func (n *NFA) SetAccepting(s State, accepting bool) {
 	if accepting {

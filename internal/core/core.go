@@ -57,9 +57,6 @@ func NewWith(g *graph.Graph, cfg Config) *System {
 	})}
 }
 
-// Graph returns the underlying graph database.
-func (s *System) Graph() *graph.Graph { return s.g }
-
 // QueryResult is the answer of a path query on the system's graph.
 type QueryResult struct {
 	// Query is the evaluated query.

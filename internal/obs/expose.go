@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// ContentType is the Prometheus text exposition content type served by
-// Handler.
+// ContentType is the Prometheus text exposition content type.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // escapeLabelValue escapes a label value per the exposition format:
@@ -150,8 +148,6 @@ func (f *family) write(w *bufio.Writer) {
 			writeSample(w, f.name, labels, float64(c.counter.Value()))
 		case c.gaugeFn != nil:
 			writeSample(w, f.name, labels, c.gaugeFn())
-		case c.gauge != nil:
-			writeSample(w, f.name, labels, float64(c.gauge.Value()))
 		case c.hist != nil:
 			writeHistogram(w, f.name, labels, c.hist.Snapshot(), scale)
 		}
@@ -178,21 +174,4 @@ func writeHistogram(w *bufio.Writer, name, labels string, s HistogramSnapshot, s
 	writeSample(w, name+"_bucket", joinLabels(labels, `le="+Inf"`), float64(cum))
 	writeSample(w, name+"_sum", labels, float64(s.Sum)*scale)
 	writeSample(w, name+"_count", labels, float64(s.Count))
-}
-
-// Handler returns an http.Handler serving the registry in exposition
-// format — mount it at GET /metrics.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", ContentType)
-		if req.Method == http.MethodHead {
-			return
-		}
-		_ = r.WritePrometheus(w)
-	})
 }

@@ -5,8 +5,8 @@
 //
 //   - Counter: a monotonically increasing atomic int64 (journal appends,
 //     cache hits, HTTP requests);
-//   - Gauge: a settable atomic int64, or a GaugeFunc sampled at scrape
-//     time (live sessions, queue depth, uptime);
+//   - Gauge: a GaugeFunc sampled at scrape time (live sessions, queue
+//     depth, uptime);
 //   - Histogram: fixed upper-bound buckets with atomic counts, an atomic
 //     sum and an atomic max — the same lock-free shape the service's
 //     latency histogram has always had on the request path. Observations
@@ -68,30 +68,8 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n; negative n is ignored (counters only go up).
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.v.Add(n)
-	}
-}
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down. All methods are safe for
-// concurrent use and lock-free.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket distribution. Bounds are inclusive upper
 // bounds in the histogram's native integer unit; an implicit overflow
@@ -164,7 +142,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 type child struct {
 	labels  []Label // sorted by label name
 	counter *Counter
-	gauge   *Gauge
 	gaugeFn func() float64
 	hist    *Histogram
 }
@@ -276,20 +253,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 			c.counter = &Counter{}
 		}
 		out = c.counter
-	})
-	return out
-}
-
-// Gauge returns the gauge registered under name with the given labels,
-// creating it on first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	f := r.getFamily(name, help, KindGauge)
-	var out *Gauge
-	f.child(labels, func(c *child) {
-		if c.gauge == nil {
-			c.gauge = &Gauge{}
-		}
-		out = c.gauge
 	})
 	return out
 }

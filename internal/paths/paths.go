@@ -23,18 +23,6 @@ type Path struct {
 	Edges []graph.Edge
 }
 
-// Word returns the sequence of labels along the path.
-func (p Path) Word() []string {
-	w := make([]string, len(p.Edges))
-	for i, e := range p.Edges {
-		w[i] = string(e.Label)
-	}
-	return w
-}
-
-// Len returns the number of edges of the path.
-func (p Path) Len() int { return len(p.Edges) }
-
 // String renders the path as "v0 -a-> v1 -b-> v2".
 func (p Path) String() string {
 	if len(p.Edges) == 0 {

@@ -33,13 +33,10 @@ func figure1(t testing.TB) *graph.Graph {
 	return g
 }
 
-func TestPathStringAndWord(t *testing.T) {
+func TestPathString(t *testing.T) {
 	cinema := Path{Start: "N4", Edges: []graph.Edge{{From: "N4", Label: "cinema", To: "C1"}}}
 	if cinema.String() != "N4 -cinema-> C1" {
 		t.Fatalf("String = %q", cinema.String())
-	}
-	if !reflect.DeepEqual(cinema.Word(), []string{"cinema"}) {
-		t.Fatalf("Word = %v", cinema.Word())
 	}
 	empty := Path{Start: "N4"}
 	if empty.String() != "N4" {

@@ -163,16 +163,6 @@ func Opt(sub *Expr) *Expr {
 	return &Expr{Kind: KindOpt, Sub: sub}
 }
 
-// Word returns the concatenation of single labels, i.e. the expression
-// denoting exactly the given word.
-func Word(labels ...string) *Expr {
-	subs := make([]*Expr, len(labels))
-	for i, l := range labels {
-		subs[i] = Sym(l)
-	}
-	return Concat(subs...)
-}
-
 // Nullable reports whether the language contains the empty word.
 func (e *Expr) Nullable() bool {
 	switch e.Kind {
@@ -225,31 +215,6 @@ func (e *Expr) IsEmptyLanguage() bool {
 		return e.Sub.IsEmptyLanguage()
 	}
 	return true
-}
-
-// Labels returns the sorted set of labels mentioned in the expression.
-func (e *Expr) Labels() []string {
-	set := make(map[string]bool)
-	e.collectLabels(set)
-	out := make([]string, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (e *Expr) collectLabels(set map[string]bool) {
-	switch e.Kind {
-	case KindLabel:
-		set[e.Label] = true
-	case KindConcat, KindUnion:
-		for _, s := range e.Subs {
-			s.collectLabels(set)
-		}
-	case KindStar, KindPlus, KindOpt:
-		e.Sub.collectLabels(set)
-	}
 }
 
 // Size returns the number of AST nodes, a rough complexity measure used by

@@ -2,7 +2,6 @@ package regex
 
 import (
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -151,26 +150,13 @@ func TestIsEmptyLanguage(t *testing.T) {
 	}
 }
 
-func TestLabelsAndSize(t *testing.T) {
+func TestSize(t *testing.T) {
 	e := MustParse("(tram+bus)*.cinema")
-	if got := e.Labels(); !reflect.DeepEqual(got, []string{"bus", "cinema", "tram"}) {
-		t.Fatalf("Labels = %v", got)
-	}
 	if e.Size() < 5 {
 		t.Fatalf("Size = %d, expected at least 5", e.Size())
 	}
 	if Sym("a").Size() != 1 || Eps().Size() != 1 {
 		t.Fatal("leaf sizes should be 1")
-	}
-}
-
-func TestWordConstructor(t *testing.T) {
-	e := Word("bus", "tram", "cinema")
-	if e.String() != "bus.tram.cinema" {
-		t.Fatalf("Word = %q", e.String())
-	}
-	if Word().Kind != KindEps {
-		t.Fatal("empty Word should be eps")
 	}
 }
 

@@ -61,13 +61,13 @@ func waitFollowerCaughtUp(t *testing.T, f *Follower) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		st := f.Replica().Status()
+		st := f.replica.Status()
 		if st.Connected && st.AppliedFrames > 0 && st.LagFrames == 0 {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("follower never caught up: %+v", f.Replica().Status())
+	t.Fatalf("follower never caught up: %+v", f.replica.Status())
 }
 
 // TestFollowerPromoteAdoptsReplicatedSessions replicates a live primary

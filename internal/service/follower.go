@@ -128,12 +128,6 @@ func (f *Follower) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.base.ServeHTTP(w, r)
 }
 
-// Server returns the promoted server, nil before promotion.
-func (f *Follower) Server() *Server { return f.srv.Load() }
-
-// Replica exposes the underlying store replica (tests and status).
-func (f *Follower) Replica() *store.Replica { return f.replica }
-
 // NotifyShutdown forwards to the promoted server so open event streams
 // drain on graceful shutdown; a no-op while still a standby (the
 // standby serves no streams).

@@ -76,9 +76,6 @@ func (s *Server) loadFence() {
 	}
 }
 
-// Fenced reports whether this server has latched into the fenced state.
-func (s *Server) Fenced() bool { return s.fenced.Load() }
-
 // fence latches the server into the fenced state and persists the
 // marker. Idempotent; the first latch logs and writes the marker.
 func (s *Server) fence(successor uint64) {
