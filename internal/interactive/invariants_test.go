@@ -149,20 +149,6 @@ func runChecked(t *testing.T, g *graph.Graph, goal *regex.Expr, opts Options) in
 	return len(m.t.Interactions)
 }
 
-// newStrategy builds a strategy by the name the service accepts, seeding
-// the random one with 1 as the golden corpus does.
-func newStrategy(name string) Strategy {
-	switch name {
-	case "random":
-		return NewRandomStrategy(1)
-	case "hybrid":
-		return &HybridStrategy{}
-	case "disagreement":
-		return &DisagreementStrategy{}
-	}
-	return &InformativeStrategy{}
-}
-
 // TestLoopInvariants runs the sessions of the figure1 and transport10
 // golden corpora (three goals × four strategies × path validation on and
 // off) and checks the loop's invariants after every label.
@@ -184,10 +170,12 @@ func TestLoopInvariants(t *testing.T) {
 					c, goal, strat, validate := c, goal, strat, validate
 					t.Run(fmt.Sprintf("%s/%s/%s/validation=%t", c.name, goal, strat, validate), func(t *testing.T) {
 						t.Parallel()
-						labels := runChecked(t, c.graph(), regex.MustParse(goal), Options{
-							Strategy:       newStrategy(strat),
-							PathValidation: validate,
-						})
+						// The golden corpus seeds the random strategy with 1.
+						s, err := StrategyByName(strat, 1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						labels := runChecked(t, c.graph(), regex.MustParse(goal), Options{Strategy: s, PathValidation: validate})
 						if labels == 0 {
 							t.Fatal("no label checked")
 						}
