@@ -627,6 +627,19 @@ func TestCoverageSourceReuse(t *testing.T) {
 	}
 }
 
+// TestCoverageAtBound checks that coverageAt serves the cached coverage at
+// the session's bound and builds a new one at any other bound.
+func TestCoverageAtBound(t *testing.T) {
+	s := NewMachine(dataset.Figure1(), Options{})
+	k := s.opts.Learn.MaxPathLength
+	if s.coverageAt(k) != s.negCoverage() {
+		t.Fatal("coverageAt at the session bound must serve the cached coverage")
+	}
+	if s.coverageAt(k+1) == s.negCoverage() {
+		t.Fatal("coverageAt at another bound must build a new coverage")
+	}
+}
+
 func TestStrategyByName(t *testing.T) {
 	for _, c := range []struct{ name, want string }{
 		{"informative", "informative"},

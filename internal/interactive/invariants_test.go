@@ -104,8 +104,8 @@ func checkTurn(m *Machine) []string {
 
 // runChecked drives a Machine with a simulated user for the goal, checks
 // every proposal (I4 for the informative strategy, I5's no-node-asked-twice
-// for all) and runs checkTurn after every completed label. It returns the
-// number of labels checked.
+// for all) and runs checkTurn after every completed label. Any error from
+// the loop fails the test. It returns the number of labels checked.
 func runChecked(t *testing.T, g *graph.Graph, goal *regex.Expr, opts Options) int {
 	t.Helper()
 	u := user.NewSimulated(g, goal)
@@ -133,7 +133,7 @@ func runChecked(t *testing.T, g *graph.Graph, goal *regex.Expr, opts Options) in
 		}
 		before := len(m.t.Interactions)
 		if err := m.Answer(Ask(u, q)); err != nil {
-			return before
+			t.Fatalf("turn %d: %v", before+1, err)
 		}
 		if len(m.t.Interactions) > before {
 			if errs := checkTurn(m); len(errs) > 0 {
