@@ -149,22 +149,27 @@ func runChecked(t *testing.T, g *graph.Graph, goal *regex.Expr, opts Options) in
 	return len(m.t.Interactions)
 }
 
-// TestLoopInvariants runs the sessions of the figure1 and transport10
-// golden corpora (three goals × four strategies × path validation on and
-// off) and checks the loop's invariants after every label.
+// TestLoopInvariants runs the sessions of the figure1, transport10 and
+// scalefree200 golden corpora (three goals × four strategies × path
+// validation on and off) and checks the loop's invariants after every
+// label.
 func TestLoopInvariants(t *testing.T) {
+	transportGoals := []string{"(tram+bus)*.cinema", "tram*.bus.museum", "tram.bus.restaurant+bus.park"}
 	corpora := []struct {
 		name  string
 		graph func() *graph.Graph
+		goals []string
 	}{
-		{"figure1", dataset.Figure1},
+		{"figure1", dataset.Figure1, transportGoals},
 		{"transport10", func() *graph.Graph {
 			return dataset.Transport(dataset.TransportOptions{Rows: 10, Cols: 10, Seed: 1, FacilityRate: 0.3})
-		}},
+		}, transportGoals},
+		{"scalefree200", func() *graph.Graph {
+			return dataset.ScaleFree(dataset.ScaleFreeOptions{Nodes: 200, Seed: 1})
+		}, []string{"interacts*.binds", "regulates.inhibits", "(interacts+binds)*.regulates"}},
 	}
-	goals := []string{"(tram+bus)*.cinema", "tram*.bus.museum", "tram.bus.restaurant+bus.park"}
 	for _, c := range corpora {
-		for _, goal := range goals {
+		for _, goal := range c.goals {
 			for _, strat := range []string{"random", "informative", "hybrid", "disagreement"} {
 				for _, validate := range []bool{true, false} {
 					c, goal, strat, validate := c, goal, strat, validate

@@ -199,6 +199,11 @@ type Machine struct {
 	// so rounds that add positive labels reuse it as-is.
 	cov     *paths.Coverage
 	covNegs int
+	// counts is the Turn memo of each node's uncovered count against cov,
+	// by dense node index (-1: not yet counted). It is dropped together
+	// with cov, so a negative turn counts each open node once (prune fills
+	// it, propose reads it) and any other turn counts nothing anew.
+	counts []int32
 
 	t *Transcript
 	// q is the pending question; nil once the loop halted.
@@ -293,14 +298,7 @@ func (m *Machine) propose() {
 		m.halt(HaltMaxReached)
 		return
 	}
-	node, ok := m.opts.Strategy.Propose(&Turn{
-		Graph:      m.g,
-		K:          m.opts.Learn.MaxPathLength,
-		Open:       m.open,
-		Coverage:   m.negCoverage(),
-		Hypothesis: m.t.Final,
-		Cache:      m.cache,
-	})
+	node, ok := m.opts.Strategy.Propose(m.turn())
 	if !ok {
 		m.halt(HaltNoInformative)
 		return
@@ -394,13 +392,33 @@ func (m *Machine) label(word []string) error {
 	return nil
 }
 
+// turn returns the state the strategy and pruning read, sharing the
+// Machine's count memo.
+func (m *Machine) turn() *Turn {
+	// negCoverage may drop the memo, so it runs before m.counts is read.
+	cov := m.negCoverage()
+	return &Turn{
+		Graph:      m.g,
+		K:          m.opts.Learn.MaxPathLength,
+		Open:       m.open,
+		Coverage:   cov,
+		Hypothesis: m.t.Final,
+		Cache:      m.cache,
+		counts:     m.counts,
+	}
+}
+
 // negCoverage returns the covered-word set of the current negatives at the
-// learner's path-length bound, rebuilding it only when the negative set
-// changed since the last probe.
+// learner's path-length bound, rebuilding it, and dropping the count memo,
+// only when the negative set changed since the last probe.
 func (m *Machine) negCoverage() *paths.Coverage {
 	if m.cov == nil || m.covNegs != len(m.sample.Negatives) {
 		m.cov = paths.NewCoverage(m.g, m.sample.Negatives, m.opts.Learn.MaxPathLength)
 		m.covNegs = len(m.sample.Negatives)
+		m.counts = make([]int32, m.g.Indexed().NumNodes())
+		for i := range m.counts {
+			m.counts[i] = -1
+		}
 	}
 	return m.cov
 }
@@ -476,14 +494,11 @@ func (m *Machine) propagatePositive(word []string) int {
 
 // prune drops from the open set the nodes all of whose bounded-length
 // words are covered by the negative examples and returns how many it
-// pruned. Every open node re-enumerates its bounded words against one
-// shared negative coverage, in node order.
+// pruned. It counts every open node against the new negative coverage, in
+// node order, and leaves the counts in the memo for the next proposal.
 func (m *Machine) prune() int {
-	cov := m.negCoverage()
-	bound := m.opts.Learn.MaxPathLength
-	return m.filterOpen(func(id graph.NodeID) bool {
-		return paths.CountUncoveredWith(m.g, id, bound, cov) == 0
-	})
+	t := m.turn()
+	return m.filterOpen(func(id graph.NodeID) bool { return t.uncovered(id) == 0 })
 }
 
 // filterOpen removes from the open set, in order, the nodes for which drop

@@ -31,12 +31,23 @@ type Turn struct {
 	Hypothesis *regex.Expr
 	// Cache is the session's engine cache on Graph.
 	Cache *rpq.EngineCache
+	// counts memoises uncovered by dense node index of Graph, -1 for a node
+	// not yet counted. The Machine keeps it for as long as Coverage stays
+	// the same; nil means every call counts afresh.
+	counts []int32
 }
 
 // uncovered returns the number of words of length at most K that node id
 // spells and no negative example covers: the paper's informativeness.
 func (t *Turn) uncovered(id graph.NodeID) int {
-	return paths.CountUncoveredWith(t.Graph, id, t.K, t.Coverage)
+	i, ok := t.Graph.Indexed().IndexOf(id)
+	if t.counts == nil || !ok {
+		return paths.CountUncoveredWith(t.Graph, id, t.K, t.Coverage)
+	}
+	if t.counts[i] < 0 {
+		t.counts[i] = int32(paths.CountUncoveredWith(t.Graph, id, t.K, t.Coverage))
+	}
+	return int(t.counts[i])
 }
 
 // Strategy is the node-proposal function Υ of the paper: it returns the

@@ -3,12 +3,13 @@ package paths
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 )
 
 // This file holds the integer-indexed hot path of the package: word
-// enumeration and coverage run as bitset sweeps over graph.Indexed instead
+// enumeration and coverage run as sweeps over graph.Indexed instead
 // of map-of-NodeID walks keyed by joined label strings. The string-keyed
 // originals survive as the reference implementation in reference_test.go,
 // which pins equivalence on randomized graphs.
@@ -60,36 +61,22 @@ func wordStrings(ix *graph.Indexed, word []int32) []string {
 // forEachWord enumerates the distinct non-empty words of 1..maxLen edges
 // starting at the dense node index start, breadth first, calling fn with
 // each word's packed key and label indices. Like the reference Words, each
-// distinct word is tracked once together with the bitset of nodes it can
-// end in, so the cost is bounded by distinct words times graph size rather
-// than by the (possibly exponential) number of paths.
+// distinct word is tracked once together with the sorted, deduplicated set
+// of nodes it can end in, so the cost is bounded by distinct words times
+// end-set size rather than by the (possibly exponential) number of paths.
 func forEachWord(ix *graph.Indexed, start int32, maxLen int, fn func(key string, word []int32)) {
 	numLabels := int32(ix.NumLabels())
 	type entry struct {
 		word []int32
-		ends nodeSet
+		ends []int32
 	}
-	first := entry{ends: newNodeSet(ix.NumNodes())}
-	first.ends.add(start)
-	current := []entry{first}
+	current := []entry{{ends: []int32{start}}}
 	for depth := 0; depth < maxLen && len(current) > 0; depth++ {
 		var next []entry
 		for _, e := range current {
 			for l := int32(0); l < numLabels; l++ {
-				var ends nodeSet
-				e.ends.forEach(func(node int32) {
-					outs := ix.Out(node, l)
-					if len(outs) == 0 {
-						return
-					}
-					if ends == nil {
-						ends = newNodeSet(ix.NumNodes())
-					}
-					for _, t := range outs {
-						ends.add(t)
-					}
-				})
-				if ends == nil {
+				ends := step(ix, e.ends, l)
+				if len(ends) == 0 {
 					continue
 				}
 				// Distinct parent words yield distinct child words, so no
@@ -104,4 +91,15 @@ func forEachWord(ix *graph.Indexed, start int32, maxLen int, fn func(key string,
 		}
 		current = next
 	}
+}
+
+// step returns the sorted, deduplicated l-successors of the nodes; nil when
+// there are none.
+func step(ix *graph.Indexed, nodes []int32, l int32) []int32 {
+	var out []int32
+	for _, node := range nodes {
+		out = append(out, ix.Out(node, l)...)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }

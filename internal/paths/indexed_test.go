@@ -12,11 +12,14 @@ import (
 
 // equivalenceGraphs builds the graph zoo the indexed implementations are
 // compared against the string-keyed reference on: the paper's Figure 1
-// graph plus randomized and scale-free graphs of varying density.
+// graph, randomized and scale-free graphs of varying density, and a
+// transport grid, whose many paths converge on the same end nodes and so
+// exercise the end sets' deduplication.
 func equivalenceGraphs(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
 	graphs := map[string]*graph.Graph{
-		"figure1": dataset.Figure1(),
+		"figure1":     dataset.Figure1(),
+		"transport-6": dataset.Transport(dataset.TransportOptions{Rows: 6, Cols: 6, Seed: 1, FacilityRate: 0.3}),
 	}
 	for _, seed := range []int64{1, 7, 42} {
 		graphs[fmt.Sprintf("random-%d", seed)] = dataset.Random(dataset.RandomOptions{Nodes: 25, Seed: seed})
@@ -37,7 +40,7 @@ func pickNegatives(g *graph.Graph, rng *rand.Rand, k int) []graph.NodeID {
 
 func TestWordsMatchesReference(t *testing.T) {
 	for name, g := range equivalenceGraphs(t) {
-		for _, maxLen := range []int{0, 1, 2, 3} {
+		for _, maxLen := range []int{0, 1, 2, 3, 4} {
 			for _, start := range g.Nodes() {
 				got := Words(g, start, maxLen)
 				want := refWords(g, start, maxLen)

@@ -51,8 +51,8 @@ func WordKey(word []string) string { return strings.Join(word, ".") }
 //
 // Words deduplicates level by level: each distinct word is tracked together
 // with the set of nodes it can end in, so the cost is bounded by the number
-// of distinct words times the graph size, not by the number of paths, which
-// can grow exponentially with maxLen.
+// of distinct words times their end-set sizes, not by the number of paths,
+// which can grow exponentially with maxLen.
 func Words(g *graph.Graph, start graph.NodeID, maxLen int) [][]string {
 	ix := g.Indexed()
 	si, ok := ix.IndexOf(start)
@@ -78,30 +78,24 @@ func sortWords(words [][]string) {
 }
 
 // HasWord reports whether node start has a path spelling exactly the word.
-// The empty word is always present.
+// The empty word is always present. It walks the word forward over the
+// sorted, deduplicated set of nodes each prefix can end in, so its cost is
+// bounded by the word length times those sets' sizes, not by the graph size.
 func HasWord(g *graph.Graph, start graph.NodeID, word []string) bool {
 	ix := g.Indexed()
 	si, ok := ix.IndexOf(start)
 	if !ok {
 		return false
 	}
-	current := newNodeSet(ix.NumNodes())
-	current.add(si)
+	current := []int32{si}
 	for _, label := range word {
 		li, ok := ix.LabelIndexOf(graph.Label(label))
 		if !ok {
 			return false
 		}
-		next := newNodeSet(ix.NumNodes())
-		current.forEach(func(node int32) {
-			for _, t := range ix.Out(node, li) {
-				next.add(t)
-			}
-		})
-		if next.empty() {
+		if current = step(ix, current, li); len(current) == 0 {
 			return false
 		}
-		current = next
 	}
 	return true
 }
