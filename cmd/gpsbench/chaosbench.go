@@ -604,8 +604,8 @@ func (c *chaosRun) exited() bool { return c.waitExit(0) }
 // readStats folds the daemon's store counters into the current epoch and
 // flags any corrupt frame on the spot: crashes tear tails (truncated, by
 // design) but must never corrupt a sealed frame. The counters come from
-// the Prometheus exposition at /metrics, not the JSON stats, so the chaos
-// run also proves the scrape surface stays accurate across every crash.
+// the Prometheus exposition at /metrics, so the chaos run also proves the
+// scrape surface stays accurate across every crash.
 func (c *chaosRun) readStats() {
 	body, err := c.client.Metrics(context.Background())
 	if err != nil {

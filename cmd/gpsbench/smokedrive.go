@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/service"
@@ -284,12 +286,19 @@ func smokeAuth(ctx context.Context, opts smokeOptions) error {
 	if v.Tenant == "" {
 		return fmt.Errorf("keyed session carries no tenant: %+v", v)
 	}
-	stats, err := keyed.TenantStats(ctx)
+	body, err := keyed.Metrics(ctx)
 	if err != nil {
-		return fmt.Errorf("tenant stats: %w", err)
+		return fmt.Errorf("scrape metrics: %w", err)
 	}
-	if bp, ok := stats[v.Tenant]; !ok || bp.Admitted < 1 {
-		return fmt.Errorf("tenant stats for %q = %+v (ok=%v), want >=1 admitted", v.Tenant, stats[v.Tenant], ok)
+	series := fmt.Sprintf("gpsd_tenant_admissions_total{tenant=%q}", v.Tenant)
+	admitted := 0.0
+	for _, line := range strings.Split(body, "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			admitted, _ = strconv.ParseFloat(rest, 64)
+		}
+	}
+	if admitted < 1 {
+		return fmt.Errorf("%s = %v, want >= 1", series, admitted)
 	}
 	fmt.Printf("smokedrive: auth ok (tenant %s)\n", v.Tenant)
 	return nil

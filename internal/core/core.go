@@ -36,25 +36,7 @@ type System struct {
 
 // New returns a System over the given graph database.
 func New(g *graph.Graph) *System {
-	return NewWith(g, Config{})
-}
-
-// Config tunes a System's evaluation pipeline.
-type Config struct {
-	// CacheCapacity bounds the LRU engine cache. 0 means
-	// rpq.DefaultCacheCapacity.
-	CacheCapacity int
-}
-
-// NewWith returns a System with an explicitly configured evaluation
-// pipeline (see Config), for embedders of the facade that want a sized
-// cache. The HTTP service does not go through this facade —
-// internal/service builds its per-graph caches directly with
-// rpq.NewCacheWith.
-func NewWith(g *graph.Graph, cfg Config) *System {
-	return &System{g: g, cache: rpq.NewCacheWith(g, rpq.CacheOptions{
-		Capacity: cfg.CacheCapacity,
-	})}
+	return &System{g: g, cache: rpq.NewCache(g)}
 }
 
 // QueryResult is the answer of a path query on the system's graph.

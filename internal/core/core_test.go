@@ -26,21 +26,6 @@ func TestEvaluateFigure1(t *testing.T) {
 	}
 }
 
-func TestNewWithSizedCache(t *testing.T) {
-	def := New(dataset.Figure1())
-	sized := NewWith(dataset.Figure1(), Config{CacheCapacity: 8})
-	q := dataset.Figure1GoalQuery()
-	a, b := def.Evaluate(q), sized.Evaluate(q)
-	if len(a.Nodes) != len(b.Nodes) {
-		t.Fatalf("sized-cache system selected %v, default %v", b.Nodes, a.Nodes)
-	}
-	for i := range a.Nodes {
-		if a.Nodes[i] != b.Nodes[i] {
-			t.Fatalf("sized-cache system selected %v, default %v", b.Nodes, a.Nodes)
-		}
-	}
-}
-
 func TestEvaluateString(t *testing.T) {
 	sys := New(dataset.Figure1())
 	res, err := sys.EvaluateString("cinema")

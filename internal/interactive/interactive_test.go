@@ -412,14 +412,6 @@ func TestSessionPropagatesValidatedWords(t *testing.T) {
 	if positiveLabels > 1 {
 		t.Fatalf("propagation should avoid asking the sibling nodes, got %d positive labels", positiveLabels)
 	}
-	// With propagation disabled the implied count must be zero.
-	tr2, err := Run(g, user.NewSimulated(g, goal), Options{PathValidation: true, DisablePropagation: true, MaxInteractions: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr2.ImpliedTotal != 0 {
-		t.Fatalf("propagation disabled but %d implied positives recorded", tr2.ImpliedTotal)
-	}
 }
 
 func TestSessionMaxInteractionsHalt(t *testing.T) {

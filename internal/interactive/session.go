@@ -25,12 +25,6 @@ type Options struct {
 	// PathValidation enables the path-validation step after each positive
 	// label (the paper's third demonstration scenario).
 	PathValidation bool
-	// DisablePropagation turns off label propagation. By default, when the
-	// user validates a path of interest w for a positive node, every other
-	// node that also has a path spelling w is implied positive (any query
-	// containing w selects it) and is not asked again — the "propagate
-	// label for ν" step of Figure 2.
-	DisablePropagation bool
 	// MaxInteractions bounds the number of label interactions. Zero means
 	// 100.
 	MaxInteractions int
@@ -355,10 +349,11 @@ func (m *Machine) label(word []string) error {
 	case user.Positive:
 		m.sample.AddPositive(in.Node, word)
 		in.ValidatedWord = word
-		// Label propagation: every other node that has a path spelling the
-		// validated word is selected by any query containing that word, so
-		// it is implied positive and never proposed.
-		if len(word) > 0 && !m.opts.DisablePropagation {
+		// Label propagation — the "propagate label for ν" step of Figure
+		// 2: every other node that has a path spelling the validated word
+		// is selected by any query containing that word, so it is implied
+		// positive and never proposed.
+		if len(word) > 0 {
 			in.Implied = m.propagatePositive(word)
 		}
 	case user.Negative:

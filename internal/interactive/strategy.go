@@ -8,7 +8,6 @@ package interactive
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/paths"
@@ -133,14 +132,13 @@ type DisagreementStrategy struct{}
 // Name implements Strategy.
 func (s *DisagreementStrategy) Name() string { return "disagreement" }
 
-// Propose implements Strategy.
+// Propose implements Strategy. Both passes read t.uncovered, a memo read
+// while the negatives stay the same.
 func (s *DisagreementStrategy) Propose(t *Turn) (graph.NodeID, bool) {
-	counts := make([]int, len(t.Open))
 	maxCount, first := 0, 0
 	for i, id := range t.Open {
-		counts[i] = t.uncovered(id)
-		if counts[i] > maxCount {
-			maxCount, first = counts[i], i
+		if count := t.uncovered(id); count > maxCount {
+			maxCount, first = count, i
 		}
 	}
 	if maxCount == 0 {
@@ -153,15 +151,16 @@ func (s *DisagreementStrategy) Propose(t *Turn) (graph.NodeID, bool) {
 	engine := t.Cache.Get(t.Hypothesis)
 	best, bestScore := 0, -1
 	for i, id := range t.Open {
-		if counts[i] == 0 {
+		count := t.uncovered(id)
+		if count == 0 {
 			continue // uninformative, never propose
 		}
 		// Likely false positive: hypothesis selects it, few uncovered
 		// paths. Likely false negative: hypothesis misses it, many
 		// uncovered paths.
-		score := counts[i]
+		score := count
 		if engine.Selects(id) {
-			score = maxCount - counts[i]
+			score = maxCount - count
 		}
 		if score > bestScore {
 			best, bestScore = i, score
@@ -184,23 +183,36 @@ type HybridStrategy struct{}
 // Name implements Strategy.
 func (s *HybridStrategy) Name() string { return "hybrid" }
 
-// Propose implements Strategy.
+// Propose implements Strategy. One pass over t.Open keeps the shortlist
+// sorted by out-degree, descending, then id, ascending; the shortlisted
+// node with the most uncovered paths wins, ties to the earlier one.
 func (s *HybridStrategy) Propose(t *Turn) (graph.NodeID, bool) {
-	candidates := append([]graph.NodeID(nil), t.Open...)
-	sort.Slice(candidates, func(i, j int) bool {
-		di, dj := t.Graph.OutDegree(candidates[i]), t.Graph.OutDegree(candidates[j])
-		if di != dj {
-			return di > dj
+	type ranked struct {
+		id     graph.NodeID
+		degree int
+	}
+	var buf [hybridShortlist]ranked
+	shortlist := buf[:0]
+	for _, id := range t.Open {
+		r := ranked{id, t.Graph.OutDegree(id)}
+		i := len(shortlist)
+		for i > 0 && (r.degree > shortlist[i-1].degree ||
+			r.degree == shortlist[i-1].degree && r.id < shortlist[i-1].id) {
+			i--
 		}
-		return candidates[i] < candidates[j]
-	})
-	if len(candidates) > hybridShortlist {
-		candidates = candidates[:hybridShortlist]
+		if i == hybridShortlist {
+			continue
+		}
+		if len(shortlist) < hybridShortlist {
+			shortlist = append(shortlist, ranked{})
+		}
+		copy(shortlist[i+1:], shortlist[i:len(shortlist)-1])
+		shortlist[i] = r
 	}
 	best, bestCount := graph.NodeID(""), 0
-	for _, id := range candidates {
-		if count := t.uncovered(id); count > bestCount {
-			best, bestCount = id, count
+	for _, r := range shortlist {
+		if count := t.uncovered(r.id); count > bestCount {
+			best, bestCount = r.id, count
 		}
 	}
 	return best, bestCount > 0

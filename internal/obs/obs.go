@@ -7,9 +7,8 @@
 //     cache hits, HTTP requests);
 //   - Gauge: a GaugeFunc sampled at scrape time (live sessions, queue
 //     depth, uptime);
-//   - Histogram: fixed upper-bound buckets with atomic counts, an atomic
-//     sum and an atomic max — the same lock-free shape the service's
-//     latency histogram has always had on the request path. Observations
+//   - Histogram: fixed upper-bound buckets with atomic counts and an
+//     atomic sum, lock-free on the request path. Observations
 //     are recorded in a native integer unit (microseconds for latency)
 //     and rescaled only at exposition, so the hot path never touches a
 //     float.
@@ -17,9 +16,9 @@
 // Pre-existing telemetry that already owns its own atomics (the store
 // engines' counter block, the per-graph engine caches) joins the registry
 // through SampleFunc: a family whose labelled samples are produced by a
-// callback at scrape time, reading the same atomics the JSON /v1/stats
-// view reads. The registry is therefore a superset view, not a second
-// source of truth.
+// callback at scrape time, reading the same atomics the owner's own
+// snapshots read. The registry is therefore a view, not a second source
+// of truth.
 //
 // Registration is idempotent: asking for an instrument that already
 // exists under the same name, kind and label set returns the existing
@@ -74,8 +73,8 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Histogram is a fixed-bucket distribution. Bounds are inclusive upper
 // bounds in the histogram's native integer unit; an implicit overflow
 // bucket catches everything above the last bound. Observe is lock-free:
-// one bucket increment, a sum add, and a CAS loop for the max. There is no
-// separate count: Snapshot derives it from the buckets.
+// one bucket increment and a sum add. There is no separate count:
+// Snapshot derives it from the buckets.
 type Histogram struct {
 	bounds []int64
 	// scale converts the native unit to the exposed unit at render time
@@ -83,7 +82,6 @@ type Histogram struct {
 	scale   float64
 	buckets []atomic.Int64
 	sum     atomic.Int64
-	max     atomic.Int64
 }
 
 // Observe records one value in the histogram's native unit.
@@ -101,26 +99,19 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.buckets[lo].Add(1)
 	h.sum.Add(v)
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // HistogramSnapshot is a point-in-time view of a histogram. Buckets are
 // per-bucket (non-cumulative) counts aligned with Bounds; the final entry
 // is the overflow bucket. Count is the sum of the loaded buckets, so the
-// bucket counts and Count always agree; Sum and Max are loaded separately
-// and may trail or lead them by a concurrent observe, which is fine for
+// bucket counts and Count always agree; Sum is loaded separately and
+// may trail or lead them by a concurrent observe, which is fine for
 // monitoring.
 type HistogramSnapshot struct {
 	Bounds  []int64
 	Buckets []int64
 	Count   int64
 	Sum     int64
-	Max     int64
 }
 
 // Snapshot returns the histogram's current state.
@@ -129,7 +120,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Bounds:  h.bounds,
 		Buckets: make([]int64, len(h.buckets)),
 		Sum:     h.sum.Load(),
-		Max:     h.max.Load(),
 	}
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()

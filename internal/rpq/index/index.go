@@ -198,7 +198,7 @@ func (x *Index) buildClosures(opts Options) {
 // so the hot loops touch no atomics.
 func (x *Index) AddHits(n uint64) { x.hits.Add(n) }
 
-// Stats is a point-in-time snapshot of the index for /v1/stats and the
+// Stats is a point-in-time snapshot of the index for /v1/graphs and the
 // gpsd_index_* metric families.
 type Stats struct {
 	// Bytes is the approximate resident size of the index structures.

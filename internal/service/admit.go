@@ -51,7 +51,6 @@ type tenantState struct {
 	admitted      int64
 	rejectedQuota int64
 	rejectedLoad  int64
-	timedOut      int64
 }
 
 func (ts *tenantState) weight() float64 {
@@ -209,19 +208,17 @@ func (m *Manager) admit(tn TenantInfo) error {
 			break
 		}
 	}
-	ts.timedOut++
 	return m.rejectLocked(ts)
 }
 
-// TenantBackpressure is one tenant's admission state in /v1/stats.
+// TenantBackpressure is one tenant's admission state, sampled into the
+// gpsd_tenant_* families at scrape time.
 type TenantBackpressure struct {
-	LiveSessions  int   `json:"live_sessions"`
-	MaxSessions   int   `json:"max_sessions,omitempty"`
-	Queued        int   `json:"queued"`
-	Admitted      int64 `json:"admitted"`
-	RejectedQuota int64 `json:"rejected_quota"`
-	RejectedLoad  int64 `json:"rejected_overload"`
-	TimedOut      int64 `json:"timed_out"`
+	LiveSessions  int
+	Queued        int
+	Admitted      int64
+	RejectedQuota int64
+	RejectedLoad  int64
 }
 
 // TenantStats snapshots per-tenant admission accounting, keyed by tenant
@@ -233,12 +230,10 @@ func (m *Manager) TenantStats() map[string]TenantBackpressure {
 	for name, ts := range m.tenants {
 		out[name] = TenantBackpressure{
 			LiveSessions:  ts.live,
-			MaxSessions:   ts.limits.MaxSessions,
 			Queued:        len(ts.queue),
 			Admitted:      ts.admitted,
 			RejectedQuota: ts.rejectedQuota,
 			RejectedLoad:  ts.rejectedLoad,
-			TimedOut:      ts.timedOut,
 		}
 	}
 	return out
@@ -247,8 +242,8 @@ func (m *Manager) TenantStats() map[string]TenantBackpressure {
 // tenantSamples renders one labelled sample per tenant, folding tenants
 // beyond the cardinality cap into one "_other" sample (values summed).
 // Tenants are visited in sorted order so which names survive the cap is
-// stable across scrapes.
-func (m *Manager) tenantSamples(get func(TenantBackpressure) float64) []obs.Sample {
+// stable across scrapes. extra labels are attached to every sample.
+func (m *Manager) tenantSamples(get func(TenantBackpressure) float64, extra ...obs.Label) []obs.Sample {
 	stats := m.TenantStats()
 	names := make([]string, 0, len(stats))
 	for name := range stats {
@@ -265,10 +260,10 @@ func (m *Manager) tenantSamples(get func(TenantBackpressure) float64) []obs.Samp
 			overflowed = true
 			continue
 		}
-		out = append(out, obs.Sample{Labels: []obs.Label{obs.L("tenant", name)}, Value: v})
+		out = append(out, obs.Sample{Labels: append([]obs.Label{obs.L("tenant", name)}, extra...), Value: v})
 	}
 	if overflowed {
-		out = append(out, obs.Sample{Labels: []obs.Label{obs.L("tenant", tenantLabelOverflow)}, Value: overflow})
+		out = append(out, obs.Sample{Labels: append([]obs.Label{obs.L("tenant", tenantLabelOverflow)}, extra...), Value: overflow})
 	}
 	return out
 }
@@ -289,13 +284,13 @@ func (m *Manager) registerTenantObs(reg *obs.Registry) {
 		func() []obs.Sample {
 			return m.tenantSamples(func(t TenantBackpressure) float64 { return float64(t.Admitted) })
 		})
-	reg.SampleFunc("gpsd_tenant_rejections_total", "Session creates rejected 429, by tenant (quota and overload).", obs.KindCounter,
+	// A waiter that times out on the queue is rejected like any other
+	// create, so it lands under whichever reason binds at that moment.
+	reg.SampleFunc("gpsd_tenant_rejections_total", "Session creates rejected 429, by tenant and reason (quota: the tenant's own cap; overload: the shared pool).", obs.KindCounter,
 		func() []obs.Sample {
-			return m.tenantSamples(func(t TenantBackpressure) float64 {
-				// timed_out is a subset of the two reject counters (a
-				// timed-out waiter is rejected with a typed error), so it is
-				// not added again here.
-				return float64(t.RejectedQuota + t.RejectedLoad)
-			})
+			quota := m.tenantSamples(func(t TenantBackpressure) float64 { return float64(t.RejectedQuota) },
+				obs.L("reason", "quota"))
+			return append(quota, m.tenantSamples(func(t TenantBackpressure) float64 { return float64(t.RejectedLoad) },
+				obs.L("reason", "overload"))...)
 		})
 }

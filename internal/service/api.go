@@ -1,9 +1,6 @@
 package service
 
-import (
-	"repro/internal/graph"
-	"repro/internal/store"
-)
+import "repro/internal/graph"
 
 // The success bodies of the v1 API. Every handler answers with one of
 // these declared types (or another exported struct such as GraphInfo or
@@ -66,20 +63,4 @@ type SessionPage struct {
 	Sessions []SessionView `json:"sessions"`
 	// NextCursor is "" on the last page; pass it back to continue.
 	NextCursor string `json:"next_cursor,omitempty"`
-}
-
-// ServerStats is the body of GET /v1/stats. Store and Recovery are set
-// only on a durable service.
-type ServerStats struct {
-	UptimeSeconds int64                         `json:"uptime_seconds"`
-	IndexEnabled  bool                          `json:"index_enabled"`
-	CacheCapacity int                           `json:"cache_capacity"`
-	MaxSessions   int                           `json:"max_sessions"`
-	Graphs        []GraphInfo                   `json:"graphs"`
-	Sessions      map[SessionStatus]int         `json:"sessions"`
-	Backpressure  BackpressureStats             `json:"backpressure"`
-	Tenants       map[string]TenantBackpressure `json:"tenants"`
-	HTTP          map[string]LatencyView        `json:"http"`
-	Store         *store.Metrics                `json:"store,omitempty"`
-	Recovery      *RecoveryReport               `json:"recovery,omitempty"`
 }

@@ -34,7 +34,6 @@ import (
 //	POST   /v1/sessions/{id}/label      answer the pending question
 //	GET    /v1/sessions/{id}/hypothesis current hypothesis + its answer set
 //	DELETE /v1/sessions/{id}            cancel and drop a session
-//	GET    /v1/stats                    server-wide statistics
 //	POST   /v1/admin/compact            run one store compaction (durable only)
 //	GET    /v1/replication/status       replication role, epoch and feed state
 //	GET    /v1/replication/feed         binary WAL stream for a warm follower
@@ -52,8 +51,6 @@ type Server struct {
 	// drain instead of pinning a graceful http.Server.Shutdown forever.
 	shutdown     chan struct{}
 	shutdownOnce sync.Once
-	// metrics records per-endpoint request latency (see metrics.go).
-	metrics *httpMetrics
 	// tenantLabels caps the tenant label cardinality of the per-tenant
 	// request metrics; graphLabels does the same for the per-graph cache
 	// and index families.
@@ -79,7 +76,6 @@ func NewServer(opts Options) *Server {
 		manager:      NewManager(opts),
 		start:        time.Now(),
 		shutdown:     make(chan struct{}),
-		metrics:      newHTTPMetrics(opts.Metrics),
 		tenantLabels: newLabelGuard(maxTenantLabels),
 		graphLabels:  newLabelGuard(maxGraphLabels),
 	}
@@ -172,7 +168,6 @@ func (s *Server) Handler() http.Handler {
 	route("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	route("GET /v1/stats", s.handleStats)
 	route("GET /v1/graphs", s.handleListGraphs)
 	route("PUT /v1/graphs/{name}", s.handleLoadGraph)
 	route("GET /v1/graphs/{name}", s.handleGetGraph)
@@ -560,24 +555,4 @@ func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 	}
 	sessions, next := page(views, p, "sessions", func(v SessionView) string { return v.ID })
 	writeJSON(w, http.StatusOK, SessionPage{Sessions: sessions, NextCursor: next})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := ServerStats{
-		UptimeSeconds: int64(time.Since(s.start).Seconds()),
-		IndexEnabled:  !s.opts.DisableIndex,
-		CacheCapacity: s.opts.CacheCapacity,
-		MaxSessions:   s.opts.MaxSessions,
-		Graphs:        s.registry.List(),
-		Sessions:      s.manager.Counts(),
-		Backpressure:  s.manager.Backpressure(),
-		Tenants:       s.manager.TenantStats(),
-		HTTP:          s.metrics.Snapshot(),
-	}
-	if st := s.opts.Store; st != nil {
-		m := st.Metrics()
-		resp.Store = &m
-		resp.Recovery = &s.recovery
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

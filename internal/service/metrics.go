@@ -3,15 +3,14 @@ package service
 // Service-level observability: per-endpoint request latency histograms
 // and the session manager's backpressure signals. Since the obs registry
 // became the single metrics substrate, this file owns only the service's
-// side of the contract — which instruments exist, and how /v1/stats
-// renders the same atomics as JSON so its shape never changed:
+// side of the contract — which instruments exist:
 //
 //   - every routed endpoint gets one gpsd_http_request_duration_seconds
 //     histogram child (microsecond-native, lock-free on the request
 //     path) and a gpsd_http_requests_total{endpoint,code} counter;
 //   - the manager's admission state (live loops vs capacity, loops
 //     parked on the question/answer bridge, finished retention) surfaces
-//     as gpsd_sessions_* gauges and the BackpressureStats JSON view.
+//     as gpsd_sessions_* gauges.
 
 import (
 	"context"
@@ -19,7 +18,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -29,108 +27,6 @@ import (
 // of the latency histogram buckets; a final implicit bucket catches
 // everything slower.
 var latencyBucketBoundsUs = []int64{100, 500, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000, 1_000_000, 5_000_000}
-
-// HistogramBucket is one bucket of a latency histogram view. LeUs is the
-// bucket's inclusive upper bound in microseconds; the overflow bucket
-// reports -1.
-type HistogramBucket struct {
-	LeUs  int64 `json:"le_us"`
-	Count int64 `json:"count"`
-}
-
-// LatencyView is the JSON-facing snapshot of one endpoint's latency
-// histogram. Percentiles are upper-bound estimates: the bound of the first
-// bucket whose cumulative count covers the quantile (the overflow bucket
-// reports the observed maximum).
-type LatencyView struct {
-	Count   int64             `json:"count"`
-	MeanUs  float64           `json:"mean_us"`
-	MaxUs   int64             `json:"max_us"`
-	P50Us   int64             `json:"p50_us"`
-	P90Us   int64             `json:"p90_us"`
-	P99Us   int64             `json:"p99_us"`
-	Buckets []HistogramBucket `json:"buckets,omitempty"`
-}
-
-// latencyView renders a histogram snapshot in the /v1/stats JSON shape.
-// The snapshot reads one atomic at a time, so a view racing observes may
-// be off by the in-flight requests, which is fine for monitoring.
-func latencyView(s obs.HistogramSnapshot) LatencyView {
-	v := LatencyView{Count: s.Count, MaxUs: s.Max}
-	if v.Count == 0 {
-		return v
-	}
-	v.MeanUs = float64(s.Sum) / float64(v.Count)
-	total := int64(0)
-	for _, c := range s.Buckets {
-		total += c
-	}
-	quantile := func(q float64) int64 {
-		target := int64(float64(total)*q + 0.5)
-		cum := int64(0)
-		for i, c := range s.Buckets {
-			cum += c
-			if cum >= target {
-				if i < len(s.Bounds) {
-					return s.Bounds[i]
-				}
-				return v.MaxUs
-			}
-		}
-		return v.MaxUs
-	}
-	v.P50Us, v.P90Us, v.P99Us = quantile(0.50), quantile(0.90), quantile(0.99)
-	v.Buckets = make([]HistogramBucket, 0, len(s.Buckets))
-	for i, c := range s.Buckets {
-		if c == 0 {
-			continue
-		}
-		le := int64(-1)
-		if i < len(s.Bounds) {
-			le = s.Bounds[i]
-		}
-		v.Buckets = append(v.Buckets, HistogramBucket{LeUs: le, Count: c})
-	}
-	return v
-}
-
-// httpMetrics tracks the per-endpoint latency histograms registered on
-// the obs registry. Histograms are registered while the handler is
-// assembled; the request path only touches the captured histogram
-// pointer.
-type httpMetrics struct {
-	reg       *obs.Registry
-	mu        sync.Mutex
-	endpoints map[string]*obs.Histogram
-}
-
-func newHTTPMetrics(reg *obs.Registry) *httpMetrics {
-	return &httpMetrics{reg: reg, endpoints: make(map[string]*obs.Histogram)}
-}
-
-func (m *httpMetrics) register(pattern string) *obs.Histogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.endpoints[pattern]
-	if !ok {
-		h = m.reg.Histogram("gpsd_http_request_duration_seconds",
-			"HTTP request latency by endpoint pattern (SSE streams record their lifetime).",
-			latencyBucketBoundsUs, 1e-6, obs.L("endpoint", pattern))
-		m.endpoints[pattern] = h
-	}
-	return h
-}
-
-// Snapshot returns the per-endpoint latency views keyed by route pattern.
-func (m *httpMetrics) Snapshot() map[string]LatencyView {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]LatencyView, len(m.endpoints))
-	for pattern, h := range m.endpoints {
-		out[pattern] = latencyView(h.Snapshot())
-	}
-	return out
-}
 
 // statusRecorder captures the response status for request counters and
 // logs. flushRecorder additionally forwards Flush, and is used whenever
@@ -189,8 +85,10 @@ func authExempt(pattern string) bool {
 // means, and are exempt from the deadline — a tail is supposed to stay
 // open.
 func (s *Server) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc {
-	hist := s.metrics.register(pattern)
 	endpoint := obs.L("endpoint", pattern)
+	hist := s.opts.Metrics.Histogram("gpsd_http_request_duration_seconds",
+		"HTTP request latency by endpoint pattern (SSE streams record their lifetime).",
+		latencyBucketBoundsUs, 1e-6, endpoint)
 	streaming := strings.HasSuffix(pattern, "/events") || pattern == "GET /v1/replication/feed"
 	exempt := authExempt(pattern)
 	log := s.opts.Logger
@@ -255,16 +153,16 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc
 // BackpressureStats is the session manager's admission and queueing state.
 type BackpressureStats struct {
 	// LiveSessions counts sessions that have not finished.
-	LiveSessions int `json:"live_sessions"`
+	LiveSessions int
 	// MaxSessions is the admission limit LiveSessions is checked against.
-	MaxSessions int `json:"max_sessions"`
+	MaxSessions int
 	// QueueDepth counts sessions parked on the question/answer bridge —
 	// a pending question published, no answer delivered yet. Under client
 	// stalls this is the number of loops holding a live slot while doing
 	// no work.
-	QueueDepth int `json:"queue_depth"`
+	QueueDepth int
 	// FinishedRetained counts finished sessions retained for inspection.
-	FinishedRetained int `json:"finished_retained"`
+	FinishedRetained int
 }
 
 // Backpressure returns the manager's current admission and queueing state.

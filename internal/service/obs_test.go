@@ -4,8 +4,7 @@ package service
 // through real traffic (graph load, cached evaluations, one simulated
 // learning session to convergence), then the scrape must present every
 // telemetry surface — store counters, cache stats, backpressure gauges,
-// request-latency histograms and the session-trace histograms — while
-// /v1/stats keeps its backward-compatible JSON shape.
+// request-latency histograms and the session-trace histograms.
 
 import (
 	"io"
@@ -192,23 +191,6 @@ func TestMetricsEndpointCoversAllSurfaces(t *testing.T) {
 		if !typed[fam] {
 			t.Fatalf("family %s missing from the scrape", fam)
 		}
-	}
-
-	// /v1/stats keeps its JSON contract next to the new exposition.
-	var stats struct {
-		Backpressure BackpressureStats      `json:"backpressure"`
-		HTTP         map[string]LatencyView `json:"http"`
-		Store        *store.Metrics         `json:"store"`
-	}
-	if code := do(t, http.MethodGet, ts.URL+"/v1/stats", nil, &stats); code != http.StatusOK {
-		t.Fatalf("stats returned %d", code)
-	}
-	if stats.Store == nil || stats.Store.JournalAppends < 1 {
-		t.Fatalf("stats.store = %+v, want journal appends", stats.Store)
-	}
-	lv, ok := stats.HTTP["POST /v1/graphs/{name}/evaluate"]
-	if !ok || lv.Count < 2 {
-		t.Fatalf("stats.http latency view = %+v ok=%v, want count >= 2", lv, ok)
 	}
 
 	// POST to /metrics is rejected: the endpoint is scrape-only.

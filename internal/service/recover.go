@@ -9,19 +9,20 @@ import (
 	"repro/internal/store"
 )
 
-// RecoveryReport summarises what Server.Recover restored; it is also
-// surfaced on /v1/stats so operators can see what a restart brought back.
+// RecoveryReport summarises what Server.Recover restored. Its counts are
+// the gpsd_recovery_* gauges; gpsd logs each skipped journal, with its
+// reason, at boot.
 type RecoveryReport struct {
 	// Graphs counts re-registered graph snapshots.
-	Graphs int `json:"graphs"`
+	Graphs int
 	// SessionsResumed counts in-flight sessions whose learning loop was
 	// re-driven from the journal; SessionsFinished counts finished
 	// sessions restored as inspectable records.
-	SessionsResumed  int `json:"sessions_resumed"`
-	SessionsFinished int `json:"sessions_finished"`
+	SessionsResumed  int
+	SessionsFinished int
 	// SessionsSkipped lists journals that could not be restored, with the
 	// reason. Their files are left on disk untouched.
-	SessionsSkipped []string `json:"sessions_skipped,omitempty"`
+	SessionsSkipped []string
 }
 
 // Recover replays the configured store into the server: graph snapshots

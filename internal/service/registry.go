@@ -67,8 +67,8 @@ func (h *GraphHandle) Index() *index.Index {
 	return h.idx.Load()
 }
 
-// IndexInfo reports the state of a graph's reachability index for JSON
-// views (/v1/graphs, /v1/stats).
+// IndexInfo reports the state of a graph's reachability index in the
+// /v1/graphs views.
 type IndexInfo struct {
 	State string       `json:"state"`
 	Stats *index.Stats `json:"stats,omitempty"`

@@ -76,8 +76,7 @@ type Options struct {
 	// service registers into: per-endpoint latency histograms, request
 	// counters, backpressure gauges, per-graph cache counters, store
 	// counters and session-trace histograms. The server exposes it at
-	// GET /metrics; /v1/stats renders JSON views over the same
-	// instruments. Nil creates a private registry, so embedders and tests
+	// GET /metrics. Nil creates a private registry, so embedders and tests
 	// need no setup; pass one explicitly to share a registry across
 	// components or add families of your own.
 	Metrics *obs.Registry

@@ -452,28 +452,25 @@ func TestAnswerValidation(t *testing.T) {
 	}
 }
 
-func TestStatsEndpoint(t *testing.T) {
+func TestGraphListReportsCacheHits(t *testing.T) {
 	_, ts := newTestServer(t)
 	loadFigure1(t, ts, "demo")
 	do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate", EvaluateRequest{Query: "bus"}, nil)
 	do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate", EvaluateRequest{Query: "bus"}, nil)
 
-	var stats struct {
-		Graphs   []GraphInfo           `json:"graphs"`
-		Sessions map[SessionStatus]int `json:"sessions"`
+	var graphs GraphPage
+	if code := do(t, http.MethodGet, ts.URL+"/v1/graphs", nil, &graphs); code != http.StatusOK {
+		t.Fatalf("list graphs returned %d", code)
 	}
-	if code := do(t, http.MethodGet, ts.URL+"/v1/stats", nil, &stats); code != http.StatusOK {
-		t.Fatalf("stats returned %d", code)
+	if len(graphs.Graphs) != 1 {
+		t.Fatalf("graphs = %+v", graphs)
 	}
-	if len(stats.Graphs) != 1 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if c := stats.Graphs[0].Cache; c.Hits < 1 || c.Misses < 1 {
+	if c := graphs.Graphs[0].Cache; c.Hits < 1 || c.Misses < 1 {
 		t.Fatalf("repeated evaluate must hit the shared cache, stats %+v", c)
 	}
 }
 
-func TestStatsBackpressureAndLatency(t *testing.T) {
+func TestMetricsBackpressureAndLatency(t *testing.T) {
 	srv, ts := newTestServer(t)
 	loadFigure1(t, ts, "demo")
 	do(t, http.MethodPost, ts.URL+"/v1/graphs/demo/evaluate", EvaluateRequest{Query: "bus"}, nil)
@@ -488,40 +485,28 @@ func TestStatsBackpressureAndLatency(t *testing.T) {
 		return v.Pending != nil && v.Pending.Kind == "label"
 	})
 
-	var stats struct {
-		Backpressure BackpressureStats      `json:"backpressure"`
-		HTTP         map[string]LatencyView `json:"http"`
+	body := scrapeMetrics(t, ts.URL)
+	if live, queued := metricValue(t, body, "gpsd_sessions_live "), metricValue(t, body, "gpsd_sessions_queue_depth "); live != 1 || queued != 1 {
+		t.Fatalf("backpressure = %v live / %v queued, want 1 / 1", live, queued)
 	}
-	if code := do(t, http.MethodGet, ts.URL+"/v1/stats", nil, &stats); code != http.StatusOK {
-		t.Fatalf("stats returned %d", code)
-	}
-	bp := stats.Backpressure
-	if bp.LiveSessions != 1 || bp.QueueDepth != 1 {
-		t.Fatalf("backpressure = %+v, want 1 live / 1 queued", bp)
-	}
-	if bp.MaxSessions != srv.opts.MaxSessions || bp.MaxSessions <= 0 {
-		t.Fatalf("backpressure capacity = %d, want %d", bp.MaxSessions, srv.opts.MaxSessions)
+	if limit := metricValue(t, body, "gpsd_sessions_max "); limit != float64(srv.opts.MaxSessions) || limit <= 0 {
+		t.Fatalf("gpsd_sessions_max = %v, want %d", limit, srv.opts.MaxSessions)
 	}
 	for _, pattern := range []string{"PUT /v1/graphs/{name}", "POST /v1/graphs/{name}/evaluate", "POST /v1/sessions"} {
-		view, ok := stats.HTTP[pattern]
-		if !ok {
-			t.Fatalf("stats http section lacks %q: %v", pattern, stats.HTTP)
+		series := `gpsd_http_request_duration_seconds_count{endpoint="` + pattern + `"} `
+		count := metricValue(t, body, series)
+		if count < 1 {
+			t.Fatalf("%s= %v, want >= 1", series, count)
 		}
-		if view.Count < 1 || view.P50Us <= 0 || view.P99Us < view.P50Us || view.MaxUs <= 0 {
-			t.Fatalf("%q latency view implausible: %+v", pattern, view)
-		}
-		total := int64(0)
-		for _, b := range view.Buckets {
-			total += b.Count
-		}
-		if total != view.Count {
-			t.Fatalf("%q bucket counts sum to %d, want %d", pattern, total, view.Count)
+		inf := metricValue(t, body, `gpsd_http_request_duration_seconds_bucket{endpoint="`+pattern+`",le="+Inf"} `)
+		if inf != count {
+			t.Fatalf("%q +Inf bucket = %v, want the count %v", pattern, inf, count)
 		}
 	}
 	// Un-routed endpoints are registered with zero counts and must not
 	// fabricate latencies.
-	if view, ok := stats.HTTP["DELETE /v1/graphs/{name}"]; !ok || view.Count != 0 || len(view.Buckets) != 0 {
-		t.Fatalf("idle endpoint view = %+v, ok=%v", view, ok)
+	if n := metricValue(t, body, `gpsd_http_request_duration_seconds_count{endpoint="DELETE /v1/graphs/{name}"} `); n != 0 {
+		t.Fatalf("idle endpoint count = %v, want 0", n)
 	}
 
 	// Answering the question drains the bridge; once the session finishes,
@@ -530,7 +515,7 @@ func TestStatsBackpressureAndLatency(t *testing.T) {
 	do(t, http.MethodDelete, ts.URL+"/v1/sessions/"+sess.ID, nil, nil)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		bp = srv.manager.Backpressure()
+		bp := srv.manager.Backpressure()
 		if bp.LiveSessions == 0 && bp.QueueDepth == 0 {
 			break
 		}

@@ -787,12 +787,3 @@ func (m *Manager) List() []SessionView {
 	}
 	return out
 }
-
-// Counts returns the number of sessions per status.
-func (m *Manager) Counts() map[SessionStatus]int {
-	out := make(map[SessionStatus]int)
-	for _, v := range m.List() {
-		out[v.Status]++
-	}
-	return out
-}

@@ -190,6 +190,44 @@ func TestTenantQuotaOffByOne(t *testing.T) {
 	}
 }
 
+// TestTenantRejectionReasons pins the reason label on
+// gpsd_tenant_rejections_total: a create refused by the tenant's own cap
+// counts as quota, one refused by the shared pool as overload.
+func TestTenantRejectionReasons(t *testing.T) {
+	kr := NewKeyring(KeyringConfig{
+		Tenants: map[string]TenantLimits{"acme": {MaxSessions: 1}, "bulk": {}},
+		Keys:    map[string]string{"sk-acme": "acme", "sk-bulk": "bulk"},
+	})
+	srv := NewServer(Options{CacheCapacity: 16, MaxSessions: 2, Keyring: kr})
+	ts := newHTTPServer(t, srv)
+	if code := doKey(t, http.MethodPut, ts.URL+"/v1/graphs/demo", "sk-acme",
+		LoadSpec{Dataset: DatasetSpec{Kind: "figure1"}}, nil); code != http.StatusCreated {
+		t.Fatalf("graph load returned %d", code)
+	}
+	manual := SessionConfig{Graph: "demo", Mode: "manual"}
+	// acme fills its own cap of one, then bulk fills the pool of two:
+	// manual sessions park and keep their slots.
+	for _, key := range []string{"sk-acme", "sk-bulk"} {
+		if code := doKey(t, http.MethodPost, ts.URL+"/v1/sessions", key, manual, nil); code != http.StatusCreated {
+			t.Fatalf("%s first create returned %d", key, code)
+		}
+	}
+	wantEnvelope(t, http.MethodPost, ts.URL+"/v1/sessions", "sk-acme", manual, http.StatusTooManyRequests, CodeQuotaExceeded)
+	wantEnvelope(t, http.MethodPost, ts.URL+"/v1/sessions", "sk-bulk", manual, http.StatusTooManyRequests, CodeOverloaded)
+
+	body := scrapeMetrics(t, ts.URL)
+	for series, want := range map[string]float64{
+		`gpsd_tenant_rejections_total{reason="quota",tenant="acme"} `:    1,
+		`gpsd_tenant_rejections_total{reason="overload",tenant="acme"} `: 0,
+		`gpsd_tenant_rejections_total{reason="quota",tenant="bulk"} `:    0,
+		`gpsd_tenant_rejections_total{reason="overload",tenant="bulk"} `: 1,
+	} {
+		if got := metricValue(t, body, series); got != want {
+			t.Fatalf("%s= %v, want %v", series, got, want)
+		}
+	}
+}
+
 // TestTenantAccountingSurvivesRestart pins that quotas still bind after a
 // crash: graph ownership comes back from the owners sidecar and resumed
 // sessions are adopted into their tenant's live count, so the restarted

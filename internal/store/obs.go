@@ -5,7 +5,7 @@ import "repro/internal/obs"
 // RegisterMetrics exposes the engine's counters on the observability
 // registry as gpsd_store_* families, each labelled with the engine name.
 // The samples are produced at scrape time from the same atomics the JSON
-// Metrics snapshot reads, so /metrics and /v1/stats can never disagree.
+// Metrics snapshot reads, so /metrics and Metrics can never disagree.
 // Families that only the binary engine drives (group commit, segments,
 // compaction, footers) read zero on the text engine, which Prometheus
 // treats the same as "nothing happened yet".

@@ -156,8 +156,8 @@ type metrics struct {
 	footerFallbacks   atomic.Int64
 }
 
-// Metrics is a point-in-time snapshot of an engine's counters, shaped for
-// the service's /v1/stats endpoint.
+// Metrics is a point-in-time snapshot of an engine's counters; the
+// gpsd_store_* families (RegisterMetrics) sample it at scrape time.
 type Metrics struct {
 	// Engine is the implementation name ("text" or "binary").
 	Engine string `json:"engine"`

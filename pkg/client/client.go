@@ -589,29 +589,6 @@ func (c *Client) Compact(ctx context.Context) (store.CompactionReport, error) {
 	return rep, err
 }
 
-// Stats fetches the raw /v1/stats document.
-func (c *Client) Stats(ctx context.Context) (map[string]json.RawMessage, error) {
-	var out map[string]json.RawMessage
-	err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &out)
-	return out, err
-}
-
-// TenantStats decodes the per-tenant admission accounting out of
-// /v1/stats, keyed by tenant name.
-func (c *Client) TenantStats(ctx context.Context) (map[string]service.TenantBackpressure, error) {
-	stats, err := c.Stats(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]service.TenantBackpressure{}
-	if raw, ok := stats["tenants"]; ok {
-		if err := json.Unmarshal(raw, &out); err != nil {
-			return nil, fmt.Errorf("client: decode tenants stats: %w", err)
-		}
-	}
-	return out, nil
-}
-
 // Metrics scrapes GET /metrics and returns the raw Prometheus text
 // exposition.
 func (c *Client) Metrics(ctx context.Context) (string, error) {

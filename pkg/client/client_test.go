@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -114,9 +115,6 @@ func TestClientRoundTrip(t *testing.T) {
 	if len(metrics) == 0 {
 		t.Fatal("Metrics returned an empty exposition")
 	}
-	if _, err := c.Stats(ctx); err != nil {
-		t.Fatalf("Stats: %v", err)
-	}
 	if err := c.DeleteSession(ctx, v.ID); err != nil {
 		t.Fatalf("DeleteSession: %v", err)
 	}
@@ -185,12 +183,12 @@ func TestClientAPIKey(t *testing.T) {
 	if v.Tenant != "acme" {
 		t.Fatalf("session tenant = %q, want acme", v.Tenant)
 	}
-	stats, err := c.TenantStats(ctx)
+	metrics, err := c.Metrics(ctx)
 	if err != nil {
-		t.Fatalf("TenantStats: %v", err)
+		t.Fatalf("Metrics: %v", err)
 	}
-	if bp, ok := stats["acme"]; !ok || bp.Admitted != 1 {
-		t.Fatalf("TenantStats[acme] = %+v (ok=%v), want 1 admitted", stats["acme"], ok)
+	if want := `gpsd_tenant_admissions_total{tenant="acme"} 1`; !strings.Contains(metrics, "\n"+want+"\n") {
+		t.Fatalf("scrape lacks %q:\n%s", want, metrics)
 	}
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test for the gpsd service, run once per storage engine (binary and
 # text). The shell half does what shell is good at — booting daemons,
-# sending signals, checking LOCK files and grepping the /metrics and
-# /v1/stats surfaces — while every session-level check is delegated to the
+# sending signals, checking LOCK files and grepping the /metrics
+# exposition — while every session-level check is delegated to the
 # typed Go client via `gpsbench -smokedrive` (evaluate + error-code
 # contract, a simulated session driven to convergence, a manual session
 # parked mid-question, before/after state snapshots diffed across each
@@ -104,6 +104,12 @@ assert_ge() {
     || { echo "metrics: $3 (got $1, want >= $2)" >&2; exit 1; }
 }
 
+# assert_eq A B MSG — fail unless A == B numerically.
+assert_eq() {
+  awk -v a="$1" -v b="$2" 'BEGIN { exit !(a+0 == b+0) }' \
+    || { echo "metrics: $3 (got $1, want $2)" >&2; exit 1; }
+}
+
 go build -o "$BIN" ./cmd/gpsd
 go build -o "$BENCH" ./cmd/gpsbench
 
@@ -142,29 +148,20 @@ run_engine() {
   test -n "$SID"
   smokedrive checkdone -smoke-session "$SID"
 
-  curl -fsS "$BASE/v1/stats" | tee $WORK/stats.json
-  grep -q '"graphs"' $WORK/stats.json
-  grep -q '"journal_appends"' $WORK/stats.json
-  grep -Eq "\"engine\": ?\"$ENGINE\"" $WORK/stats.json
-  # Backpressure metrics: session-manager queue state and per-endpoint
-  # request-latency histograms must be populated by the traffic above.
-  grep -q '"backpressure"' $WORK/stats.json
-  grep -q '"queue_depth"' $WORK/stats.json
-  grep -q '"live_sessions"' $WORK/stats.json
-  grep -q '"POST /v1/graphs/{name}/evaluate"' $WORK/stats.json
-  grep -q '"p99_us"' $WORK/stats.json
-
   # --- /metrics exposition -------------------------------------------------
   # One scrape must cover every telemetry surface: store counters, cache
   # stats, backpressure gauges, request-latency histograms with cumulative
   # buckets ending at +Inf, and the session-trace histograms populated by
   # the simulated session above.
   curl -fsS "$BASE/metrics" | tee $WORK/metrics.txt >/dev/null
+  grep -q '^gpsd_graphs_registered ' $WORK/metrics.txt
   grep -q '^# TYPE gpsd_store_journal_appends_total counter' $WORK/metrics.txt
   grep -q "^gpsd_store_journal_appends_total{engine=\"$ENGINE\"}" $WORK/metrics.txt
   grep -q '^# TYPE gpsd_http_request_duration_seconds histogram' $WORK/metrics.txt
   grep -q 'gpsd_http_request_duration_seconds_bucket{.*le="+Inf"}' $WORK/metrics.txt
   grep -q '^gpsd_sessions_live ' $WORK/metrics.txt
+  grep -q '^gpsd_sessions_queue_depth ' $WORK/metrics.txt
+  grep -q '^gpsd_http_request_duration_seconds_count{endpoint="POST /v1/graphs/{name}/evaluate"}' $WORK/metrics.txt
   grep -q '^gpsd_cache_hits_total{graph="demo"}' $WORK/metrics.txt
   grep -q '^# TYPE gpsd_session_question_wait_seconds histogram' $WORK/metrics.txt
   grep -q '^gpsd_session_learn_phase_seconds_count{phase="generalize"}' $WORK/metrics.txt
@@ -203,11 +200,7 @@ run_engine() {
   smokedrive snapshot -smoke-session "$MID" -smoke-out $WORK/manual_after.json
   diff $WORK/manual_before.json $WORK/manual_after.json
 
-  # Recovery is visible in the stats.
-  curl -fsS "$BASE/v1/stats" | tee $WORK/stats_after.json
-  grep -Eq '"sessions_resumed": ?1' $WORK/stats_after.json
-
-  # Recovery is visible on /metrics too: the restarted process starts its
+  # Recovery is visible on /metrics: the restarted process starts its
   # counters at zero, but the replay itself must be accounted — recovered
   # graphs/sessions counted, the resumed session's replay span recorded,
   # and not a single corrupt journal frame after a clean SIGTERM.
@@ -216,7 +209,7 @@ run_engine() {
     "recovered-graph counter must cover both graphs after restart"
   assert_ge "$(metric_value $WORK/metrics_after.txt "^gpsd_store_recovered_sessions_total")" 2 \
     "recovered-session counter must cover both sessions after restart"
-  assert_ge "$(metric_value $WORK/metrics_after.txt "^gpsd_recovery_sessions_resumed")" 1 \
+  assert_eq "$(metric_value $WORK/metrics_after.txt "^gpsd_recovery_sessions_resumed")" 1 \
     "resumed-session gauge must report the replayed manual session"
   assert_ge "$(metric_value $WORK/metrics_after.txt "^gpsd_session_replay_seconds_count")" 1 \
     "the resumed session must record a replay span"
@@ -254,7 +247,9 @@ run_engine() {
     smokedrive checkdone -smoke-session "$SID"
     smokedrive snapshot -smoke-session "$MID" -smoke-out $WORK/manual_compacted.json
     grep -Eq '"kind": ?"satisfied"' $WORK/manual_compacted.json
-    curl -fsS "$BASE/v1/stats" | grep -Eq '"compaction_runs": ?1'
+    curl -fsS "$BASE/metrics" >$WORK/metrics_compacted.txt
+    assert_eq "$(metric_value $WORK/metrics_compacted.txt "^gpsd_store_compaction_runs_total")" 1 \
+      "a -compact boot must run exactly one compaction"
   fi
 
   stop_server
