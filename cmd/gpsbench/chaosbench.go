@@ -21,12 +21,12 @@ package main
 //
 // After the kill budget is spent every session is driven to completion,
 // the final views must survive one more clean restart byte-identical, and
-// the whole run is replayed against an in-process oracle server on the
-// text storage engine: same graphs, same sessions, same deterministic
-// answer policy, zero crashes. Learned query, halt reason, status and
-// label count must agree session by session — the crash-riddled binary
-// daemon and the never-killed text server are equivalent or the run
-// fails.
+// the whole run is replayed against an in-process oracle server over a
+// store in a temporary directory: same graphs, same sessions, same
+// deterministic answer policy, zero crashes. Learned query, halt reason,
+// status and label count must agree session by session — the
+// crash-riddled daemon and the never-killed server are equivalent or the
+// run fails.
 //
 // Every client decision is a pure function of (seed, session spec index,
 // question content), so a question re-asked after a crash always receives
@@ -508,7 +508,7 @@ func (c *chaosRun) run() (faultKills int, err error) {
 		c.rep.violatef("live compaction never retired a segment")
 	}
 
-	// Oracle: the same specs, the same policy, the text engine, no
+	// Oracle: the same specs, the same policy, a never-killed server, no
 	// crashes. The tortured daemon must have learned exactly the same.
 	oracle, err := c.runOracle()
 	if err != nil {
@@ -517,7 +517,7 @@ func (c *chaosRun) run() (faultKills int, err error) {
 	for i, want := range oracle {
 		got := finals[i]
 		if got.Learned != want.Learned || got.Halt != want.Halt || got.Labels != want.Labels || got.Status != want.Status {
-			c.rep.violatef("spec %d diverged from the text-engine oracle:\n  daemon learned=%q halt=%q labels=%d status=%s\n  oracle learned=%q halt=%q labels=%d status=%s",
+			c.rep.violatef("spec %d diverged from the oracle:\n  daemon learned=%q halt=%q labels=%d status=%s\n  oracle learned=%q halt=%q labels=%d status=%s",
 				i, got.Learned, got.Halt, got.Labels, got.Status, want.Learned, want.Halt, want.Labels, want.Status)
 		}
 	}
@@ -540,7 +540,6 @@ func (c *chaosRun) start(fault string) error {
 	args := []string{
 		"-addr", c.opts.addr,
 		"-data-dir", c.dataDir,
-		"-store-engine", "binary",
 		"-commit-interval", "2ms",
 		"-segment-size", "4096",
 		"-compact-interval", "150ms",
@@ -825,9 +824,9 @@ func (c *chaosRun) runOracle() ([]service.SessionView, error) {
 	return runChaosOracle(c.specs, c.opts.seed)
 }
 
-// runChaosOracle replays every spec against an in-process server on the
-// text storage engine — same graphs, same deterministic answers, no
-// crashes — and returns the final views in spec order. Shared between the
+// runChaosOracle replays every spec against an in-process server over a
+// store in a temporary directory — same graphs, same deterministic
+// answers, no crashes — and returns the final views in spec order. Shared between the
 // single-node chaos harness and the failover harness: both must converge
 // to exactly this state.
 func runChaosOracle(specs []*chaosSession, seed int64) ([]service.SessionView, error) {
@@ -836,7 +835,7 @@ func runChaosOracle(specs []*chaosSession, seed int64) ([]service.SessionView, e
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	eng, err := store.OpenEngine(dir, store.EngineOptions{Kind: store.EngineKindText})
+	eng, err := store.OpenEngine(dir, store.EngineOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -35,7 +35,7 @@ package main
 // sessions run in relaxed mode (no cross-crash monotonicity checks) and
 // correctness is settled the same way the chaos harness settles it: after
 // the kill budget every session is driven to completion and compared,
-// field by field, against the never-killed text-engine oracle replaying
+// field by field, against the never-killed in-process oracle replaying
 // the same deterministic answer policy. Zero lost, zero diverged, or the
 // run fails.
 
@@ -121,7 +121,6 @@ func (d *foDaemon) start(extra []string, fault string) error {
 	args := append([]string{
 		"-addr", d.addr,
 		"-data-dir", d.dataDir,
-		"-store-engine", "binary",
 		"-commit-interval", "2ms",
 		"-segment-size", "4096",
 		"-compact-interval", compactIvl,
@@ -482,7 +481,7 @@ func (r *failoverRun) run(a, b *foDaemon) error {
 	for i, want := range oracle {
 		got := finals[i]
 		if got.Learned != want.Learned || got.Halt != want.Halt || got.Labels != want.Labels || got.Status != want.Status {
-			r.rep.violatef("spec %d diverged from the text-engine oracle across %d failovers:\n  daemon learned=%q halt=%q labels=%d status=%s\n  oracle learned=%q halt=%q labels=%d status=%s",
+			r.rep.violatef("spec %d diverged from the oracle across %d failovers:\n  daemon learned=%q halt=%q labels=%d status=%s\n  oracle learned=%q halt=%q labels=%d status=%s",
 				i, r.promotions, got.Learned, got.Halt, got.Labels, got.Status, want.Learned, want.Halt, want.Labels, want.Status)
 		}
 	}

@@ -41,12 +41,7 @@ func main() {
 		list       = flag.Bool("list", false, "list the available experiments and exit")
 		rpqBench   = flag.Bool("rpqbench", false, "run the RPQ evaluation micro-benchmarks and write a JSON summary")
 		rpqOut     = flag.String("rpqbench-out", "BENCH_rpq.json", "output path of the -rpqbench JSON summary")
-		storeBench = flag.Bool("storebench", false, "run the storage-engine benchmarks (appends/sec and recovery, text vs binary, 1 vs 16 sessions) and write a JSON summary")
-		storeOut   = flag.String("storebench-out", "BENCH_store.json", "output path of the -storebench JSON summary")
-		storeIvl   = flag.Duration("storebench-commit-interval", 0, "group-commit batch window for -storebench's binary engine")
-		storeGate  = flag.String("storegate", "", "check this -storebench summary and fail if the binary/text 16-session append speedup is below -storegate-min")
-		storeMin   = flag.Float64("storegate-min", 3, "minimum binary/text 16-session append speedup for -storegate")
-		chaosBench = flag.Bool("chaosbench", false, "run the crash-anywhere chaos harness: torture a real gpsd subprocess with SIGKILLs and in-compaction crashes, then prove equivalence against a text-engine oracle")
+		chaosBench = flag.Bool("chaosbench", false, "run the crash-anywhere chaos harness: torture a real gpsd subprocess with SIGKILLs and in-compaction crashes, then prove equivalence against a never-killed in-process oracle")
 		chaosGpsd  = flag.String("chaos-gpsd", "", "path to the gpsd binary to torture (required with -chaosbench)")
 		chaosKills = flag.Int("chaos-kills", 30, "number of hard kills the chaos run inflicts before driving sessions to completion")
 		chaosSess  = flag.Int("chaos-sessions", 24, "number of concurrent learning sessions the chaos run drives")
@@ -86,15 +81,9 @@ func main() {
 	)
 	flag.Parse()
 
-	if *benchCmp != "" || *storeGate != "" || *loadGate != "" || *rpqGate != "" || *indexGate != "" {
+	if *benchCmp != "" || *loadGate != "" || *rpqGate != "" || *indexGate != "" {
 		if *benchCmp != "" {
 			if err := runBenchCompare(*benchBase, *benchCmp, *benchTol); err != nil {
-				fmt.Fprintf(os.Stderr, "gpsbench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *storeGate != "" {
-			if err := runStoreGate(*storeGate, *storeMin); err != nil {
 				fmt.Fprintf(os.Stderr, "gpsbench: %v\n", err)
 				os.Exit(1)
 			}
@@ -184,14 +173,6 @@ func main() {
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gpsbench: failover: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *storeBench {
-		if err := runStoreBench(*storeOut, *seed, *storeIvl); err != nil {
-			fmt.Fprintf(os.Stderr, "gpsbench: %v\n", err)
 			os.Exit(1)
 		}
 		return

@@ -1,7 +1,7 @@
 package main
 
-// Bench trend history: every -rpqbench, -indexbench, -storebench and
-// -loadbench run appends its summary, timestamped, to a .jsonl file next to
+// Bench trend history: every -rpqbench, -indexbench and -loadbench run
+// appends its summary, timestamped, to a .jsonl file next to
 // the .json output (BENCH_rpq.json -> BENCH_rpq.jsonl). The .json file stays a
 // latest-run-only artifact for the gates; the .jsonl file accumulates one
 // row per run, so a sequence of CI runs (or local runs on one machine)

@@ -9,9 +9,8 @@
 //	gpsd -addr :9090                      # custom port
 //	gpsd -preload demo=figure1            # register a built-in dataset at boot
 //	gpsd -preload big=transport:30x30     # sized transport grid
-//	gpsd -data-dir /var/lib/gpsd          # durable: snapshots + journals,
-//	                                      # crash recovery resumes sessions
-//	gpsd -data-dir d -store-engine text   # JSONL engine (greppable journals)
+//	gpsd -data-dir /var/lib/gpsd          # durable: snapshots + a group-commit
+//	                                      # WAL; crash recovery resumes sessions
 //	gpsd -data-dir d -commit-interval 2ms # widen the group-commit batch window
 //	gpsd -data-dir d -compact             # compact the journal at startup
 //	gpsd -data-dir d -compact-interval 1m # compact live, periodically, while
@@ -105,18 +104,17 @@ func main() {
 		maxSess     = flag.Int("max-sessions", 0, "live session limit (0 = default)")
 		preload     = flag.String("preload", "", "comma-separated name=dataset graphs to register at boot (figure1, transport[:RxC], random[:N], scale-free[:N])")
 		dataDir     = flag.String("data-dir", "", "durable data directory for graph snapshots and session journals (empty = in-memory only)")
-		storeEngine = flag.String("store-engine", store.EngineKindBinary, "storage engine for -data-dir: binary (segmented log, group commit) or text (JSONL, one fsync per append)")
-		commitIvl   = flag.Duration("commit-interval", 0, "binary engine: max extra latency an append may wait to share an fsync (0 = batch only what is already queued)")
-		compact     = flag.Bool("compact", false, "compact the journal at startup (binary engine): drop removed sessions, collapse finished ones, retire dead segments")
-		compactIvl  = flag.Duration("compact-interval", 0, "binary engine: run a live compaction this often while serving (0 = never); appends keep flowing during a pass")
-		segSize     = flag.Int64("segment-size", 0, "binary engine: segment roll threshold in bytes (0 = default 4MiB)")
+		commitIvl   = flag.Duration("commit-interval", 0, "max extra latency an append may wait to share an fsync (0 = batch only what is already queued)")
+		compact     = flag.Bool("compact", false, "compact the journal at startup: drop removed sessions, collapse finished ones, retire dead segments")
+		compactIvl  = flag.Duration("compact-interval", 0, "run a live compaction this often while serving (0 = never); appends keep flowing during a pass")
+		segSize     = flag.Int64("segment-size", 0, "segment roll threshold in bytes (0 = default 4MiB)")
 		reqTimeout  = flag.Duration("request-timeout", 30*time.Second, "per-request deadline for non-streaming endpoints (0 = unbounded)")
 		apiKeys     = flag.String("api-keys", "", "JSON keyring file mapping API keys to tenants and quotas; SIGHUP reloads it (empty = open mode, no auth)")
 		admitWait   = flag.Duration("admit-wait", 0, "max time a session create may queue for fair-share admission before 429 (0 = default 2s)")
 		logFormat   = flag.String("log-format", "text", "log output format: text or json")
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (own listener, e.g. localhost:6060; empty = disabled)")
-		replFrom    = flag.String("replicate-from", "", "run as a warm replication follower of this primary base URL (requires -data-dir with the binary engine; read-only until promoted)")
+		replFrom    = flag.String("replicate-from", "", "run as a warm replication follower of this primary base URL (requires -data-dir; read-only until promoted)")
 		autoPromote = flag.Duration("auto-promote-after", 0, "follower: promote automatically once the primary has been unreachable this long (0 = promote only via POST /v1/admin/promote)")
 	)
 	flag.Parse()
@@ -136,9 +134,6 @@ func main() {
 		if *dataDir == "" {
 			fatal("-replicate-from requires -data-dir")
 		}
-		if *storeEngine != store.EngineKindBinary {
-			fatal("-replicate-from needs the binary store engine", "store_engine", *storeEngine)
-		}
 		if *compact {
 			fatal("-compact does not apply to a follower; compact after promotion (-compact-interval or POST /v1/admin/compact)")
 		}
@@ -147,7 +142,7 @@ func main() {
 		}
 	}
 	var (
-		eng  store.Engine
+		eng  *store.Engine
 		lock *store.Lock
 	)
 	if *dataDir != "" {
@@ -167,36 +162,28 @@ func main() {
 	}
 	if *dataDir != "" && !follower {
 		eng, err = store.OpenEngine(*dataDir, store.EngineOptions{
-			Kind:           *storeEngine,
 			CommitInterval: *commitIvl,
 			SegmentSize:    *segSize,
 			Fault:          crashFault(log),
 		})
 		if err != nil {
-			fatal("open store", "data_dir", *dataDir, "engine", *storeEngine, "error", err)
+			fatal("open store", "data_dir", *dataDir, "error", err)
 		}
 		defer eng.Close()
-		// Record the fencing epoch in the LOCK file for operators; the
-		// text engine has no epochs and skips the note.
-		if rep, ok := eng.(store.Replicator); ok {
-			if err := lock.NoteEpoch(rep.Epoch()); err != nil {
-				log.Warn("lock epoch note", "error", err)
-			}
+		// Record the fencing epoch in the LOCK file for operators.
+		if err := lock.NoteEpoch(eng.Epoch()); err != nil {
+			log.Warn("lock epoch note", "error", err)
 		}
 		if *compact {
 			rep, err := eng.Compact()
 			if err != nil {
 				fatal("startup compact", "data_dir", *dataDir, "error", err)
 			}
-			if rep.Supported {
-				log.Info("compacted at startup",
-					"data_dir", *dataDir,
-					"sessions_compacted", rep.SessionsCompacted, "sessions_dropped", rep.SessionsDropped,
-					"segments_retired", rep.SegmentsRetired, "segments_written", rep.SegmentsWritten,
-					"bytes_before", rep.BytesBefore, "bytes_after", rep.BytesAfter)
-			} else {
-				log.Info("-compact: engine has no compactable journal; nothing to do", "engine", eng.EngineName())
-			}
+			log.Info("compacted at startup",
+				"data_dir", *dataDir,
+				"sessions_compacted", rep.SessionsCompacted, "sessions_dropped", rep.SessionsDropped,
+				"segments_retired", rep.SegmentsRetired, "segments_written", rep.SegmentsWritten,
+				"bytes_before", rep.BytesBefore, "bytes_after", rep.BytesAfter)
 		}
 	} else if *compact {
 		fatal("-compact requires -data-dir")
@@ -221,7 +208,7 @@ func main() {
 	if *compactIvl > 0 && *dataDir == "" {
 		fatal("-compact-interval requires -data-dir")
 	}
-	startCompactTicker := func(eng store.Engine) {
+	startCompactTicker := func(eng *store.Engine) {
 		if *compactIvl <= 0 {
 			return
 		}
@@ -239,7 +226,7 @@ func main() {
 				case errors.Is(err, store.ErrCompacting):
 				case err != nil:
 					log.Error("live compact", "error", err)
-				case rep.Supported && rep.SegmentsRetired > 0:
+				case rep.SegmentsRetired > 0:
 					log.Info("live compact done",
 						"sessions_compacted", rep.SessionsCompacted, "sessions_dropped", rep.SessionsDropped,
 						"segments_retired", rep.SegmentsRetired, "segments_written", rep.SegmentsWritten,
@@ -253,7 +240,7 @@ func main() {
 	// the compaction ticker. It runs at startup for a primary and at
 	// promotion time for a follower — adoption of replicated sessions is
 	// exactly crash recovery.
-	bootServer := func(eng store.Engine) (*service.Server, error) {
+	bootServer := func(eng *store.Engine) (*service.Server, error) {
 		srv := service.NewServer(service.Options{
 			CacheCapacity:  *cacheCap,
 			DisableIndex:   !*useIndex,
@@ -271,7 +258,7 @@ func main() {
 				return nil, fmt.Errorf("recover: %w", err)
 			}
 			log.Info("recovered",
-				"data_dir", *dataDir, "engine", eng.EngineName(),
+				"data_dir", *dataDir,
 				"graphs", rep.Graphs, "sessions_finished", rep.SessionsFinished, "sessions_resumed", rep.SessionsResumed)
 			for _, skipped := range rep.SessionsSkipped {
 				log.Warn("recovery skipped session", "detail", skipped)
@@ -289,7 +276,7 @@ func main() {
 	if follower {
 		var (
 			promotedMu  sync.Mutex
-			promotedEng store.Engine
+			promotedEng *store.Engine
 		)
 		f, err := service.NewFollower(service.FollowerOptions{
 			Dir:              *dataDir,
@@ -298,19 +285,16 @@ func main() {
 			Keyring:          keyring,
 			Metrics:          metrics,
 			Logger:           log,
-			OpenEngine: func() (store.Engine, error) {
+			OpenEngine: func() (*store.Engine, error) {
 				return store.OpenEngine(*dataDir, store.EngineOptions{
-					Kind:           store.EngineKindBinary,
 					CommitInterval: *commitIvl,
 					SegmentSize:    *segSize,
 					Fault:          crashFault(log),
 				})
 			},
-			BuildServer: func(eng store.Engine) (*service.Server, error) {
-				if rep, ok := eng.(store.Replicator); ok {
-					if err := lock.NoteEpoch(rep.Epoch()); err != nil {
-						log.Warn("lock epoch note", "error", err)
-					}
+			BuildServer: func(eng *store.Engine) (*service.Server, error) {
+				if err := lock.NoteEpoch(eng.Epoch()); err != nil {
+					log.Warn("lock epoch note", "error", err)
 				}
 				srv, err := bootServer(eng)
 				if err != nil {
@@ -391,7 +375,7 @@ func main() {
 		role = "follower"
 	}
 	log.Info("listening", "addr", *addr, "role", role,
-		"engine", engineName(eng), "data_dir", *dataDir, "log_format", *logFormat)
+		"data_dir", *dataDir, "log_format", *logFormat)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
@@ -429,13 +413,4 @@ func main() {
 			return
 		}
 	}
-}
-
-// engineName names the storage engine for the startup log line, "memory"
-// when the daemon runs without -data-dir.
-func engineName(eng store.Engine) string {
-	if eng == nil {
-		return "memory"
-	}
-	return eng.EngineName()
 }

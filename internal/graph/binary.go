@@ -124,10 +124,17 @@ func (r *binaryReader) bounded(max int) (int, error) {
 }
 
 func (r *binaryReader) string() (string, error) {
-	n, err := r.bounded(len(r.data) - r.off)
+	v, err := r.uvarint()
 	if err != nil {
 		return "", err
 	}
+	// Bound the length by what is left after the length itself: data may
+	// be a prefix of a larger buffer, and slicing past its end would read
+	// the bytes behind it.
+	if v > uint64(len(r.data)-r.off) {
+		return "", fmt.Errorf("graph: binary payload string of %d bytes exceeds remaining %d", v, len(r.data)-r.off)
+	}
+	n := int(v)
 	s := string(r.data[r.off : r.off+n])
 	r.off += n
 	return s, nil

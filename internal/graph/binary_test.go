@@ -9,7 +9,7 @@ import (
 
 // buildRandom constructs a graph with random edges, isolated nodes and
 // attributes — every feature the text format preserves.
-func buildRandom(t *testing.T, rng *rand.Rand) *Graph {
+func buildRandom(t testing.TB, rng *rand.Rand) *Graph {
 	t.Helper()
 	g := New()
 	n := 2 + rng.Intn(40)
@@ -68,6 +68,14 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	if _, err := ParseBinary([]byte("not a graph")); err == nil {
 		t.Fatal("foreign payload must fail to parse")
 	}
+	// Every prefix fails, even with the rest of the encoding still behind
+	// it in the buffer (a string length read at the cut must not reach
+	// past the prefix's end).
+	for k := 0; k < len(data); k++ {
+		if _, err := ParseBinary(data[:k]); err == nil {
+			t.Fatalf("prefix of %d bytes parsed", k)
+		}
+	}
 	// Flip every single byte in turn: the decoder must stay bounds-safe —
 	// no panic, no hang — under arbitrary corruption. (Silent wrong-graph
 	// corruption is the store's CRC layer's job to catch, not the
@@ -95,6 +103,36 @@ func TestBinaryEmptyAndSingleton(t *testing.T) {
 			t.Fatalf("round-trip of %q changed the graph", text)
 		}
 	}
+}
+
+// FuzzParseBinary feeds arbitrary bytes to the graph payload decoder
+// that graph snapshots are read with. It must never panic or hang, and a
+// payload it accepts must be a consistent graph that survives its own
+// round trip. The seeds are valid, torn and bit-flipped encodings.
+func FuzzParseBinary(f *testing.F) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 4; i++ {
+		data := buildRandom(f, rng).EncodeBinary()
+		flipped := append([]byte(nil), data...)
+		flipped[len(flipped)/2] ^= 0xff
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		f.Add(flipped)
+	}
+	f.Add([]byte("not a graph"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ParseBinary(data)
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("accepted an inconsistent graph: %v", err)
+		}
+		again, err := ParseBinary(g.EncodeBinary())
+		if err != nil || again.Text() != g.Text() {
+			t.Fatalf("accepted graph does not round-trip: %v", err)
+		}
+	})
 }
 
 func BenchmarkBinaryDecode(b *testing.B) {

@@ -20,15 +20,15 @@ func newFollowerT(t *testing.T, dir, primaryURL string) (*Follower, *httptest.Se
 	t.Helper()
 	var (
 		mu  sync.Mutex
-		eng store.Engine
+		eng *store.Engine
 	)
 	f, err := NewFollower(FollowerOptions{
 		Dir:        dir,
 		PrimaryURL: primaryURL,
-		OpenEngine: func() (store.Engine, error) {
-			return store.OpenEngine(dir, store.EngineOptions{Kind: store.EngineKindBinary})
+		OpenEngine: func() (*store.Engine, error) {
+			return store.OpenEngine(dir, store.EngineOptions{})
 		},
-		BuildServer: func(e store.Engine) (*Server, error) {
+		BuildServer: func(e *store.Engine) (*Server, error) {
 			srv := NewServer(Options{CacheCapacity: 16, Store: e})
 			if _, err := srv.Recover(); err != nil {
 				return nil, err
@@ -76,7 +76,7 @@ func waitFollowerCaughtUp(t *testing.T, f *Follower) {
 // server — the end-to-end path a failover takes.
 func TestFollowerPromoteAdoptsReplicatedSessions(t *testing.T) {
 	primaryDir, followerDir := t.TempDir(), t.TempDir()
-	_, tsA := newBinaryServer(t, primaryDir)
+	_, tsA := newDurableServer(t, primaryDir)
 	loadFigure1(t, tsA, "demo")
 
 	var v SessionView
@@ -146,7 +146,7 @@ func TestFollowerPromoteAdoptsReplicatedSessions(t *testing.T) {
 // stays fenced — refusing writes while still serving reads.
 func TestFenceLatchPersistsAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	eng, err := store.OpenEngine(dir, store.EngineOptions{Kind: store.EngineKindBinary})
+	eng, err := store.OpenEngine(dir, store.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestFenceLatchPersistsAcrossRestart(t *testing.T) {
 
 	// Restart over the same directory: no epoch header anywhere, yet the
 	// daemon boots fenced.
-	eng2, err := store.OpenEngine(dir, store.EngineOptions{Kind: store.EngineKindBinary})
+	eng2, err := store.OpenEngine(dir, store.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

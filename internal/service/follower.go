@@ -51,14 +51,13 @@ type FollowerOptions struct {
 	Client *http.Client
 	// OpenEngine opens the store engine over Dir at promotion time. The
 	// caller chooses the engine options (commit interval, segment size,
-	// fault injection) — the engine must be the binary one, which
-	// implements store.Replicator.
-	OpenEngine func() (store.Engine, error)
+	// fault injection).
+	OpenEngine func() (*store.Engine, error)
 	// BuildServer assembles the primary service over the freshly opened
 	// engine: NewServer, Recover, and anything else a normal primary boot
 	// does (compaction ticker, lock epoch note). It runs exactly once, on
 	// the winning Promote call.
-	BuildServer func(store.Engine) (*Server, error)
+	BuildServer func(*store.Engine) (*Server, error)
 }
 
 // Follower serves the warm-standby role over HTTP and carries the
@@ -167,15 +166,10 @@ func (f *Follower) Promote() (ReplicationStatus, error) {
 	if err != nil {
 		return f.status(), fmt.Errorf("promote: open engine: %w", err)
 	}
-	rep, ok := eng.(store.Replicator)
-	if !ok {
-		eng.Close()
-		return f.status(), fmt.Errorf("promote: engine %s does not replicate; need the binary engine", eng.EngineName())
-	}
 	// The engine opened at the highest primary epoch the feed ever
 	// announced; serving one above it fences the old primary.
-	epoch := rep.Epoch() + 1
-	if err := rep.SetEpoch(epoch); err != nil {
+	epoch := eng.Epoch() + 1
+	if err := eng.SetEpoch(epoch); err != nil {
 		eng.Close()
 		return f.status(), fmt.Errorf("promote: fence epoch: %w", err)
 	}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -80,36 +79,18 @@ func readGoldenRuns(t *testing.T, file string, strategies []string) []goldenRun 
 	return runs
 }
 
-// journalRecords reads a finished session's journal: from its file on a
-// durable server, from memory otherwise.
+// journalRecords reads a finished session's journal: its durable records
+// on a durable server, from memory otherwise.
 func journalRecords(t *testing.T, srv *Server, dir, id string) []store.Record {
 	t.Helper()
-	if dir == "" {
-		s, ok := srv.manager.Get(id)
-		if !ok {
-			t.Fatalf("session %s is gone", id)
-		}
-		return s.Journal().Records()
+	if dir != "" {
+		return durableRecords(t, dir, id)
 	}
-	f, err := os.Open(journalPath(t, dir, id))
-	if err != nil {
-		t.Fatal(err)
+	s, ok := srv.manager.Get(id)
+	if !ok {
+		t.Fatalf("session %s is gone", id)
 	}
-	defer f.Close()
-	var recs []store.Record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(nil, 1<<22)
-	for sc.Scan() {
-		var rec store.Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("journal %s: %v", id, err)
-		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return recs
+	return s.Journal().Records()
 }
 
 // journalTranscript renders a journal in the golden's line format: one

@@ -195,10 +195,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.opts.Metrics.WritePrometheus(w)
 }
 
-// handleAdminCompact triggers one store compaction pass. On the binary
-// engine this is the live path: appends keep flowing while dead segments
-// are rewritten. A pass already in flight answers 409 — compaction is not
-// a queue.
+// handleAdminCompact triggers one live store compaction pass: appends
+// keep flowing while dead segments are rewritten. A pass already in flight
+// answers 409 — compaction is not a queue.
 func (s *Server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
 	eng := s.opts.Store
 	if eng == nil {

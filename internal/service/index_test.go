@@ -8,7 +8,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/regex"
 	"repro/internal/rpq"
-	"repro/internal/store"
 )
 
 // waitIndexReady polls the handle until its background index build lands.
@@ -123,11 +122,7 @@ func TestIndexRebuiltOnReRegister(t *testing.T) {
 // (nonexistent) persisted index bytes.
 func TestIndexRebuiltAfterRecovery(t *testing.T) {
 	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvA := NewServer(Options{CacheCapacity: 16, Store: st})
+	srvA := NewServer(Options{CacheCapacity: 16, Store: openEngine(t, dir)})
 	hA, err := srvA.Registry().Register("fig1", dataset.Figure1())
 	if err != nil {
 		t.Fatal(err)
@@ -135,11 +130,7 @@ func TestIndexRebuiltAfterRecovery(t *testing.T) {
 	waitIndexReady(t, hA)
 
 	// "Crash": open a fresh server over the same directory and recover.
-	st2, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvB := NewServer(Options{CacheCapacity: 16, Store: st2})
+	srvB := NewServer(Options{CacheCapacity: 16, Store: openEngine(t, dir)})
 	rep, err := srvB.Recover()
 	if err != nil {
 		t.Fatal(err)

@@ -108,7 +108,7 @@ func driveManualSession(t *testing.T, ts *httptest.Server) {
 }
 
 func TestMetricsEndpointCoversAllSurfaces(t *testing.T) {
-	eng, err := store.OpenEngine(t.TempDir(), store.EngineOptions{Kind: store.EngineKindBinary})
+	eng, err := store.OpenEngine(t.TempDir(), store.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -15,32 +14,44 @@ import (
 	"repro/internal/store"
 )
 
-func newDurableServer(t *testing.T, dir string) (*Server, *httptest.Server) {
+// openEngine opens a store engine over dir, closed when the test ends.
+func openEngine(t *testing.T, dir string) *store.Engine {
 	t.Helper()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(Options{CacheCapacity: 16, Store: st})
-	return srv, newHTTPServer(t, srv)
-}
-
-// newBinaryServer is newDurableServer on the binary group-commit engine.
-func newBinaryServer(t *testing.T, dir string) (*Server, *httptest.Server) {
-	t.Helper()
-	eng, err := store.OpenEngine(dir, store.EngineOptions{Kind: store.EngineKindBinary})
+	eng, err := store.OpenEngine(dir, store.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Close() })
-	srv := NewServer(Options{CacheCapacity: 16, Store: eng})
+	return eng
+}
+
+// newDurableServer serves a new server over a store engine on dir.
+func newDurableServer(t *testing.T, dir string) (*Server, *httptest.Server) {
+	t.Helper()
+	srv := NewServer(Options{CacheCapacity: 16, Store: openEngine(t, dir)})
 	return srv, newHTTPServer(t, srv)
 }
 
-// journalPath locates a session's on-disk journal for fault injection.
-func journalPath(t *testing.T, dir, id string) string {
+// waitJournaled waits until the session's last journal record — durable
+// before it enters the journal — has type typ: a question is published
+// before its record is appended.
+func waitJournaled(t *testing.T, srv *Server, id, typ string) {
 	t.Helper()
-	return filepath.Join(dir, "sessions", id+".jsonl")
+	s, ok := srv.manager.Get(id)
+	if !ok {
+		t.Fatalf("session %s is gone", id)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		recs := s.Journal().Records()
+		if len(recs) > 0 && recs[len(recs)-1].Type == typ {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("session %s: last journal record is not %s", id, typ)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 }
 
 // sseEvents connects to a session's event stream and forwards each SSE
@@ -186,12 +197,13 @@ func TestFinishedSessionRestoredAcrossRestart(t *testing.T) {
 // (the first server is simply abandoned, exactly like a SIGKILL mid-park),
 // and a second server recovering from the same data directory must present
 // a byte-identical session — same status, labels, hypothesis and pending
-// question — without replaying a single duplicate journal record. An SSE
-// client on the recovered session then observes the next question being
-// published, no polling involved. Run with -race.
+// question — without appending a single byte to the wal. An SSE client on
+// the recovered session then observes the next question being published,
+// no polling involved, and the resumed session appends and finishes. Run
+// with -race.
 func TestManualSessionCrashResume(t *testing.T) {
 	dir := t.TempDir()
-	_, tsA := newDurableServer(t, dir)
+	srvA, tsA := newDurableServer(t, dir)
 	loadFigure1(t, tsA, "demo")
 	var v SessionView
 	if code := do(t, http.MethodPost, tsA.URL+"/v1/sessions", SessionConfig{
@@ -213,7 +225,9 @@ func TestManualSessionCrashResume(t *testing.T) {
 	if want.Learned == "" || want.Labels != 1 {
 		t.Fatalf("pre-crash session has no hypothesis: %+v", want)
 	}
-	wantJournal, err := os.ReadFile(journalPath(t, dir, id))
+	waitJournaled(t, srvA, id, recQuestion)
+	seg := activeSegment(t, dir)
+	wantJournal, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,21 +248,18 @@ func TestManualSessionCrashResume(t *testing.T) {
 	if string(gotJSON) != string(wantJSON) {
 		t.Fatalf("resumed session diverged\n  got  %s\n  want %s", gotJSON, wantJSON)
 	}
-	// Replay must not have appended anything: the journal is byte-identical.
-	gotJournal, err := os.ReadFile(journalPath(t, dir, id))
+	// Replay must not have appended anything: the wal is byte-identical.
+	gotJournal, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(gotJournal) != string(wantJournal) {
-		t.Fatalf("resume mutated the journal\n  got  %q\n  want %q", gotJournal, wantJournal)
+		t.Fatalf("resume mutated the wal\n  got  %q\n  want %q", gotJournal, wantJournal)
 	}
 
 	// SSE: subscribe past the replayed history, then reject the hypothesis.
 	// The next question must arrive on the stream without any polling.
-	var recs []store.Record
-	if err := json.Unmarshal([]byte("["+strings.Join(nonEmptyLines(string(gotJournal)), ",")+"]"), &recs); err != nil {
-		t.Fatal(err)
-	}
+	recs := durableRecords(t, dir, id)
 	events := sseEvents(t, fmt.Sprintf("%s/v1/sessions/%s/events?after=%d", tsB.URL, id, recs[len(recs)-1].Seq))
 	no := false
 	if code := do(t, http.MethodPost, tsB.URL+"/v1/sessions/"+id+"/label",
@@ -293,13 +304,13 @@ func TestManualSessionCrashResume(t *testing.T) {
 	}
 }
 
-// TestResumeAfterTornQuestionRecord injects a torn journal tail at the
-// service level: the record of the parked question is cut mid-line, so
-// recovery truncates it and the resumed loop re-asks (and re-journals) the
+// TestResumeAfterTornQuestionRecord injects a torn wal tail at the service
+// level: the frame of the parked question is cut mid-write, so recovery
+// truncates it and the resumed loop re-asks (and re-journals) the
 // same question deterministically, converging on the same state.
 func TestResumeAfterTornQuestionRecord(t *testing.T) {
 	dir := t.TempDir()
-	_, tsA := newDurableServer(t, dir)
+	srvA, tsA := newDurableServer(t, dir)
 	loadFigure1(t, tsA, "demo")
 	var v SessionView
 	do(t, http.MethodPost, tsA.URL+"/v1/sessions", SessionConfig{Graph: "demo", Mode: "manual"}, &v)
@@ -308,9 +319,10 @@ func TestResumeAfterTornQuestionRecord(t *testing.T) {
 	want := waitSession(t, tsA, v.ID, func(v SessionView) bool {
 		return v.Pending != nil && v.Pending.Kind == "satisfied"
 	})
+	waitJournaled(t, srvA, v.ID, recQuestion)
 
-	// Tear the last record (the parked satisfied question) mid-line.
-	path := journalPath(t, dir, v.ID)
+	// Tear the last frame (the parked satisfied question) mid-write.
+	path := activeSegment(t, dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +341,7 @@ func TestResumeAfterTornQuestionRecord(t *testing.T) {
 	if string(gotJSON) != string(wantJSON) {
 		t.Fatalf("resume after torn tail diverged\n  got  %s\n  want %s", gotJSON, wantJSON)
 	}
-	// The re-asked question was re-journaled: the journal is whole again.
+	// The re-asked question was re-journaled: the wal is whole again.
 	repaired, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -428,34 +440,18 @@ func TestResumeAnswerWithoutQuestionRecord(t *testing.T) {
 		return v.Pending != nil && v.Pending.Kind == "satisfied"
 	})
 
-	// Rewrite the journal as the inverted-crash shape: create, then the
+	// Write the journal in the inverted-crash shape: create, then the
 	// answer at seq 2 with the question record lost.
-	path := journalPath(t, dir, v.ID)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := nonEmptyLines(string(data))
-	var create, answer store.Record
-	if err := json.Unmarshal([]byte(lines[0]), &create); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range lines[1:] {
-		var rec store.Record
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatal(err)
-		}
-		if rec.Type == "answer" {
+	recs := durableRecords(t, dir, v.ID)
+	var answer store.Record
+	for _, rec := range recs {
+		if rec.Type == recAnswer {
 			answer = rec
 			break
 		}
 	}
 	answer.Seq = 2
-	createLine, _ := json.Marshal(create)
-	answerLine, _ := json.Marshal(answer)
-	if err := os.WriteFile(path, []byte(string(createLine)+"\n"+string(answerLine)+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dir, _ = writeRecords(t, dir, v.ID, []store.Record{recs[0], answer})
 
 	// First recovery: the answer replays and the lost question record is
 	// re-journaled; the session parks where it did pre-crash.
@@ -515,93 +511,13 @@ func TestSSEEndsOnServerShutdown(t *testing.T) {
 	}
 }
 
-// nonEmptyLines splits s into its non-empty lines.
-func nonEmptyLines(s string) []string {
-	var out []string
-	for _, line := range strings.Split(s, "\n") {
-		if strings.TrimSpace(line) != "" {
-			out = append(out, line)
-		}
-	}
-	return out
-}
-
-// TestManualSessionCrashResumeBinary is the PR 3 crash-resume acceptance
-// test run on the binary engine: a manual session is driven to a
-// hypothesis, the process "dies", and a second server recovering from the
-// same segmented wal must present a byte-identical session view without
-// appending a single duplicate journal record. Run with -race.
-func TestManualSessionCrashResumeBinary(t *testing.T) {
-	dir := t.TempDir()
-	srvA, tsA := newBinaryServer(t, dir)
-	loadFigure1(t, tsA, "demo")
-	var v SessionView
-	if code := do(t, http.MethodPost, tsA.URL+"/v1/sessions", SessionConfig{
-		Graph: "demo", Mode: "manual",
-	}, &v); code != http.StatusCreated {
-		t.Fatalf("create returned %d", code)
-	}
-	id := v.ID
-	waitSession(t, tsA, id, func(v SessionView) bool { return v.Pending != nil })
-	if code := do(t, http.MethodPost, tsA.URL+"/v1/sessions/"+id+"/label",
-		Answer{Decision: "positive"}, nil); code != http.StatusOK {
-		t.Fatalf("label returned %d", code)
-	}
-	want := waitSession(t, tsA, id, func(v SessionView) bool {
-		return v.Pending != nil && v.Pending.Kind == "satisfied"
-	})
-	if want.Learned == "" || want.Labels != 1 {
-		t.Fatalf("pre-crash session has no hypothesis: %+v", want)
-	}
-	sessA, _ := srvA.manager.Get(id)
-	wantLen := len(sessA.Journal().Records())
-
-	// "Crash": abandon server A mid-park and recover from the wal.
-	srvB, tsB := newBinaryServer(t, dir)
-	rep, err := srvB.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.SessionsResumed != 1 || len(rep.SessionsSkipped) != 0 {
-		t.Fatalf("recovery report %+v, want one resumed session", rep)
-	}
-	got := waitSession(t, tsB, id, func(v SessionView) bool { return v.Pending != nil })
-	wantJSON, _ := json.Marshal(want)
-	gotJSON, _ := json.Marshal(got)
-	if string(gotJSON) != string(wantJSON) {
-		t.Fatalf("resumed session diverged\n  got  %s\n  want %s", gotJSON, wantJSON)
-	}
-	sessB, _ := srvB.manager.Get(id)
-	if gotLen := len(sessB.Journal().Records()); gotLen != wantLen {
-		t.Fatalf("resume appended duplicates: journal has %d records, want %d", gotLen, wantLen)
-	}
-
-	// Drive the resumed session to completion to prove the journal still
-	// appends correctly after recovery.
-	no := false
-	do(t, http.MethodPost, tsB.URL+"/v1/sessions/"+id+"/label", Answer{Satisfied: &no}, nil)
-	waitSession(t, tsB, id, func(v SessionView) bool {
-		return v.Pending != nil && v.Pending.Kind == "label"
-	})
-	do(t, http.MethodPost, tsB.URL+"/v1/sessions/"+id+"/label", Answer{Decision: "negative"}, nil)
-	waitSession(t, tsB, id, func(v SessionView) bool {
-		return v.Pending != nil && v.Pending.Kind == "satisfied"
-	})
-	yes := true
-	do(t, http.MethodPost, tsB.URL+"/v1/sessions/"+id+"/label", Answer{Satisfied: &yes}, nil)
-	final := waitSession(t, tsB, id, func(v SessionView) bool { return v.Status == StatusDone })
-	if final.Halt != "user-satisfied" || final.Labels != 2 {
-		t.Fatalf("resumed session finished %+v", final)
-	}
-}
-
 // TestBinaryFinishedSessionSurvivesCompactedRestart finishes a session on
 // the binary engine, compacts the wal at the next boot (as gpsd -compact
 // does) and verifies the session still restores — with its result intact
 // and its SSE stream replaying the compacted summary (create + done).
 func TestBinaryFinishedSessionSurvivesCompactedRestart(t *testing.T) {
 	dir := t.TempDir()
-	_, tsA := newBinaryServer(t, dir)
+	_, tsA := newDurableServer(t, dir)
 	loadFigure1(t, tsA, "demo")
 	var v SessionView
 	if code := do(t, http.MethodPost, tsA.URL+"/v1/sessions", SessionConfig{
@@ -611,11 +527,7 @@ func TestBinaryFinishedSessionSurvivesCompactedRestart(t *testing.T) {
 	}
 	want := waitSession(t, tsA, v.ID, func(v SessionView) bool { return v.Status == StatusDone })
 
-	eng, err := store.OpenEngine(dir, store.EngineOptions{Kind: store.EngineKindBinary})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { eng.Close() })
+	eng := openEngine(t, dir)
 	rep, err := eng.Compact()
 	if err != nil {
 		t.Fatal(err)

@@ -82,10 +82,10 @@ func (s *Server) Recover() (RecoveryReport, error) {
 // a terminal record restores as a finished session; an unterminated
 // journal is an in-flight session (resumed=true). It resumes in its own
 // goroutine: a manual one folds its journaled answers through a new
-// learning loop, in order, and parks on the question that follows (a
-// regenerated question that differs from its journaled record fails the
-// session instead); a simulated one re-runs with its oracle. Either way,
-// records already on disk are not appended again.
+// learning loop, in order, and parks on the question that follows; a
+// simulated one re-runs with its oracle. Either way, records already on
+// disk are not appended again, and a regenerated question or hypothesis
+// that differs from its journaled record fails the session.
 func (m *Manager) Restore(reg *Registry, rs store.RecoveredSession) (resumed bool, err error) {
 	// Advance the id allocator even when the journal turns out to be
 	// unrestorable: its file stays on disk, and a future Create reusing
@@ -122,7 +122,7 @@ func (m *Manager) Restore(reg *Registry, rs store.RecoveredSession) (resumed boo
 		case recHypothesis:
 			var hr hypothesisRecord
 			err = json.Unmarshal(rec.Data, &hr)
-			disk.hyps++
+			disk.hyps = append(disk.hyps, hr.Learned)
 			lastHyp = hr.Learned
 		case recDone, recFailed:
 			final = &doneRecord{}

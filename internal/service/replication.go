@@ -57,14 +57,6 @@ type ReplicationStatus struct {
 	PrimaryURL string `json:"primary_url,omitempty"`
 }
 
-// replicator returns the store engine's replication interface. The text
-// engine (and an in-memory service) has none; callers answer
-// not_durable.
-func (s *Server) replicator() (store.Replicator, bool) {
-	rep, ok := s.opts.Store.(store.Replicator)
-	return rep, ok
-}
-
 // loadFence restores a persisted fence latch at boot, so a fenced old
 // primary stays fenced across restarts.
 func (s *Server) loadFence() {
@@ -99,7 +91,7 @@ func (s *Server) fence(successor uint64) {
 func (s *Server) fenceRefused(w http.ResponseWriter, r *http.Request) bool {
 	if hdr := r.Header.Get(EpochHeader); hdr != "" {
 		if seen, err := strconv.ParseUint(hdr, 10, 64); err == nil {
-			if rep, ok := s.replicator(); ok && seen > rep.Epoch() {
+			if st := s.opts.Store; st != nil && seen > st.Epoch() {
 				s.fence(seen)
 			}
 		}
@@ -113,12 +105,12 @@ func (s *Server) fenceRefused(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // handleReplicationStatus reports this primary's replication state. An
-// in-memory or text-engine service still answers — role and fence state
-// are meaningful even without a feed.
+// in-memory service still answers — role and fence state are meaningful
+// even without a feed.
 func (s *Server) handleReplicationStatus(w http.ResponseWriter, r *http.Request) {
 	st := ReplicationStatus{Role: "primary", Fenced: s.fenced.Load()}
-	if rep, ok := s.replicator(); ok {
-		rs := rep.ReplState()
+	if eng := s.opts.Store; eng != nil {
+		rs := eng.ReplState()
 		st.Epoch = rs.Epoch
 		st.Primary = &rs
 	}
@@ -131,10 +123,10 @@ func (s *Server) handleReplicationStatus(w http.ResponseWriter, r *http.Request)
 // server shuts down; resume is driven by the gen/seg/off query
 // parameters.
 func (s *Server) handleReplicationFeed(w http.ResponseWriter, r *http.Request) {
-	rep, ok := s.replicator()
-	if !ok {
+	eng := s.opts.Store
+	if eng == nil {
 		writeError(w, http.StatusBadRequest, CodeNotDurable,
-			fmt.Errorf("replication needs the binary store engine (-data-dir with -store-engine binary)"))
+			fmt.Errorf("replication needs a durable primary (-data-dir)"))
 		return
 	}
 	pos, err := parseFeedPos(r)
@@ -150,7 +142,7 @@ func (s *Server) handleReplicationFeed(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	flush()
-	if err := rep.ServeFeed(r.Context(), w, flush, pos); err != nil && r.Context().Err() == nil {
+	if err := eng.ServeFeed(r.Context(), w, flush, pos); err != nil && r.Context().Err() == nil {
 		s.opts.Logger.Debug("replication feed ended", "error", err)
 	}
 }
@@ -188,13 +180,7 @@ func parseFeedPos(r *http.Request) (store.FeedPos, error) {
 // against both endpoints converges. (The follower's promote handler —
 // the one that does the work — lives in follower.go.)
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	st := ReplicationStatus{Role: "primary", Fenced: s.fenced.Load()}
-	if rep, ok := s.replicator(); ok {
-		rs := rep.ReplState()
-		st.Epoch = rs.Epoch
-		st.Primary = &rs
-	}
-	writeJSON(w, http.StatusOK, st)
+	s.handleReplicationStatus(w, r)
 }
 
 // registerReplObs wires the primary-side replication metric families.
@@ -202,8 +188,8 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 // follower.go, so a promoted follower registering these into the same
 // registry adds rather than collides.
 func (s *Server) registerReplObs(reg *obs.Registry) {
-	rep, ok := s.replicator()
-	if !ok {
+	rep := s.opts.Store
+	if rep == nil {
 		return
 	}
 	reg.GaugeFunc("gpsd_repl_epoch", "Fencing epoch this primary serves at.",

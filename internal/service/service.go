@@ -62,11 +62,10 @@ type Options struct {
 	AdmitWait time.Duration
 	// Store, when non-nil, makes the service durable: graph registrations
 	// are snapshotted and session transcripts write-ahead journaled under
-	// the engine's data directory. Any store.Engine works — the JSONL text
-	// engine or the group-commit binary engine; the service only relies on
-	// the write-ahead contract. Nil keeps everything in memory (session
-	// event streams still work off in-memory journals).
-	Store store.Engine
+	// the engine's data directory, and the engine's wal is what
+	// GET /v1/replication/feed streams. Nil keeps everything in memory
+	// (session event streams still work off in-memory journals).
+	Store *store.Engine
 	// RequestTimeout bounds each non-streaming HTTP request with a context
 	// deadline: evaluation fan-outs stop claiming work and the handler
 	// answers 503 once it expires. 0 disables the per-request deadline.

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -286,13 +288,15 @@ func (s *HostedSession) start(strat interactive.Strategy, disk *journaled) {
 }
 
 // journaled is what a resumed session's journal already holds: the answers
-// to fold back through the machine, the questions they answered, and how
-// many hypothesis records exist. Regenerated records that are already on
-// disk are checked or skipped, never appended twice.
+// to fold back through the machine, the questions they answered, and the
+// learned query of each hypothesis record. A regenerated record that is
+// already on disk is compared with it, never appended twice.
 type journaled struct {
 	answers   []Answer
 	questions []Question
-	hyps      int
+	hyps      []string
+	// hypsSeen counts the hypotheses regenerated so far.
+	hypsSeen int
 }
 
 // advance applies a to the machine's pending question, then runs the loop:
@@ -328,8 +332,13 @@ func (s *HostedSession) advance(a *interactive.Answer, disk *journaled) {
 			s.mu.Lock()
 			s.learned = learned
 			s.mu.Unlock()
-			if disk.hyps > 0 {
-				disk.hyps--
+			if disk.hypsSeen < len(disk.hyps) {
+				disk.hypsSeen++
+				if jl := disk.hyps[disk.hypsSeen-1]; jl != learned {
+					s.fail(fmt.Errorf("service: resume diverged at hypothesis %d: journal learned %q, loop learned %q",
+						disk.hypsSeen, jl, learned))
+					break
+				}
 			} else {
 				s.mgr.log.Debug("hypothesis", "session_id", s.id, "learned", learned)
 				if err := s.journal.Append(recHypothesis, hypothesisRecord{Learned: learned}); err != nil {
@@ -350,9 +359,8 @@ func (s *HostedSession) advance(a *interactive.Answer, disk *journaled) {
 		s.mu.Unlock()
 		onDisk := wq.Seq <= len(disk.questions)
 		if onDisk {
-			if jq := disk.questions[wq.Seq-1]; jq.Kind != wq.Kind || jq.Node != wq.Node {
-				s.fail(fmt.Errorf("service: resume diverged at question %d: journal asked %s %q, loop asked %s %q",
-					wq.Seq, jq.Kind, jq.Node, wq.Kind, wq.Node))
+			if err := sameQuestion(&disk.questions[wq.Seq-1], wq); err != nil {
+				s.fail(fmt.Errorf("service: resume diverged at question %d: %w", wq.Seq, err))
 				break
 			}
 		}
@@ -470,6 +478,52 @@ func wireQuestion(q interactive.Question) (*Question, SessionStatus) {
 	default:
 		return &Question{Kind: "satisfied", Learned: q.Learned.String()}, StatusAwaitingSatisfied
 	}
+}
+
+// sameQuestion compares a journaled question with its regenerated wire
+// payload in full: two questions that encode to different JSON differ.
+// The error names the first field that differs.
+func sameQuestion(journal, loop *Question) error {
+	jb, err := json.Marshal(journal)
+	if err != nil {
+		return err
+	}
+	lb, err := json.Marshal(loop)
+	if err != nil {
+		return err
+	}
+	if bytes.Equal(jb, lb) {
+		return nil
+	}
+	var jf, lf map[string]json.RawMessage
+	if err := json.Unmarshal(jb, &jf); err != nil {
+		return err
+	}
+	if err := json.Unmarshal(lb, &lf); err != nil {
+		return err
+	}
+	keys := make([]string, 0, len(jf)+len(lf))
+	for k := range jf {
+		keys = append(keys, k)
+	}
+	for k := range lf {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if !bytes.Equal(jf[k], lf[k]) {
+			return fmt.Errorf("%s differs: journal has %s, loop has %s", k, orAbsent(jf[k]), orAbsent(lf[k]))
+		}
+	}
+	return fmt.Errorf("payloads differ")
+}
+
+// orAbsent renders a JSON field value for an error, "absent" when missing.
+func orAbsent(v json.RawMessage) string {
+	if v == nil {
+		return "absent"
+	}
+	return string(v)
 }
 
 // machineAnswer reads a client answer as the machine's: an accepted path

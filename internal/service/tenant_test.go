@@ -11,8 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/store"
 )
 
 // doKey is do() with an API key on the request.
@@ -238,11 +236,7 @@ func TestTenantAccountingSurvivesRestart(t *testing.T) {
 		Keys:    map[string]string{"sk-acme": "acme"},
 	}
 	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvA := NewServer(Options{CacheCapacity: 16, Store: st, Keyring: NewKeyring(cfg)})
+	srvA := NewServer(Options{CacheCapacity: 16, Store: openEngine(t, dir), Keyring: NewKeyring(cfg)})
 	tsA := newHTTPServer(t, srvA)
 
 	if code := doKey(t, http.MethodPut, tsA.URL+"/v1/graphs/demo", "sk-acme",
@@ -259,11 +253,7 @@ func TestTenantAccountingSurvivesRestart(t *testing.T) {
 	waitForQuestion(t, tsA, "sk-acme", v.ID, "label")
 
 	// "Crash": abandon server A mid-park and recover from the wal.
-	stB, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvB := NewServer(Options{CacheCapacity: 16, Store: stB, Keyring: NewKeyring(cfg)})
+	srvB := NewServer(Options{CacheCapacity: 16, Store: openEngine(t, dir), Keyring: NewKeyring(cfg)})
 	tsB := newHTTPServer(t, srvB)
 	rep, err := srvB.Recover()
 	if err != nil {

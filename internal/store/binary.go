@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -19,8 +18,7 @@ import (
 	"repro/internal/graph"
 )
 
-// The binary engine interleaves every session journal into one segmented
-// log:
+// The engine interleaves every session journal into one segmented log:
 //
 //	<dir>/graphs/<name>.graph     binary varint-CSR graph snapshots
 //	<dir>/wal/seg-00000001.seg    CRC-framed record segments
@@ -38,17 +36,16 @@ import (
 //
 // All appends funnel through a single group-commit writer goroutine: an
 // append hands its frame over and blocks until the batch it joined is
-// written and fsynced, so the write-ahead guarantee is identical to the
-// text engine's — the record is durable before Append returns — but one
-// fsync covers every append that arrived while the previous one was in
+// written and fsynced — the record is durable before Append returns — but
+// one fsync covers every append that arrived while the previous one was in
 // flight (plus, optionally, a CommitInterval batching window). Terminal
 // records never wait out the window: they flush the batch immediately, so
-// crash-resume semantics match the per-append-fsync engine.
+// a finished session is durable the moment it reports done.
 //
 // Recovery replays the segments in order, streaming each one frame at a
 // time (memory is bounded by the largest frame, not the segment size). A
 // structurally torn tail (short header, length overrunning the file) in
-// the final segment is truncated exactly like a torn JSONL line; a
+// the final segment is truncated away; a
 // CRC-failed frame in an earlier segment is skipped and counted, and the
 // per-session sequence check then truncates only the affected session at
 // its first gap. Sealed segments end with an index footer (flags 4/5)
@@ -116,8 +113,10 @@ type appendReq struct {
 	err      chan error
 }
 
-// binaryEngine is the segmented-log implementation of Engine.
-type binaryEngine struct {
+// Engine is the durable store: one data directory holding the segmented
+// wal and the graph snapshots, written by one group-commit goroutine. It
+// is safe for concurrent use.
+type Engine struct {
 	dir            string
 	commitInterval time.Duration
 	segmentSize    int64
@@ -179,11 +178,19 @@ type binaryEngine struct {
 	lastCompactFrames atomic.Uint64
 }
 
-// openBinary creates (if needed) and opens a data directory with the
-// binary engine.
-func openBinary(dir string, opts EngineOptions) (*binaryEngine, error) {
+// OpenEngine creates (if needed) and opens a data directory. A directory
+// holding session journals of the retired JSONL text engine
+// (sessions/*.jsonl) is refused before anything in it is created or
+// changed: this engine cannot read them, and recovering zero sessions
+// from a populated directory would look like a healthy boot while
+// abandoning every session in it. Drain such a directory with the build
+// that wrote it.
+func OpenEngine(dir string, opts EngineOptions) (*Engine, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty data directory")
+	}
+	if err := refuseTextJournals(dir); err != nil {
+		return nil, err
 	}
 	// The wal directory is created only after crash repair: an interrupted
 	// compaction can legitimately leave no wal (mid-swap), and creating an
@@ -194,7 +201,7 @@ func openBinary(dir string, opts EngineOptions) (*binaryEngine, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	e := &binaryEngine{
+	e := &Engine{
 		dir:            dir,
 		commitInterval: opts.CommitInterval,
 		segmentSize:    opts.SegmentSize,
@@ -233,14 +240,33 @@ func openBinary(dir string, opts EngineOptions) (*binaryEngine, error) {
 	return e, nil
 }
 
-func (e *binaryEngine) EngineName() string { return EngineKindBinary }
-func (e *binaryEngine) Dir() string        { return e.dir }
-func (e *binaryEngine) Metrics() Metrics   { return e.m.snapshot(EngineKindBinary) }
+// Dir returns the data directory path.
+func (e *Engine) Dir() string { return e.dir }
+
+// Metrics returns a point-in-time snapshot of the engine's counters.
+func (e *Engine) Metrics() Metrics { return e.m.snapshot() }
+
+// refuseTextJournals fails when dir holds sessions/*.jsonl, naming the
+// first such file. It only reads.
+func refuseTextJournals(dir string) error {
+	sessions := filepath.Join(dir, "sessions")
+	entries, err := os.ReadDir(sessions)
+	if err != nil {
+		return nil // no sessions directory: nothing to refuse
+	}
+	for _, ent := range entries {
+		if !ent.IsDir() && strings.HasSuffix(ent.Name(), ".jsonl") {
+			return fmt.Errorf("store: %s holds text-engine session journals (%s): this build reads only the wal; finish or delete those sessions with the build that wrote them",
+				dir, filepath.Join(sessions, ent.Name()))
+		}
+	}
+	return nil
+}
 
 // faultPoint invokes the injected fault hook, if any. A chaos harness
 // hook typically kills the process outright; a test hook returns an error
 // to abort the protocol at that point.
-func (e *binaryEngine) faultPoint(name string) error {
+func (e *Engine) faultPoint(name string) error {
 	if e.fault == nil {
 		return nil
 	}
@@ -250,34 +276,30 @@ func (e *binaryEngine) faultPoint(name string) error {
 	return nil
 }
 
-func (e *binaryEngine) graphsDir() string { return filepath.Join(e.dir, "graphs") }
-func (e *binaryEngine) walDir() string    { return filepath.Join(e.dir, "wal") }
+func (e *Engine) graphsDir() string { return filepath.Join(e.dir, "graphs") }
+func (e *Engine) walDir() string    { return filepath.Join(e.dir, "wal") }
 
-// SaveGraph writes (or replaces) the binary snapshot of a graph.
-func (e *binaryEngine) SaveGraph(name string, g *graph.Graph) error {
-	payload, err := encodeBinarySnapshot(name, g)
-	if err != nil {
-		return fmt.Errorf("store: save graph %q: %w", name, err)
-	}
-	if err := writeSnapshotFile(e.graphsDir(), name, payload, &e.m); err != nil {
+// SaveGraph writes (or atomically replaces) the snapshot of a graph.
+func (e *Engine) SaveGraph(name string, g *graph.Graph) error {
+	if err := writeSnapshotFile(e.graphsDir(), name, encodeSnapshot(name, g), &e.m); err != nil {
 		return fmt.Errorf("store: save graph %q: %w", name, err)
 	}
 	return nil
 }
 
 // DeleteGraph removes the snapshot of an unregistered graph.
-func (e *binaryEngine) DeleteGraph(name string) error {
+func (e *Engine) DeleteGraph(name string) error {
 	return deleteGraphSnapshot(e.graphsDir(), name)
 }
 
 // RecoverGraphs loads every intact graph snapshot, sorted by name.
-func (e *binaryEngine) RecoverGraphs() ([]RecoveredGraph, error) {
+func (e *Engine) RecoverGraphs() ([]RecoveredGraph, error) {
 	return recoverGraphSnapshots(e.graphsDir(), &e.m)
 }
 
 // Close stops accepting appends, waits for in-flight group commits and
 // shuts the writer down.
-func (e *binaryEngine) Close() error {
+func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -293,7 +315,7 @@ func (e *binaryEngine) Close() error {
 
 // submit hands a frame to the group-commit writer and blocks until the
 // batch containing it is durable.
-func (e *binaryEngine) submit(frame []byte, sid string, flag byte, terminal bool) error {
+func (e *Engine) submit(frame []byte, sid string, flag byte, terminal bool) error {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -311,7 +333,7 @@ func (e *binaryEngine) submit(frame []byte, sid string, flag byte, terminal bool
 // control runs fn on the writer goroutine, exclusively between commit
 // batches, and blocks until it returns. It registers in inflight like an
 // append, so Close waits it out and the writer is guaranteed to answer.
-func (e *binaryEngine) control(fn func() error) error {
+func (e *Engine) control(fn func() error) error {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -327,7 +349,7 @@ func (e *binaryEngine) control(fn func() error) error {
 
 // writer is the group-commit goroutine: it owns the open segment and is
 // the only writer of wal bytes after open.
-func (e *binaryEngine) writer() {
+func (e *Engine) writer() {
 	defer e.wg.Done()
 	defer func() {
 		if e.seg != nil {
@@ -375,7 +397,7 @@ const gatherYields = 64
 // latency on light load. A terminal record ends gathering immediately so
 // a session's final fsync is never delayed, and a control request ends it
 // too (returned as ctl, to run right after the batch commits).
-func (e *binaryEngine) gather(first *appendReq) (batch []*appendReq, ctl *appendReq) {
+func (e *Engine) gather(first *appendReq) (batch []*appendReq, ctl *appendReq) {
 	batch = []*appendReq{first}
 	terminal := first.terminal
 	drain := func() bool {
@@ -430,7 +452,7 @@ func (e *binaryEngine) gather(first *appendReq) (batch []*appendReq, ctl *append
 // commit writes a batch into the current segment and fsyncs once. After
 // the first write or sync failure the engine is poisoned: a half-written
 // batch makes the tail untrustworthy, so every later append fails too.
-func (e *binaryEngine) commit(batch []*appendReq) error {
+func (e *Engine) commit(batch []*appendReq) error {
 	if e.segErr != nil {
 		return e.segErr
 	}
@@ -480,7 +502,7 @@ func (e *binaryEngine) commit(batch []*appendReq) error {
 // segments), otherwise it seals the current segment and creates the next
 // one. Reopening the tail is safe because every scan path truncates a
 // torn tail before the first append can happen.
-func (e *binaryEngine) rotate() error {
+func (e *Engine) rotate() error {
 	if e.seg != nil {
 		if err := e.sealCurrent(); err != nil {
 			return err
@@ -540,7 +562,7 @@ func (e *binaryEngine) rotate() error {
 // when the writer has seen every frame in it. Called by rotate on
 // roll-over and by the live-compaction seal control request; a failure
 // leaves the segment unsealed but correct (footers are optional).
-func (e *binaryEngine) sealCurrent() error {
+func (e *Engine) sealCurrent() error {
 	if e.seg == nil {
 		return nil
 	}
@@ -736,35 +758,29 @@ func decodePayload(payload []byte) (decodedFrame, error) {
 	}
 }
 
-// --- journal backend --------------------------------------------------------
+// --- journals ---------------------------------------------------------------
 
-// binaryJournal routes a session's appends to the engine's group-commit
-// writer.
-type binaryJournal struct {
-	e   *binaryEngine
-	sid string
-}
-
-func (bj *binaryJournal) append(rec Record, terminal bool) error {
+// appendRecord hands one journal record to the group-commit writer and
+// blocks until it is durable. terminal marks the session's last record:
+// it flushes the batch at once and lets compaction collapse the session.
+func (e *Engine) appendRecord(sid string, rec Record, terminal bool) error {
 	flag := byte(flagData)
 	if terminal {
 		flag = flagTerminal
 	}
-	return bj.e.submit(encodeFrame(encodeRecordPayload(flag, bj.sid, rec)), bj.sid, flag, terminal)
+	return e.submit(encodeFrame(encodeRecordPayload(flag, sid, rec)), sid, flag, terminal)
 }
 
-func (bj *binaryJournal) close() error { return nil }
-
-// remove appends a tombstone frame: the session's records stay in their
+// tombstone appends a session's tombstone frame: its records stay in their
 // segments until compaction, but recovery drops them.
-func (bj *binaryJournal) remove() error {
-	return bj.e.submit(encodeFrame(encodeTombstonePayload(bj.sid)), bj.sid, flagTombstone, true)
+func (e *Engine) tombstone(sid string) error {
+	return e.submit(encodeFrame(encodeTombstonePayload(sid)), sid, flagTombstone, true)
 }
 
 // CreateJournal registers a new session id and returns its journal. The
 // id must never have been used in this wal — tombstoned ids included, so
 // a removed session's tombstone can never shadow a live one.
-func (e *binaryEngine) CreateJournal(id string) (*Journal, error) {
+func (e *Engine) CreateJournal(id string) (*Journal, error) {
 	if id == "" {
 		return nil, fmt.Errorf("store: empty journal id")
 	}
@@ -781,18 +797,14 @@ func (e *binaryEngine) CreateJournal(id string) (*Journal, error) {
 	}
 	e.sids[id] = struct{}{}
 	e.journalsActive++
-	return &Journal{
-		notify: make(chan struct{}),
-		name:   id,
-		b:      &binaryJournal{e: e, sid: id},
-	}, nil
+	return &Journal{notify: make(chan struct{}), name: id, e: e}, nil
 }
 
 // ensureScanned populates the known-session-id set on first use, so a
 // server that skips Recover still cannot collide with ids already in the
-// wal (or in legacy text-engine journals sharing the directory). Runs
+// wal. Runs
 // before any append, so repairing a torn tail here is safe.
-func (e *binaryEngine) ensureScanned() error {
+func (e *Engine) ensureScanned() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.scanned {
@@ -812,42 +824,16 @@ func (e *binaryEngine) ensureScanned() error {
 	for sid := range sessions {
 		e.sids[sid] = struct{}{}
 	}
-	for _, id := range legacyJournalIDs(e.dir) {
-		e.sids[id] = struct{}{}
-	}
 	e.scanned = true
 	return nil
 }
 
-// legacyJournalIDs lists the session ids of text-engine JSONL journals in
-// the data directory.
-func legacyJournalIDs(dir string) []string {
-	entries, err := os.ReadDir(filepath.Join(dir, "sessions"))
-	if err != nil {
-		return nil
-	}
-	var ids []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".jsonl") {
-			continue
-		}
-		id, err := url.PathUnescape(strings.TrimSuffix(name, ".jsonl"))
-		if err != nil {
-			id = strings.TrimSuffix(name, ".jsonl")
-		}
-		ids = append(ids, id)
-	}
-	return ids
-}
-
-// RecoverSessions replays the wal into per-session journals. A data
-// directory that was previously run with the text engine is migrated in
-// place: its JSONL journals recover alongside the wal sessions (keeping
-// their per-file append path), so switching -store-engine never abandons
-// a session. It must run before the first append: afterwards the writer
-// owns the tail and the scan's torn-tail truncation would race it.
-func (e *binaryEngine) RecoverSessions() ([]RecoveredSession, error) {
+// RecoverSessions replays the wal into per-session journals, sorted by
+// session id, with every surviving record preloaded so a resumed session
+// keeps appending where the crashed process stopped. It must run before
+// the first append: afterwards the writer owns the tail and the scan's
+// torn-tail truncation would race it.
+func (e *Engine) RecoverSessions() ([]RecoveredSession, error) {
 	e.mu.Lock()
 	if e.started {
 		e.mu.Unlock()
@@ -873,30 +859,9 @@ func (e *binaryEngine) RecoverSessions() ([]RecoveredSession, error) {
 		e.m.recoveredSessions.Add(1)
 		e.journalsActive++
 		out = append(out, RecoveredSession{
-			ID: sid,
-			Journal: &Journal{
-				notify: make(chan struct{}),
-				recs:   sc.recs,
-				name:   sid,
-				b:      &binaryJournal{e: e, sid: sid},
-			},
+			ID:      sid,
+			Journal: &Journal{notify: make(chan struct{}), recs: sc.recs, name: sid, e: e},
 		})
-	}
-	legacy, err := recoverSessionDir(filepath.Join(e.dir, "sessions"), &e.m)
-	if err != nil {
-		e.mu.Unlock()
-		return nil, err
-	}
-	for _, rs := range legacy {
-		if _, dup := e.sids[rs.ID]; dup {
-			// A wal session shadows a same-id legacy journal (possible only
-			// if someone hand-copied files); the wal is authoritative.
-			_ = rs.Journal.Close()
-			continue
-		}
-		e.sids[rs.ID] = struct{}{}
-		e.journalsActive++
-		out = append(out, rs)
 	}
 	e.scanned = true
 	e.mu.Unlock()
@@ -912,7 +877,7 @@ type segInfo struct {
 	size int64
 }
 
-func (e *binaryEngine) listSegments() ([]segInfo, error) {
+func (e *Engine) listSegments() ([]segInfo, error) {
 	return listSegmentDir(e.walDir())
 }
 
@@ -956,8 +921,7 @@ type scanSession struct {
 // walScanOptions selects a scan variant.
 type walScanOptions struct {
 	// truncateTail cuts a structurally torn tail of the final segment off
-	// on disk (and fsyncs), exactly like the text engine truncates a torn
-	// JSONL line. Only safe before the writer's first append.
+	// on disk (and fsyncs). Only safe before the writer's first append.
 	truncateTail bool
 	// idsOnly skips record accumulation: sealed segments with a valid
 	// index footer contribute their session ids without a single frame
@@ -966,7 +930,7 @@ type walScanOptions struct {
 }
 
 // scanWal replays every segment, streaming each one frame at a time.
-func (e *binaryEngine) scanWal(truncate bool) (map[string]*scanSession, error) {
+func (e *Engine) scanWal(truncate bool) (map[string]*scanSession, error) {
 	segs, err := e.listSegments()
 	if err != nil {
 		return nil, err
@@ -979,7 +943,7 @@ func (e *binaryEngine) scanWal(truncate bool) (map[string]*scanSession, error) {
 // sealed: structural damage there skips to the next footer-known frame
 // boundary when the segment has an index footer, or to the next segment
 // when it does not.
-func (e *binaryEngine) scanSegments(segs []segInfo, opts walScanOptions) (map[string]*scanSession, error) {
+func (e *Engine) scanSegments(segs []segInfo, opts walScanOptions) (map[string]*scanSession, error) {
 	sessions := make(map[string]*scanSession)
 	session := func(sid string) *scanSession {
 		sc := sessions[sid]
@@ -1011,7 +975,7 @@ func (e *binaryEngine) scanSegments(segs []segInfo, opts walScanOptions) (map[st
 }
 
 // scanSegmentFrames streams one segment's frames into the scan state.
-func (e *binaryEngine) scanSegmentFrames(seg segInfo, last bool, opts walScanOptions, sessions map[string]*scanSession, session func(string) *scanSession) error {
+func (e *Engine) scanSegmentFrames(seg segInfo, last bool, opts walScanOptions, sessions map[string]*scanSession, session func(string) *scanSession) error {
 	sc, err := openFrameScanner(seg.path)
 	if err != nil {
 		return err
@@ -1168,8 +1132,8 @@ func applyFrame(sessions map[string]*scanSession, df decodedFrame, m *metrics) {
 
 // --- compaction -------------------------------------------------------------
 
-func (e *binaryEngine) compactDir() string { return filepath.Join(e.dir, "wal.compact") }
-func (e *binaryEngine) oldDir() string     { return filepath.Join(e.dir, "wal.old") }
+func (e *Engine) compactDir() string { return filepath.Join(e.dir, "wal.compact") }
+func (e *Engine) oldDir() string     { return filepath.Join(e.dir, "wal.old") }
 
 // repairCompaction finishes (or rolls back) a compaction interrupted by a
 // crash, using the invariant that wal.compact is fully written and synced
@@ -1179,7 +1143,7 @@ func (e *binaryEngine) oldDir() string     { return filepath.Join(e.dir, "wal.ol
 //	wal.compact, no wal      crash mid-swap           → promote wal.compact
 //	wal + wal.old            crash before cleanup     → drop wal.old
 //	wal.old only             (unreachable)            → restore wal.old
-func (e *binaryEngine) repairCompaction() error {
+func (e *Engine) repairCompaction() error {
 	exists := func(p string) bool {
 		_, err := os.Stat(p)
 		return err == nil
@@ -1223,9 +1187,9 @@ func (e *binaryEngine) repairCompaction() error {
 // the crash-safe swap: wal.compact is fully fsynced before the first
 // rename, and repairCompaction can always finish or undo the two-rename
 // swap. A second Compact while one is running fails with ErrCompacting.
-func (e *binaryEngine) Compact() (CompactionReport, error) {
+func (e *Engine) Compact() (CompactionReport, error) {
 	e.mu.Lock()
-	rep := CompactionReport{Supported: true}
+	var rep CompactionReport
 	if e.closed {
 		e.mu.Unlock()
 		return rep, fmt.Errorf("store: engine is closed")
@@ -1250,8 +1214,8 @@ func (e *binaryEngine) Compact() (CompactionReport, error) {
 
 // compactOffline rewrites the whole wal while the engine is quiescent.
 // Caller holds e.mu.
-func (e *binaryEngine) compactOffline() (CompactionReport, error) {
-	rep := CompactionReport{Supported: true}
+func (e *Engine) compactOffline() (CompactionReport, error) {
+	var rep CompactionReport
 	// Same idle guard as compactLive: a compaction ticker over an engine
 	// nobody has written to (a promoted standby whose sessions are all
 	// finished, an empty daemon) must not rewrite the wal every tick —
@@ -1333,8 +1297,8 @@ func (e *binaryEngine) compactOffline() (CompactionReport, error) {
 // between — scanning the sealed segments and writing wal.compact — runs
 // on the calling goroutine with appends flowing into fresh segments
 // beyond the seal boundary.
-func (e *binaryEngine) compactLive() (CompactionReport, error) {
-	rep := CompactionReport{Supported: true}
+func (e *Engine) compactLive() (CompactionReport, error) {
+	var rep CompactionReport
 	// Nothing appended since the last completed pass means nothing to
 	// collapse or retire: the previous pass already did it. Skip without
 	// sealing or bumping the generation — an idle primary on a compaction
@@ -1422,7 +1386,7 @@ func (e *binaryEngine) compactLive() (CompactionReport, error) {
 // segment indices (live mode: they must stay at or below the seal
 // boundary so they sort before, and never collide with, the segments the
 // writer keeps creating); 0 means unbounded.
-func (e *binaryEngine) writeCompacted(sessions map[string]*scanSession, maxSeg uint64, rep *CompactionReport) (*compactWriter, error) {
+func (e *Engine) writeCompacted(sessions map[string]*scanSession, maxSeg uint64, rep *CompactionReport) (*compactWriter, error) {
 	// Deterministic rewrite order keeps equivalence tests simple.
 	sids := make([]string, 0, len(sessions))
 	for sid := range sessions {
@@ -1477,7 +1441,7 @@ func (e *binaryEngine) writeCompacted(sessions map[string]*scanSession, maxSeg u
 // the wal directory is gone and only a restart (repairCompaction) can
 // recover it. tailSeg/tailOff name the compacted output's last segment
 // and its durable size, for re-pointing the published feed position.
-func (e *binaryEngine) swapCompacted(boundary, tailSeg uint64, tailOff int64) error {
+func (e *Engine) swapCompacted(boundary, tailSeg uint64, tailOff int64) error {
 	if e.segErr != nil {
 		return e.segErr
 	}
@@ -1645,9 +1609,3 @@ func (w *compactWriter) finish() error {
 	}
 	return nil
 }
-
-// interface conformance checks.
-var (
-	_ Engine = (*Store)(nil)
-	_ Engine = (*binaryEngine)(nil)
-)

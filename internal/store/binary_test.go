@@ -3,19 +3,20 @@ package store
 import (
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/dataset"
 )
 
-func openBinaryT(t *testing.T, dir string, opts EngineOptions) Engine {
+func openBinaryT(t *testing.T, dir string, opts EngineOptions) *Engine {
 	t.Helper()
-	opts.Kind = EngineKindBinary
 	e, err := OpenEngine(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +25,7 @@ func openBinaryT(t *testing.T, dir string, opts EngineOptions) Engine {
 	return e
 }
 
-func recsOf(t *testing.T, e Engine) map[string][]Record {
+func recsOf(t *testing.T, e *Engine) map[string][]Record {
 	t.Helper()
 	recovered, err := e.RecoverSessions()
 	if err != nil {
@@ -361,6 +362,9 @@ func TestBinaryGraphSnapshots(t *testing.T) {
 	if err := e.DeleteGraph("gone"); err != nil {
 		t.Fatal(err)
 	}
+	if err := e.DeleteGraph("never-existed"); err != nil {
+		t.Fatal(err)
+	}
 	recovered, err := e.RecoverGraphs()
 	if err != nil {
 		t.Fatal(err)
@@ -396,39 +400,6 @@ func TestBinaryGraphSnapshots(t *testing.T) {
 	}
 }
 
-// TestSnapshotFormatsInterop pins that either engine reads the other's
-// snapshot format, so -store-engine can change on an existing data dir
-// without losing graphs.
-func TestSnapshotFormatsInterop(t *testing.T) {
-	dir := t.TempDir()
-	g := dataset.Figure1()
-	text, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := text.SaveGraph("via-text", g); err != nil {
-		t.Fatal(err)
-	}
-	bin := openBinaryT(t, dir, EngineOptions{})
-	if err := bin.SaveGraph("via-binary", g); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range []Engine{text, bin} {
-		recovered, err := e.RecoverGraphs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recovered) != 2 {
-			t.Fatalf("%s engine recovered %d graphs, want both formats", e.EngineName(), len(recovered))
-		}
-		for _, rg := range recovered {
-			if rg.Graph.Text() != g.Text() {
-				t.Fatalf("%s engine: graph %s does not round-trip", e.EngineName(), rg.Name)
-			}
-		}
-	}
-}
-
 func TestBinaryCompaction(t *testing.T) {
 	dir := t.TempDir()
 	e := openBinaryT(t, dir, EngineOptions{SegmentSize: 128})
@@ -460,7 +431,7 @@ func TestBinaryCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Supported || rep.SessionsCompacted != 1 || rep.SessionsDropped != 1 {
+	if rep.SessionsCompacted != 1 || rep.SessionsDropped != 1 {
 		t.Fatalf("compaction report %+v", rep)
 	}
 	if rep.SegmentsRetired == 0 || rep.BytesAfter >= rep.BytesBefore {
@@ -516,7 +487,7 @@ func TestBinaryCompactLiveAfterJournals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Supported || rep.SessionsCompacted != 1 || rep.SegmentsRetired == 0 {
+	if rep.SessionsCompacted != 1 || rep.SegmentsRetired == 0 {
 		t.Fatalf("live compaction report %+v", rep)
 	}
 	// The journal handed out before the compaction keeps working.
@@ -604,187 +575,144 @@ func TestBinaryCompactionCrashRepair(t *testing.T) {
 	})
 }
 
-// TestEngineEquivalenceRandomized replays identical session traffic —
-// interleaved appends, terminal records, removals — through the text and
-// binary engines and requires byte-identical recovered state. The text
-// engine is the readability oracle; the binary engine must never diverge
-// from it.
-func TestEngineEquivalenceRandomized(t *testing.T) {
+// TestBinaryRecoversAckedHistory drives random session traffic —
+// interleaved appends, terminal records, removals, a graph snapshot — over
+// random segment sizes, records every acknowledged write, and requires a
+// fresh engine to recover exactly that history: every acked record of
+// every session not removed, in order, and nothing else.
+func TestBinaryRecoversAckedHistory(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			textDir, binDir := t.TempDir(), t.TempDir()
-			text, err := Open(textDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bin := openBinaryT(t, binDir, EngineOptions{SegmentSize: int64(64 << rng.Intn(6))})
+			dir := t.TempDir()
+			e := openBinaryT(t, dir, EngineOptions{SegmentSize: int64(64 << rng.Intn(6))})
 
-			type pair struct{ tj, bj *Journal }
-			journals := make(map[string]*pair)
+			journals := make(map[string]*Journal)
+			acked := make(map[string][]Record) // removed sessions are deleted
 			terminated := make(map[string]bool)
 			var ids []string
+			ack := func(id, typ string, p testPayload, terminal bool) {
+				add := journals[id].Append
+				if terminal {
+					add = journals[id].AppendTerminal
+				}
+				if err := add(typ, p); err != nil {
+					t.Fatal(err)
+				}
+				data, _ := json.Marshal(p)
+				acked[id] = append(acked[id], Record{Seq: uint64(len(acked[id])) + 1, Type: typ, Data: data})
+			}
 			types := []string{"create", "question", "answer", "hypothesis"}
 			for op := 0; op < 120; op++ {
 				switch k := rng.Intn(10); {
 				case k == 0 || len(ids) == 0: // create a session
 					id := fmt.Sprintf("s%04d", len(journals)+1)
-					tj, err := text.CreateJournal(id)
+					jr, err := e.CreateJournal(id)
 					if err != nil {
 						t.Fatal(err)
 					}
-					bj, err := bin.CreateJournal(id)
-					if err != nil {
-						t.Fatal(err)
-					}
-					journals[id] = &pair{tj, bj}
+					journals[id] = jr
 					ids = append(ids, id)
 					// The service always writes the create record
 					// immediately (an empty journal is never left behind).
-					payload := testPayload{N: op, S: "create"}
-					if err := tj.Append("create", payload); err != nil {
-						t.Fatal(err)
-					}
-					if err := bj.Append("create", payload); err != nil {
-						t.Fatal(err)
-					}
+					ack(id, "create", testPayload{N: op, S: "create"}, false)
 				case k == 1: // remove a random session
 					id := ids[rng.Intn(len(ids))]
-					p := journals[id]
-					if err := p.tj.Remove(); err != nil {
+					if err := journals[id].Remove(); err != nil {
 						t.Fatal(err)
 					}
-					if err := p.bj.Remove(); err != nil {
-						t.Fatal(err)
-					}
+					delete(acked, id)
 					terminated[id] = true
 				case k == 2: // finish a random session
 					id := ids[rng.Intn(len(ids))]
 					if terminated[id] {
 						continue
 					}
-					p := journals[id]
-					payload := testPayload{N: op, S: "done"}
-					if err := p.tj.AppendTerminal("done", payload); err != nil {
-						t.Fatal(err)
-					}
-					if err := p.bj.AppendTerminal("done", payload); err != nil {
-						t.Fatal(err)
-					}
+					ack(id, "done", testPayload{N: op, S: "done"}, true)
 					terminated[id] = true
 				default: // append to a random live session
 					id := ids[rng.Intn(len(ids))]
 					if terminated[id] {
 						continue
 					}
-					p := journals[id]
 					typ := types[rng.Intn(len(types))]
-					payload := testPayload{N: op, S: typ}
-					if err := p.tj.Append(typ, payload); err != nil {
-						t.Fatal(err)
-					}
-					if err := p.bj.Append(typ, payload); err != nil {
-						t.Fatal(err)
-					}
+					ack(id, typ, testPayload{N: op, S: typ}, false)
 				}
 			}
-			// Also persist a graph through both engines.
 			g := dataset.Random(dataset.RandomOptions{Nodes: 20 + rng.Intn(30), Seed: seed})
-			if err := text.SaveGraph("g", g); err != nil {
+			if err := e.SaveGraph("g", g); err != nil {
 				t.Fatal(err)
 			}
-			if err := bin.SaveGraph("g", g); err != nil {
-				t.Fatal(err)
-			}
-			bin.Close()
+			e.Close()
 
-			// Recover both sides fresh and compare state byte for byte.
-			text2, err := Open(textDir)
+			e2 := openBinaryT(t, dir, EngineOptions{})
+			if got := recsOf(t, e2); !reflect.DeepEqual(got, acked) {
+				t.Fatalf("recovered sessions differ from the acked history\n got  %+v\n want %+v", got, acked)
+			}
+			rg, err := e2.RecoverGraphs()
 			if err != nil {
 				t.Fatal(err)
 			}
-			bin2 := openBinaryT(t, binDir, EngineOptions{})
-			trecs, brecs := recsOf(t, text2), recsOf(t, bin2)
-			if !reflect.DeepEqual(trecs, brecs) {
-				t.Fatalf("recovered sessions diverge\n text  %+v\n binary %+v", trecs, brecs)
-			}
-			tg, err := text2.RecoverGraphs()
-			if err != nil {
-				t.Fatal(err)
-			}
-			bg, err := bin2.RecoverGraphs()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(tg) != 1 || len(bg) != 1 || tg[0].Graph.Text() != bg[0].Graph.Text() {
-				t.Fatal("recovered graphs diverge")
+			if len(rg) != 1 || rg[0].Name != "g" || rg[0].Graph.Text() != g.Text() {
+				t.Fatal("recovered graph differs from the saved one")
 			}
 		})
 	}
 }
 
-// TestBinaryMigratesTextJournals pins the engine-switch path: a data
-// directory written by the text engine, reopened with the binary engine,
-// must recover every JSONL session (not silently abandon them), keep
-// appending to them, and give new sessions wal-backed journals.
-func TestBinaryMigratesTextJournals(t *testing.T) {
+// TestOpenRefusesTextJournals pins the upgrade guard: a data directory
+// holding journals of the retired JSONL text engine is refused with an
+// error that names one, and is left byte-identical.
+func TestOpenRefusesTextJournals(t *testing.T) {
 	dir := t.TempDir()
-	text, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	files := map[string]string{
+		"sessions/x.jsonl": `{"seq":1,"type":"create"}` + "\n",
+		"graphs/g.graph":   "not a snapshot",
 	}
-	legacy, err := text.CreateJournal("s0001")
-	if err != nil {
-		t.Fatal(err)
+	for name, data := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	appendN(t, legacy, 3)
-	legacy.Close()
-
-	bin := openBinaryT(t, dir, EngineOptions{})
-	recovered, err := bin.RecoverSessions()
-	if err != nil {
-		t.Fatal(err)
+	before := treeOf(t, dir)
+	e, err := OpenEngine(dir, EngineOptions{})
+	if err == nil {
+		e.Close()
+		t.Fatal("a directory holding text-engine journals must be refused")
 	}
-	if len(recovered) != 1 || recovered[0].ID != "s0001" || len(recovered[0].Journal.Records()) != 3 {
-		t.Fatalf("legacy session not migrated: %+v", recovered)
+	if !strings.Contains(err.Error(), "x.jsonl") {
+		t.Fatalf("error %q does not name the journal", err)
 	}
-	// The migrated journal keeps appending (into its JSONL file), the id
-	// stays reserved, and a new session lands in the wal.
-	if err := recovered[0].Journal.Append("event", testPayload{N: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bin.CreateJournal("s0001"); err == nil {
-		t.Fatal("legacy id must not be reusable")
-	}
-	fresh, err := bin.CreateJournal("s0002")
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, fresh, 2)
-	bin.Close()
-
-	bin2 := openBinaryT(t, dir, EngineOptions{})
-	recs := recsOf(t, bin2)
-	if len(recs["s0001"]) != 4 || len(recs["s0002"]) != 2 {
-		t.Fatalf("mixed recovery = %d legacy records, %d wal records", len(recs["s0001"]), len(recs["s0002"]))
+	if after := treeOf(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused open changed the directory\n got  %v\n want %v", after, before)
 	}
 }
 
-// TestTextRefusesBinaryWal pins the reverse guard: the text engine
-// cannot read wal segments, so opening such a directory must fail loudly
-// instead of recovering zero sessions from a populated store.
-func TestTextRefusesBinaryWal(t *testing.T) {
-	dir := t.TempDir()
-	bin := openBinaryT(t, dir, EngineOptions{})
-	jr, err := bin.CreateJournal("s0001")
+// treeOf maps every path under dir (directories end in "/") to its bytes.
+func treeOf(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		if d.IsDir() {
+			out[rel+"/"] = ""
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		out[rel] = string(data)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendN(t, jr, 1)
-	bin.Close()
-	if _, err := Open(dir); err == nil {
-		t.Fatal("text engine must refuse a directory holding a binary wal")
-	}
+	return out
 }
 
 // TestBinaryReusesTailSegment pins that restarts append to the existing

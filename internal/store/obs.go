@@ -3,14 +3,12 @@ package store
 import "repro/internal/obs"
 
 // RegisterMetrics exposes the engine's counters on the observability
-// registry as gpsd_store_* families, each labelled with the engine name.
-// The samples are produced at scrape time from the same atomics the JSON
-// Metrics snapshot reads, so /metrics and Metrics can never disagree.
-// Families that only the binary engine drives (group commit, segments,
-// compaction, footers) read zero on the text engine, which Prometheus
-// treats the same as "nothing happened yet".
-func RegisterMetrics(reg *obs.Registry, e Engine) {
-	engine := obs.L("engine", e.EngineName())
+// registry as gpsd_store_* families, each labelled engine="binary" (the
+// label predates the single engine and dashboards select on it). The
+// samples are produced at scrape time from the same atomics the Metrics
+// snapshot reads, so /metrics and Metrics can never disagree.
+func RegisterMetrics(reg *obs.Registry, e *Engine) {
+	engine := obs.L("engine", "binary")
 	counters := []struct {
 		name, help string
 		get        func(Metrics) float64
@@ -19,11 +17,11 @@ func RegisterMetrics(reg *obs.Registry, e Engine) {
 			func(m Metrics) float64 { return float64(m.JournalAppends) }},
 		{"gpsd_store_journal_bytes_total", "On-disk bytes of appended journal records.",
 			func(m Metrics) float64 { return float64(m.JournalBytes) }},
-		{"gpsd_store_fsyncs_total", "Journal fsync calls (one per group-commit batch on the binary engine).",
+		{"gpsd_store_fsyncs_total", "Journal fsync calls (one per group-commit batch).",
 			func(m Metrics) float64 { return float64(m.Fsyncs) }},
-		{"gpsd_store_group_commits_total", "Group-commit batches flushed by the binary engine.",
+		{"gpsd_store_group_commits_total", "Group-commit batches flushed.",
 			func(m Metrics) float64 { return float64(m.GroupCommits) }},
-		{"gpsd_store_segments_created_total", "Segment files opened since boot (binary engine).",
+		{"gpsd_store_segments_created_total", "Segment files opened since boot.",
 			func(m Metrics) float64 { return float64(m.SegmentsCreated) }},
 		{"gpsd_store_snapshot_saves_total", "Graph snapshot writes.",
 			func(m Metrics) float64 { return float64(m.SnapshotSaves) }},
@@ -37,7 +35,7 @@ func RegisterMetrics(reg *obs.Registry, e Engine) {
 			func(m Metrics) float64 { return float64(m.TruncatedJournals) }},
 		{"gpsd_store_corrupt_snapshots_total", "Snapshot files that failed their integrity check and were skipped.",
 			func(m Metrics) float64 { return float64(m.CorruptSnapshots) }},
-		{"gpsd_store_corrupt_frames_total", "CRC-failed segment frames skipped by the binary engine.",
+		{"gpsd_store_corrupt_frames_total", "CRC-failed segment frames skipped by recovery.",
 			func(m Metrics) float64 { return float64(m.CorruptFrames) }},
 		{"gpsd_store_compaction_runs_total", "Completed journal compaction passes.",
 			func(m Metrics) float64 { return float64(m.CompactionRuns) }},

@@ -1,6 +1,6 @@
 package store
 
-// Streaming replication of the binary engine's wal to a warm follower.
+// Streaming replication of the engine's wal to a warm follower.
 //
 // The primary side is ServeFeed: an HTTP handler body that first ships
 // every graph snapshot and sealed segment, then tails the active
@@ -101,18 +101,6 @@ type ReplState struct {
 	FeedBytesSent uint64 `json:"feed_bytes_sent"`
 }
 
-// Replicator is the replication surface of a store engine. The binary
-// engine implements it; the text engine does not (its per-session JSONL
-// files have no single log to stream), so callers type-assert.
-type Replicator interface {
-	ReplState() ReplState
-	ServeFeed(ctx context.Context, w io.Writer, flush func(), pos FeedPos) error
-	Epoch() uint64
-	SetEpoch(epoch uint64) error
-}
-
-var _ Replicator = (*binaryEngine)(nil)
-
 // --- primary-side state publication ----------------------------------------
 
 // replPub is the writer-updated publication point feeds wait on.
@@ -193,15 +181,15 @@ func (p *replPub) waitCh() <-chan struct{} {
 }
 
 // ReplState returns the engine's current replication state.
-func (e *binaryEngine) ReplState() ReplState { return e.repl.snapshot() }
+func (e *Engine) ReplState() ReplState { return e.repl.snapshot() }
 
 // Epoch returns the engine's fencing epoch.
-func (e *binaryEngine) Epoch() uint64 { return e.repl.snapshot().Epoch }
+func (e *Engine) Epoch() uint64 { return e.repl.snapshot().Epoch }
 
 // SetEpoch raises the fencing epoch: it is persisted to the epoch file
 // first (a persisted-but-unannounced higher epoch is harmless), then
 // stamped into the open segment as an epoch frame. Called at promotion.
-func (e *binaryEngine) SetEpoch(v uint64) error {
+func (e *Engine) SetEpoch(v uint64) error {
 	cur := e.repl.snapshot().Epoch
 	if v < cur {
 		return fmt.Errorf("store: epoch %d is below the current epoch %d", v, cur)
@@ -423,7 +411,7 @@ type graphStamp struct {
 }
 
 type feedConn struct {
-	e     *binaryEngine
+	e     *Engine
 	w     io.Writer
 	flush func()
 }
@@ -532,7 +520,7 @@ func (fc *feedConn) sendGraphSync(stamps map[string]graphStamp, initial bool) er
 // reconnects and re-syncs), or the connection fails. pos is the
 // follower's resume position; an unserveable position degrades to a
 // full re-sync, never an error.
-func (e *binaryEngine) ServeFeed(ctx context.Context, w io.Writer, flush func(), pos FeedPos) error {
+func (e *Engine) ServeFeed(ctx context.Context, w io.Writer, flush func(), pos FeedPos) error {
 	e.repl.feeds.Add(1)
 	defer e.repl.feeds.Add(-1)
 	fc := &feedConn{e: e, w: w, flush: flush}

@@ -17,12 +17,8 @@ import (
 
 // feedServer wraps an engine's replication feed in the same HTTP shape
 // the service exposes, for follower tests without a full gpsd.
-func feedServer(t *testing.T, e Engine) *httptest.Server {
+func feedServer(t *testing.T, e *Engine) *httptest.Server {
 	t.Helper()
-	rep, ok := e.(Replicator)
-	if !ok {
-		t.Fatal("engine does not implement Replicator")
-	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var pos FeedPos
 		pos.Gen, _ = strconv.ParseUint(r.URL.Query().Get("gen"), 10, 64)
@@ -34,7 +30,7 @@ func feedServer(t *testing.T, e Engine) *httptest.Server {
 		if fl != nil {
 			flush = fl.Flush
 		}
-		_ = rep.ServeFeed(r.Context(), w, flush, pos)
+		_ = e.ServeFeed(r.Context(), w, flush, pos)
 	}))
 	// Registered before any replica cleanup, so (LIFO) replicas stop
 	// before Close waits on their feed connections.
@@ -44,19 +40,18 @@ func feedServer(t *testing.T, e Engine) *httptest.Server {
 
 // waitReplicaCaughtUp polls until the replica has applied everything the
 // primary has published (and is connected), or fails the test.
-func waitReplicaCaughtUp(t *testing.T, r *Replica, e Engine) {
+func waitReplicaCaughtUp(t *testing.T, r *Replica, e *Engine) {
 	t.Helper()
-	rep := e.(Replicator)
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		st := r.Status()
-		want := rep.ReplState()
+		want := e.ReplState()
 		if st.Connected && st.AppliedFrames >= want.Frames && st.AppliedBytes >= want.Bytes {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("replica never caught up: %+v vs primary %+v", r.Status(), rep.ReplState())
+	t.Fatalf("replica never caught up: %+v vs primary %+v", r.Status(), e.ReplState())
 }
 
 // openReplicaT opens a follower applier against a feed server and starts
@@ -75,7 +70,7 @@ func openReplicaT(t *testing.T, dir string, srv *httptest.Server) *Replica {
 // primaryRecs closes the live primary and reopens its directory to
 // recover the expected session state (RecoverSessions only runs on a
 // freshly opened engine).
-func primaryRecs(t *testing.T, e Engine, dir string) map[string][]Record {
+func primaryRecs(t *testing.T, e *Engine, dir string) map[string][]Record {
 	t.Helper()
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -392,8 +387,7 @@ func TestReplicaResyncWhileConnected(t *testing.T) {
 func TestEngineEpochFencing(t *testing.T) {
 	dir := t.TempDir()
 	e := openBinaryT(t, dir, EngineOptions{})
-	rep := e.(Replicator)
-	if got := rep.Epoch(); got != 1 {
+	if got := e.Epoch(); got != 1 {
 		t.Fatalf("fresh engine epoch = %d, want 1", got)
 	}
 	jr, err := e.CreateJournal("sess")
@@ -401,13 +395,13 @@ func TestEngineEpochFencing(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, jr, 3)
-	if err := rep.SetEpoch(5); err != nil {
+	if err := e.SetEpoch(5); err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.SetEpoch(4); err == nil {
+	if err := e.SetEpoch(4); err == nil {
 		t.Fatal("lowering the epoch must fail")
 	}
-	if err := rep.SetEpoch(5); err != nil {
+	if err := e.SetEpoch(5); err != nil {
 		t.Fatalf("idempotent SetEpoch: %v", err)
 	}
 	appendN(t, jr, 3)
@@ -415,7 +409,7 @@ func TestEngineEpochFencing(t *testing.T) {
 
 	e2 := openBinaryT(t, dir, EngineOptions{})
 	defer e2.Close()
-	if got := e2.(Replicator).Epoch(); got != 5 {
+	if got := e2.Epoch(); got != 5 {
 		t.Fatalf("epoch after reopen = %d, want 5", got)
 	}
 	recs := recsOf(t, e2)
@@ -432,7 +426,7 @@ func TestReplicaTracksPrimaryEpoch(t *testing.T) {
 	follower := t.TempDir()
 	e := openBinaryT(t, primary, EngineOptions{CommitInterval: time.Millisecond})
 	defer e.Close()
-	if err := e.(Replicator).SetEpoch(9); err != nil {
+	if err := e.SetEpoch(9); err != nil {
 		t.Fatal(err)
 	}
 	jr, err := e.CreateJournal("sess")
@@ -453,14 +447,13 @@ func TestReplicaTracksPrimaryEpoch(t *testing.T) {
 	// above it with one bump.
 	pe := openBinaryT(t, follower, EngineOptions{})
 	defer pe.Close()
-	rep := pe.(Replicator)
-	if got := rep.Epoch(); got != 9 {
+	if got := pe.Epoch(); got != 9 {
 		t.Fatalf("promoted engine epoch = %d, want 9", got)
 	}
-	if err := rep.SetEpoch(rep.Epoch() + 1); err != nil {
+	if err := pe.SetEpoch(pe.Epoch() + 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.Epoch(); got != 10 {
+	if got := pe.Epoch(); got != 10 {
 		t.Fatalf("fencing epoch = %d, want 10", got)
 	}
 }
@@ -477,15 +470,14 @@ func TestServeFeedRejectsBogusResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, jr, 5)
-	rep := e.(Replicator)
-	st := rep.ReplState()
+	st := e.ReplState()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	pr, pw := io.Pipe()
 	done := make(chan error, 1)
 	go func() {
-		done <- rep.ServeFeed(ctx, pw, nil, FeedPos{Gen: st.Gen, Seg: st.Seg, Off: st.Off + 9999})
+		done <- e.ServeFeed(ctx, pw, nil, FeedPos{Gen: st.Gen, Seg: st.Seg, Off: st.Off + 9999})
 		pw.Close()
 	}()
 	payload, err := readFeedFrame(bufio.NewReader(pr))

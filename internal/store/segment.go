@@ -11,7 +11,7 @@ import (
 	"sort"
 )
 
-// This file holds the segment-level read path of the binary engine: a
+// This file holds the segment-level read path of the engine: a
 // buffered frame-at-a-time scanner (recovery of a multi-GB wal must not
 // slurp whole segments into memory) and the per-segment session index
 // footer written when a segment is sealed.

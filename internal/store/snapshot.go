@@ -3,9 +3,9 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -15,72 +15,33 @@ import (
 	"repro/internal/graph"
 )
 
-// Graph snapshots come in two payload formats sharing one file extension
-// and one atomic-write path:
-//
-//   - text (written by the text engine): a JSON header line with byte
-//     count and CRC32, followed by the graph's text serialisation;
-//   - binary (written by the binary engine): the "GSNP" magic, a varint
-//     header carrying name/nodes/edges/payload-length plus the payload
-//     CRC32, followed by the graph's varint-CSR encoding (see
-//     graph.EncodeBinary).
-//
-// loadSnapshot dispatches on the leading bytes, so either engine recovers
-// snapshots written by the other: switching -store-engine on an existing
-// data directory keeps every graph.
+// A graph snapshot file is the "GSNP" magic, a varint header carrying
+// name/nodes/edges/payload-length plus the payload CRC32, followed by the
+// graph's varint-CSR encoding (see graph.EncodeBinary). The length and
+// CRC cover exactly the payload, so any truncation or corruption fails the
+// integrity check instead of silently restoring a smaller graph; a file
+// without the magic (such as a snapshot of the retired text format) fails
+// it too.
 
-// snapshotHeader is the first line of a text graph snapshot file. The
-// graph's text serialisation follows; Bytes and CRC32 cover exactly that
-// payload, so any truncation or corruption — including a cut that happens
-// to leave a syntactically valid edge-list prefix — fails the integrity
-// check instead of silently restoring a smaller graph.
-type snapshotHeader struct {
-	Name  string `json:"name"`
-	Nodes int    `json:"nodes"`
-	Edges int    `json:"edges"`
-	Bytes int    `json:"bytes"`
-	CRC32 uint32 `json:"crc32"`
-}
-
-// binarySnapshotMagic opens a binary snapshot file.
-var binarySnapshotMagic = []byte{'G', 'S', 'N', 'P', 1}
+// snapshotMagic opens a snapshot file.
+var snapshotMagic = []byte{'G', 'S', 'N', 'P', 1}
 
 func snapshotFile(graphsDir, name string) string {
 	return filepath.Join(graphsDir, url.PathEscape(name)+".graph")
 }
 
-func (s *Store) snapshotFile(name string) string {
-	return snapshotFile(s.graphsDir(), name)
-}
-
-// encodeTextSnapshot builds the text snapshot payload.
-func encodeTextSnapshot(name string, g *graph.Graph) ([]byte, error) {
-	text := []byte(g.Text())
-	header, err := json.Marshal(snapshotHeader{
-		Name:  name,
-		Nodes: g.NumNodes(),
-		Edges: g.NumEdges(),
-		Bytes: len(text),
-		CRC32: crc32.ChecksumIEEE(text),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return append(append(header, '\n'), text...), nil
-}
-
-// encodeBinarySnapshot builds the binary snapshot payload.
-func encodeBinarySnapshot(name string, g *graph.Graph) ([]byte, error) {
+// encodeSnapshot builds a snapshot file's bytes.
+func encodeSnapshot(name string, g *graph.Graph) []byte {
 	payload := g.EncodeBinary()
 	out := make([]byte, 0, len(payload)+len(name)+64)
-	out = append(out, binarySnapshotMagic...)
+	out = append(out, snapshotMagic...)
 	out = binary.AppendUvarint(out, uint64(len(name)))
 	out = append(out, name...)
 	out = binary.AppendUvarint(out, uint64(g.NumNodes()))
 	out = binary.AppendUvarint(out, uint64(g.NumEdges()))
 	out = binary.AppendUvarint(out, uint64(len(payload)))
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	return append(out, payload...), nil
+	return append(out, payload...)
 }
 
 // writeSnapshotFile writes a snapshot payload atomically: a temp file is
@@ -117,18 +78,6 @@ func writeSnapshotFile(graphsDir, name string, payload []byte, m *metrics) error
 	return nil
 }
 
-// SaveGraph writes (or replaces) the text snapshot of a registered graph.
-func (s *Store) SaveGraph(name string, g *graph.Graph) error {
-	payload, err := encodeTextSnapshot(name, g)
-	if err != nil {
-		return fmt.Errorf("store: save graph %q: %w", name, err)
-	}
-	if err := writeSnapshotFile(s.graphsDir(), name, payload, &s.m); err != nil {
-		return fmt.Errorf("store: save graph %q: %w", name, err)
-	}
-	return nil
-}
-
 // deleteGraphSnapshot removes the snapshot of an unregistered graph.
 // Deleting a graph that was never persisted is not an error.
 func deleteGraphSnapshot(graphsDir, name string) error {
@@ -139,11 +88,6 @@ func deleteGraphSnapshot(graphsDir, name string) error {
 		return fmt.Errorf("store: delete graph %q: %w", name, err)
 	}
 	return nil
-}
-
-// DeleteGraph removes the snapshot of an unregistered graph.
-func (s *Store) DeleteGraph(name string) error {
-	return deleteGraphSnapshot(s.graphsDir(), name)
 }
 
 // RecoveredGraph is one graph snapshot restored from disk.
@@ -179,54 +123,28 @@ func recoverGraphSnapshots(graphsDir string, m *metrics) ([]RecoveredGraph, erro
 	return out, nil
 }
 
-// RecoverGraphs loads every intact graph snapshot, sorted by name.
-func (s *Store) RecoverGraphs() ([]RecoveredGraph, error) {
-	return recoverGraphSnapshots(s.graphsDir(), &s.m)
-}
-
-// loadSnapshot reads and verifies one snapshot file in either format.
+// loadSnapshot reads and verifies one snapshot file.
 func loadSnapshot(path string) (RecoveredGraph, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return RecoveredGraph{}, err
 	}
-	if bytes.HasPrefix(data, binarySnapshotMagic) {
-		return loadBinarySnapshot(path, data[len(binarySnapshotMagic):])
-	}
-	return loadTextSnapshot(path, data)
+	return decodeSnapshot(path, data)
 }
 
-func loadTextSnapshot(path string, data []byte) (RecoveredGraph, error) {
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return RecoveredGraph{}, fmt.Errorf("store: snapshot %s: missing header", path)
+// decodeSnapshot verifies and decodes a snapshot file's bytes.
+func decodeSnapshot(path string, data []byte) (RecoveredGraph, error) {
+	if !bytes.HasPrefix(data, snapshotMagic) {
+		return RecoveredGraph{}, fmt.Errorf("store: snapshot %s: integrity check failed: no snapshot magic", path)
 	}
-	var header snapshotHeader
-	if err := json.Unmarshal(data[:nl], &header); err != nil {
-		return RecoveredGraph{}, fmt.Errorf("store: snapshot %s: %w", path, err)
-	}
-	text := data[nl+1:]
-	if len(text) != header.Bytes || crc32.ChecksumIEEE(text) != header.CRC32 {
-		return RecoveredGraph{}, fmt.Errorf("store: snapshot %s: integrity check failed", path)
-	}
-	g, err := graph.ParseText(string(text))
-	if err != nil {
-		return RecoveredGraph{}, fmt.Errorf("store: snapshot %s: %w", path, err)
-	}
-	if g.NumNodes() != header.Nodes || g.NumEdges() != header.Edges {
-		return RecoveredGraph{}, fmt.Errorf("store: snapshot %s: graph does not match header", path)
-	}
-	return RecoveredGraph{Name: header.Name, Graph: g}, nil
-}
-
-func loadBinarySnapshot(path string, data []byte) (RecoveredGraph, error) {
+	data = data[len(snapshotMagic):]
 	r := bytes.NewReader(data)
 	nameLen, err := binary.ReadUvarint(r)
 	if err != nil || nameLen > uint64(r.Len()) {
 		return RecoveredGraph{}, fmt.Errorf("store: snapshot %s: corrupt header", path)
 	}
 	nameBytes := make([]byte, nameLen)
-	if _, err := r.Read(nameBytes); err != nil {
+	if _, err := io.ReadFull(r, nameBytes); err != nil {
 		return RecoveredGraph{}, fmt.Errorf("store: snapshot %s: corrupt header", path)
 	}
 	nodes, err1 := binary.ReadUvarint(r)
@@ -236,7 +154,7 @@ func loadBinarySnapshot(path string, data []byte) (RecoveredGraph, error) {
 		return RecoveredGraph{}, fmt.Errorf("store: snapshot %s: corrupt header", path)
 	}
 	var crcBytes [4]byte
-	if _, err := r.Read(crcBytes[:]); err != nil {
+	if _, err := io.ReadFull(r, crcBytes[:]); err != nil {
 		return RecoveredGraph{}, fmt.Errorf("store: snapshot %s: corrupt header", path)
 	}
 	payload := data[len(data)-r.Len():]

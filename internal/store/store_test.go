@@ -1,14 +1,14 @@
 package store
 
 import (
-	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/graph"
 )
 
 type testPayload struct {
@@ -22,193 +22,6 @@ func appendN(t *testing.T, jr *Journal, n int) {
 		if err := jr.Append("event", testPayload{N: i}); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestJournalRoundTrip(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	jr, err := st.CreateJournal("s0001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, jr, 3)
-	if err := jr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := jr.Append("event", nil); err == nil {
-		t.Fatal("append after close must fail")
-	}
-	// Creating the same id again must not clobber the journal.
-	if _, err := st.CreateJournal("s0001"); err == nil {
-		t.Fatal("duplicate journal id must fail")
-	}
-
-	recovered, err := st.RecoverSessions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recovered) != 1 || recovered[0].ID != "s0001" {
-		t.Fatalf("recovered %+v, want one session s0001", recovered)
-	}
-	recs := recovered[0].Journal.Records()
-	if len(recs) != 3 {
-		t.Fatalf("recovered %d records, want 3", len(recs))
-	}
-	for i, rec := range recs {
-		var p testPayload
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			t.Fatal(err)
-		}
-		if rec.Seq != uint64(i+1) || rec.Type != "event" || p.N != i+1 {
-			t.Fatalf("record %d = %+v payload %+v", i, rec, p)
-		}
-	}
-	// The recovered journal keeps appending with continuous sequence
-	// numbers, and a second recovery sees the full log.
-	if err := recovered[0].Journal.Append("event", testPayload{N: 4}); err != nil {
-		t.Fatal(err)
-	}
-	recovered[0].Journal.Close()
-	again, err := st.RecoverSessions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs = again[0].Journal.Records()
-	if len(recs) != 4 || recs[3].Seq != 4 {
-		t.Fatalf("after resume-append recovery found %d records (last %+v)", len(recs), recs[len(recs)-1])
-	}
-	if st.Metrics().TruncatedJournals != 0 {
-		t.Fatalf("clean journals must not count as truncated: %+v", st.Metrics())
-	}
-}
-
-// TestJournalTornTail injects the crash modes a write-ahead journal must
-// survive: a partial final line, trailing garbage, and a record whose JSON
-// is valid but whose sequence number does not line up.
-func TestJournalTornTail(t *testing.T) {
-	cases := []struct {
-		name string
-		tail string // appended raw to a healthy 3-record journal
-		want int    // surviving records
-	}{
-		{"partial-line", `{"seq":4,"type":"event","da`, 3},
-		{"garbage", "\x00\x01\x02 not json\n", 3},
-		{"unterminated-valid-json", `{"seq":4,"type":"event"}`, 3},
-		{"sequence-gap", `{"seq":9,"type":"event"}` + "\n" + `{"seq":10,"type":"event"}` + "\n", 3},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			st, err := Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			jr, err := st.CreateJournal("s0001")
-			if err != nil {
-				t.Fatal(err)
-			}
-			appendN(t, jr, 3)
-			jr.Close()
-
-			path := st.journalFile("s0001")
-			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.WriteString(tc.tail); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
-
-			recovered, err := st.RecoverSessions()
-			if err != nil {
-				t.Fatal(err)
-			}
-			recs := recovered[0].Journal.Records()
-			if len(recs) != tc.want {
-				t.Fatalf("recovered %d records, want %d", len(recs), tc.want)
-			}
-			if got := st.Metrics().TruncatedJournals; got != 1 {
-				t.Fatalf("TruncatedJournals = %d, want 1", got)
-			}
-			// The torn tail is gone from disk: appends resume at the next
-			// sequence number and a fresh recovery is clean.
-			if err := recovered[0].Journal.Append("event", testPayload{N: 4}); err != nil {
-				t.Fatal(err)
-			}
-			recovered[0].Journal.Close()
-			st2, err := Open(st.Dir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			again, err := st2.RecoverSessions()
-			if err != nil {
-				t.Fatal(err)
-			}
-			recs = again[0].Journal.Records()
-			if len(recs) != tc.want+1 || recs[len(recs)-1].Seq != uint64(tc.want+1) {
-				t.Fatalf("post-truncation append not recovered: %+v", recs)
-			}
-			if st2.Metrics().TruncatedJournals != 0 {
-				t.Fatalf("second recovery must be clean, metrics %+v", st2.Metrics())
-			}
-		})
-	}
-}
-
-// TestRecoverForeignFilename pins that recovery reads journals from their
-// actual on-disk paths: a file whose name is not a PathEscape fixed point
-// (e.g. containing '%') must still be recovered, not error out.
-func TestRecoverForeignFilename(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	jr, err := st.CreateJournal("s0001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, jr, 2)
-	jr.Close()
-	line := `{"seq":1,"type":"event"}` + "\n"
-	if err := os.WriteFile(filepath.Join(st.sessionsDir(), "s%301.jsonl"), []byte(line), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	recovered, err := st.RecoverSessions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recovered) != 2 {
-		t.Fatalf("recovered %d journals, want 2 (incl. the foreign filename)", len(recovered))
-	}
-	for _, rs := range recovered {
-		if len(rs.Journal.Records()) == 0 {
-			t.Fatalf("journal %s recovered empty", rs.ID)
-		}
-	}
-}
-
-func TestJournalRemove(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	jr, err := st.CreateJournal("s0001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, jr, 2)
-	if err := jr.Remove(); err != nil {
-		t.Fatal(err)
-	}
-	recovered, err := st.RecoverSessions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recovered) != 0 {
-		t.Fatalf("removed journal still recovered: %+v", recovered)
 	}
 }
 
@@ -261,81 +74,28 @@ func TestJournalCloseWakesTailers(t *testing.T) {
 	}
 }
 
-func TestGraphSnapshotRoundTrip(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g1 := dataset.Figure1()
-	g2 := dataset.Random(dataset.RandomOptions{Nodes: 30, Seed: 7})
-	if err := st.SaveGraph("demo", g1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SaveGraph("rand", g2); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SaveGraph("gone", g1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.DeleteGraph("gone"); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.DeleteGraph("never-existed"); err != nil {
-		t.Fatal(err)
-	}
-
-	recovered, err := st.RecoverGraphs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recovered) != 2 || recovered[0].Name != "demo" || recovered[1].Name != "rand" {
-		t.Fatalf("recovered %+v, want demo and rand", recovered)
-	}
-	for i, want := range []*graph.Graph{g1, g2} {
-		if got := recovered[i].Graph.Text(); got != want.Text() {
-			t.Fatalf("graph %s does not round-trip", recovered[i].Name)
+// TestBinarySnapshotPartial injects partial-write and bit-flip corruption
+// and plants a file without the snapshot magic (the retired text format):
+// each must fail the integrity check and be skipped and counted, even when
+// the truncated payload still decodes as a smaller graph.
+func TestBinarySnapshotPartial(t *testing.T) {
+	dir := t.TempDir()
+	e := openBinaryT(t, dir, EngineOptions{})
+	for _, name := range []string{"intact", "cut", "flipped"} {
+		if err := e.SaveGraph(name, dataset.Figure1()); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-// TestGraphSnapshotPartial injects partial-write and bit-flip corruption:
-// both must fail the integrity check and be skipped, even when the
-// truncated payload is still a syntactically valid edge list.
-func TestGraphSnapshotPartial(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SaveGraph("intact", dataset.Figure1()); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SaveGraph("cut", dataset.Figure1()); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SaveGraph("flipped", dataset.Figure1()); err != nil {
-		t.Fatal(err)
-	}
-	// Truncate "cut" at a line boundary so the remaining text still parses.
-	cutPath := st.snapshotFile("cut")
+	graphs := filepath.Join(dir, "graphs")
+	cutPath := snapshotFile(graphs, "cut")
 	data, err := os.ReadFile(cutPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := 0
-	cutAt := len(data)
-	for i, b := range data {
-		if b == '\n' {
-			if lines++; lines == 4 {
-				cutAt = i + 1
-				break
-			}
-		}
-	}
-	if err := os.WriteFile(cutPath, data[:cutAt], 0o644); err != nil {
+	if err := os.WriteFile(cutPath, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Flip one payload byte of "flipped".
-	flipPath := st.snapshotFile("flipped")
+	flipPath := snapshotFile(graphs, "flipped")
 	data, err = os.ReadFile(flipPath)
 	if err != nil {
 		t.Fatal(err)
@@ -344,8 +104,15 @@ func TestGraphSnapshotPartial(t *testing.T) {
 	if err := os.WriteFile(flipPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	g := dataset.Figure1()
+	text := g.Text()
+	header := fmt.Sprintf(`{"name":"text","nodes":%d,"edges":%d,"bytes":%d,"crc32":%d}`,
+		g.NumNodes(), g.NumEdges(), len(text), crc32.ChecksumIEEE([]byte(text)))
+	if err := os.WriteFile(snapshotFile(graphs, "text"), []byte(header+"\n"+text), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	recovered, err := st.RecoverGraphs()
+	recovered, err := e.RecoverGraphs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,17 +123,13 @@ func TestGraphSnapshotPartial(t *testing.T) {
 	if !reflect.DeepEqual(names, []string{"intact"}) {
 		t.Fatalf("recovered %v, want only the intact snapshot", names)
 	}
-	m := st.Metrics()
-	if m.CorruptSnapshots != 2 || m.RecoveredGraphs != 1 {
-		t.Fatalf("metrics = %+v, want 2 corrupt and 1 recovered", m)
+	if m := e.Metrics(); m.CorruptSnapshots != 3 || m.RecoveredGraphs != 1 {
+		t.Fatalf("metrics = %+v, want 3 corrupt and 1 recovered", m)
 	}
 }
 
-func TestMetricsCounters(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestBinaryMetricsCounters(t *testing.T) {
+	st := openBinaryT(t, t.TempDir(), EngineOptions{})
 	jr, err := st.CreateJournal("s0001")
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,8 @@
 # questions over HTTP. The run fails on any invariant violation: a lost or
 # diverged session, a mutated finished session, a corrupt frame, a leaked
 # or wrongly-broken LOCK, a missing compaction, or any disagreement with
-# the never-killed text-engine oracle.
+# a never-killed in-process oracle server (its store in a temporary
+# directory) that replays the same sessions.
 #
 # Usage: ./scripts/chaos_gpsd.sh [seed [kills]]
 set -euo pipefail

@@ -8,7 +8,8 @@
 # endpoint re-resolution. The run fails on any invariant violation: a
 # lost or diverged session, a promotion that does not advance the fencing
 # epoch, a deposed primary that accepts a write, or any disagreement with
-# the never-killed text-engine oracle.
+# a never-killed in-process oracle server (its store in a temporary
+# directory) that replays the same sessions.
 #
 # Usage: ./scripts/failover_gpsd.sh [seed [kills]]
 set -euo pipefail

@@ -1,6 +1,5 @@
 #!/usr/bin/env bash
-# Smoke test for the gpsd service, run once per storage engine (binary and
-# text). The shell half does what shell is good at — booting daemons,
+# Smoke test for the gpsd service. The shell half does what shell is good at — booting daemons,
 # sending signals, checking LOCK files and grepping the /metrics
 # exposition — while every session-level check is delegated to the
 # typed Go client via `gpsbench -smokedrive` (evaluate + error-code
@@ -10,16 +9,15 @@
 # SIGKILL both restart into byte-identical session state, the LOCK
 # protocol holds (second daemon fails fast, SIGKILL leaks the lock, the
 # next boot breaks it, SIGTERM removes it), and the SSE stream replays
-# the journal. Binary engine only: a -compact restart keeps the finished
-# session inspectable and POST /v1/admin/compact compacts a serving
-# daemon. A keyring segment boots with -api-keys, asserts the
+# the journal. A -compact restart keeps the finished session inspectable
+# and POST /v1/admin/compact compacts a serving daemon. A keyring segment boots with -api-keys, asserts the
 # unauthorized envelope code on the wire, rotates the key file and proves
 # SIGHUP hot-reload revokes the old key without a restart. A final
 # replication segment streams a primary with a parked session into a
 # warm follower, SIGKILLs the primary, promotes the follower and proves
 # the session reconnects byte-identically — then resurrects the old
 # primary and fences it with the successor epoch. Used by CI; runnable
-# locally with ./scripts/smoke_gpsd.sh [engine ...].
+# locally with ./scripts/smoke_gpsd.sh.
 set -euo pipefail
 
 ADDR="${GPSD_ADDR:-127.0.0.1:18080}"
@@ -29,7 +27,6 @@ BIN="$WORK/gpsd"
 BENCH="$WORK/gpsbench"
 GPSD_PID=""
 FOLLOWER_PID=""
-if [ "$#" -gt 0 ]; then ENGINES=("$@"); else ENGINES=(binary text); fi
 
 # stop_pid PID — SIGTERM, wait up to 10s for gpsd's graceful shutdown,
 # then SIGKILL, and reap the process.
@@ -56,7 +53,7 @@ trap cleanup EXIT
 # server log if it exits or does not become healthy within the budget.
 start_server() {
   : >"$LOG"
-  "$BIN" -addr "$ADDR" -data-dir "$DATA_DIR" -store-engine "$ENGINE" "$@" >>"$LOG" 2>&1 &
+  "$BIN" -addr "$ADDR" -data-dir "$DATA_DIR" "$@" >>"$LOG" 2>&1 &
   GPSD_PID=$!
   for _ in $(seq 1 50); do
     if ! kill -0 "$GPSD_PID" 2>/dev/null; then
@@ -113,17 +110,16 @@ assert_eq() {
 go build -o "$BIN" ./cmd/gpsd
 go build -o "$BENCH" ./cmd/gpsbench
 
-run_engine() {
-  ENGINE="$1"
-  DATA_DIR="$WORK/data-$ENGINE"
-  LOG="$WORK/gpsd-$ENGINE.log"
-  echo "=== smoke: $ENGINE engine ==="
+run_store() {
+  DATA_DIR="$WORK/data"
+  LOG="$WORK/gpsd.log"
+  echo "=== smoke: durable store ==="
 
   start_server -preload demo=figure1
 
   # Two daemons must never share a data directory: the second loses the
   # LOCK race and exits with a clear error instead of corrupting the dir.
-  if "$BIN" -addr 127.0.0.1:18099 -data-dir "$DATA_DIR" -store-engine "$ENGINE" >"$WORK/second.log" 2>&1; then
+  if "$BIN" -addr 127.0.0.1:18099 -data-dir "$DATA_DIR" >"$WORK/second.log" 2>&1; then
     echo "second gpsd on the same data dir must fail" >&2
     exit 1
   fi
@@ -156,7 +152,7 @@ run_engine() {
   curl -fsS "$BASE/metrics" | tee $WORK/metrics.txt >/dev/null
   grep -q '^gpsd_graphs_registered ' $WORK/metrics.txt
   grep -q '^# TYPE gpsd_store_journal_appends_total counter' $WORK/metrics.txt
-  grep -q "^gpsd_store_journal_appends_total{engine=\"$ENGINE\"}" $WORK/metrics.txt
+  grep -q '^gpsd_store_journal_appends_total{engine="binary"}' $WORK/metrics.txt
   grep -q '^# TYPE gpsd_http_request_duration_seconds histogram' $WORK/metrics.txt
   grep -q 'gpsd_http_request_duration_seconds_bucket{.*le="+Inf"}' $WORK/metrics.txt
   grep -q '^gpsd_sessions_live ' $WORK/metrics.txt
@@ -231,31 +227,29 @@ run_engine() {
   smokedrive snapshot -smoke-session "$MID" -smoke-out $WORK/manual_sigkill.json
   diff $WORK/manual_before.json $WORK/manual_sigkill.json
 
-  # Admin-triggered compaction works on a serving daemon (the text engine
-  # reports supported=false, the binary engine compacts live).
+  # Admin-triggered compaction works on a serving daemon: it compacts
+  # live and answers with its report.
   curl -fsS -X POST "$BASE/v1/admin/compact" | tee $WORK/admin_compact.json
-  grep -q '"supported"' $WORK/admin_compact.json
+  grep -Eq '"sessions_compacted": ?[0-9]+' $WORK/admin_compact.json
 
-  if [ "$ENGINE" = "binary" ]; then
-    # --- Compacted restart -------------------------------------------------
-    # A -compact boot rewrites the wal: the finished session collapses to
-    # its summary (create + done) but stays inspectable, and the parked
-    # manual session still resumes.
-    stop_server
-    start_server -compact
-    grep -q 'compacted' "$LOG"
-    smokedrive checkdone -smoke-session "$SID"
-    smokedrive snapshot -smoke-session "$MID" -smoke-out $WORK/manual_compacted.json
-    grep -Eq '"kind": ?"satisfied"' $WORK/manual_compacted.json
-    curl -fsS "$BASE/metrics" >$WORK/metrics_compacted.txt
-    assert_eq "$(metric_value $WORK/metrics_compacted.txt "^gpsd_store_compaction_runs_total")" 1 \
-      "a -compact boot must run exactly one compaction"
-  fi
+  # --- Compacted restart ---------------------------------------------------
+  # A -compact boot rewrites the wal: the finished session collapses to its
+  # summary (create + done) but stays inspectable, and the parked manual
+  # session still resumes.
+  stop_server
+  start_server -compact
+  grep -q 'compacted' "$LOG"
+  smokedrive checkdone -smoke-session "$SID"
+  smokedrive snapshot -smoke-session "$MID" -smoke-out $WORK/manual_compacted.json
+  grep -Eq '"kind": ?"satisfied"' $WORK/manual_compacted.json
+  curl -fsS "$BASE/metrics" >$WORK/metrics_compacted.txt
+  assert_eq "$(metric_value $WORK/metrics_compacted.txt "^gpsd_store_compaction_runs_total")" 1 \
+    "a -compact boot must run exactly one compaction"
 
   stop_server
   # A graceful shutdown releases the data directory cleanly.
   [ ! -f "$DATA_DIR/LOCK" ] || { echo "SIGTERM must remove the LOCK file" >&2; exit 1; }
-  echo "=== smoke: $ENGINE engine passed ==="
+  echo "=== smoke: durable store passed ==="
 }
 
 # --- API keys + SIGHUP reload ----------------------------------------------
@@ -264,7 +258,6 @@ run_engine() {
 # tenant. Then rotate the key file and SIGHUP: the new key is live and the
 # old one revoked, without a restart.
 run_auth() {
-  ENGINE=binary
   DATA_DIR="$WORK/data-auth"
   LOG="$WORK/gpsd-auth.log"
   KEYS="$WORK/keyring.json"
@@ -303,13 +296,12 @@ EOF
 }
 
 # --- Replication: promote-and-reconnect -------------------------------------
-# Stream a binary primary holding a parked manual session into a warm
+# Stream a primary holding a parked manual session into a warm
 # follower, crash the primary with SIGKILL, promote the follower over
 # HTTP and prove the parked session reconnects byte-identically on the
 # new primary. Then resurrect the old primary on its untouched data dir
 # and prove the first write carrying the successor epoch fences it.
 run_replication() {
-  ENGINE=binary
   DATA_DIR="$WORK/data-repl-a"
   LOG="$WORK/gpsd-repl-a.log"
   ADDR_B="${GPSD_ADDR_B:-127.0.0.1:18081}"
@@ -322,7 +314,7 @@ run_replication() {
   smokedrive snapshot -smoke-session "$MID" -smoke-out $WORK/repl_before.json
   grep -Eq '"kind": ?"satisfied"' $WORK/repl_before.json
 
-  "$BIN" -addr "$ADDR_B" -data-dir "$WORK/data-repl-b" -store-engine binary \
+  "$BIN" -addr "$ADDR_B" -data-dir "$WORK/data-repl-b" \
     -replicate-from "$BASE" >"$WORK/gpsd-repl-b.log" 2>&1 &
   FOLLOWER_PID=$!
   for _ in $(seq 1 100); do
@@ -372,9 +364,7 @@ run_replication() {
   echo "=== smoke: replication & failover passed ==="
 }
 
-for engine in "${ENGINES[@]}"; do
-  run_engine "$engine"
-done
+run_store
 run_auth
 run_replication
 
