@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/learn"
+	"repro/internal/regex"
 	"repro/internal/user"
 )
 
@@ -97,5 +99,46 @@ func TestTurnScales(t *testing.T) {
 				t.Errorf("%s/%s allocates %.2fx more on 40x40 than on 20x20, want at most %.1fx", strat, c.name, ratio, c.bound)
 			}
 		}
+	}
+}
+
+// TestLearnCostFollowsDistinctWords runs an informative, path-validating
+// session on transport 40x40 for (tram+bus)*.cinema, then compares the
+// allocations of learn.Learn on its final sample with those on the same
+// sample cut to the positives the user labelled. Label propagation makes
+// most positives implied ones that carry copies of a few validated words;
+// step 1 checks each distinct word once, so they must not add allocations
+// per positive (bound 1.5x).
+func TestLearnCostFollowsDistinctWords(t *testing.T) {
+	g := scalingTransport(40)
+	goal := regex.MustParse("(tram+bus)*.cinema")
+	tr, err := Run(g, user.NewSimulated(g, goal), Options{PathValidation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := tr.Sample
+	labelled := &learn.Sample{Positives: map[graph.NodeID][]string{}, Negatives: full.Negatives}
+	for _, in := range tr.Interactions {
+		if in.Decision == user.Positive {
+			labelled.Positives[in.Node] = full.Positives[in.Node]
+		}
+	}
+	if len(full.Positives) < 10*len(labelled.Positives) {
+		t.Fatalf("the session implied %d positives from %d labelled ones; the check needs propagation to dominate",
+			len(full.Positives)-len(labelled.Positives), len(labelled.Positives))
+	}
+	allocs := func(s *learn.Sample) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := learn.Learn(g, s, learn.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a, b := allocs(full), allocs(labelled)
+	ratio := a / b
+	t.Logf("Learn on %d positives: %.0f allocs; on the %d labelled ones: %.0f allocs; ratio %.2f",
+		len(full.Positives), a, len(labelled.Positives), b, ratio)
+	if ratio > 1.5 {
+		t.Errorf("Learn allocates %.2fx more with the implied positives than without, want at most 1.5x", ratio)
 	}
 }

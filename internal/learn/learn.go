@@ -14,13 +14,18 @@
 // used directly in step 1, which is what guarantees that the learned query
 // generalises the paths the user cares about.
 //
-// Step 2 is one serial RPNI-style fold over a union-find partition of the
-// prefix tree (dense.go). oracle_test.go keeps the map-based reference fold
-// the dense one is tested against.
+// Step 1 checks coverage once per distinct witness word, not once per
+// positive (see buildPTA). Step 2 is one serial RPNI-style fold over a union-find
+// partition of the prefix tree (dense.go). oracle_test.go keeps the
+// positive-by-positive step 1 and the map-based reference fold that both
+// are tested against.
 package learn
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -200,51 +205,118 @@ func Learn(g *graph.Graph, sample *Sample, opts Options) (*Result, error) {
 
 // buildPTA runs step 1 (witness selection and validation) and folds the
 // witness words into the prefix-tree automaton that step 2 generalises.
+//
+// Label propagation gives every node that spells a validated word a copy of
+// it, so a sample holds thousands of positives but a handful of distinct
+// validated words. Each distinct word gets one Covered call, and the PTA is
+// folded from the distinct words; a positive costs one map lookup and one
+// HasWord walk, which allocates nothing while its end sets stay small. The errors are those of checking positive
+// by positive in node order: the smallest failing node wins, and for one
+// node "not a path" precedes "covered".
 func buildPTA(g *graph.Graph, sample *Sample, opts Options) (*automaton.NFA, map[graph.NodeID][]string, error) {
-	witnesses := make(map[graph.NodeID][]string, len(sample.Positives))
-	for _, node := range sample.PositiveNodes() {
-		word := sample.Positives[node]
+	// Group the validated positives by word content. paths.WordKey joins
+	// labels with "." and so conflates words whose labels contain one;
+	// appendWordKey's length-prefixed key does not.
+	type wordGroup struct {
+		word    []string
+		first   graph.NodeID // the smallest positive validated with word
+		covered bool         // a negative has a path spelling word
+	}
+	var (
+		groups      []wordGroup
+		index       = make(map[string]int)
+		witnesses   = make(map[graph.NodeID][]string, len(sample.Positives))
+		unvalidated []graph.NodeID
+		failed      graph.NodeID // the smallest failing validated positive
+		fails       bool
+		key         []byte
+	)
+	for node, word := range sample.Positives {
 		if word == nil {
-			w, ok := chooseWitness(g, node, sample.Negatives, opts)
-			if !ok {
-				return nil, nil, fmt.Errorf("%w: every path of positive %s (length <= %d) is covered by a negative example",
-					ErrInconsistent, node, opts.MaxPathLength)
-			}
-			word = w
-		} else {
-			// A validated word must itself be a path of the node and must
-			// not be covered; otherwise the sample is inconsistent.
-			if !paths.HasWord(g, node, word) {
-				return nil, nil, fmt.Errorf("%w: validated path %v is not a path of %s", ErrInconsistent, word, node)
-			}
-			if paths.Covered(g, word, sample.Negatives) {
-				return nil, nil, fmt.Errorf("%w: validated path %v of %s is covered by a negative example", ErrInconsistent, word, node)
-			}
+			unvalidated = append(unvalidated, node)
+			continue
 		}
 		witnesses[node] = word
+		key = appendWordKey(key[:0], word)
+		i, ok := index[string(key)]
+		if !ok {
+			i = len(groups)
+			index[string(key)] = i
+			groups = append(groups, wordGroup{word: word, first: node, covered: paths.Covered(g, word, sample.Negatives)})
+		}
+		gr := &groups[i]
+		gr.first = min(gr.first, node)
+		if (gr.covered || !paths.HasWord(g, node, word)) && (!fails || node < failed) {
+			failed, fails = node, true
+		}
 	}
-	words := make([][]string, 0, len(witnesses))
-	for _, node := range sortedKeys(witnesses) {
-		words = append(words, witnesses[node])
+
+	// Positives without a validated word get a chosen witness, in node order
+	// and only below the smallest failing validated positive: a failure
+	// there is the error the sample reports.
+	entries := make([]ptaEntry, 0, len(groups)+len(unvalidated))
+	slices.Sort(unvalidated)
+	var cov *paths.Coverage
+	for _, node := range unvalidated {
+		if fails && node > failed {
+			break
+		}
+		if cov == nil {
+			cov = paths.NewCoverage(g, sample.Negatives, opts.MaxPathLength)
+		}
+		w, ok := chooseWitness(g, node, cov, opts)
+		if !ok {
+			return nil, nil, fmt.Errorf("%w: every path of positive %s (length <= %d) is covered by a negative example",
+				ErrInconsistent, node, opts.MaxPathLength)
+		}
+		witnesses[node] = w
+		entries = append(entries, ptaEntry{node, w})
+	}
+	if fails {
+		word := sample.Positives[failed]
+		if !paths.HasWord(g, failed, word) {
+			return nil, nil, fmt.Errorf("%w: validated path %v is not a path of %s", ErrInconsistent, word, failed)
+		}
+		return nil, nil, fmt.Errorf("%w: validated path %v of %s is covered by a negative example", ErrInconsistent, word, failed)
+	}
+
+	// FromWords adds no state for a repeated word, so folding each distinct
+	// word at its smallest node builds the same automaton as folding every
+	// positive's witness in node order.
+	for _, gr := range groups {
+		entries = append(entries, ptaEntry{gr.first, gr.word})
+	}
+	slices.SortFunc(entries, func(a, b ptaEntry) int { return cmp.Compare(a.first, b.first) })
+	words := make([][]string, len(entries))
+	for i, e := range entries {
+		words[i] = e.word
 	}
 	return automaton.FromWords(words), witnesses, nil
 }
 
-func sortedKeys(m map[graph.NodeID][]string) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// ptaEntry is a witness word folded into the PTA at the position of the
+// smallest positive node it witnesses.
+type ptaEntry struct {
+	first graph.NodeID
+	word  []string
+}
+
+// appendWordKey appends an unambiguous encoding of the word to buf: each
+// label as its length, then its bytes.
+func appendWordKey(buf []byte, word []string) []byte {
+	for _, label := range word {
+		buf = binary.AppendUvarint(buf, uint64(len(label)))
+		buf = append(buf, label...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return buf
 }
 
 // chooseWitness implements step 1 for a positive example without a
-// validated path.
-func chooseWitness(g *graph.Graph, node graph.NodeID, negatives []graph.NodeID, opts Options) ([]string, bool) {
+// validated path, against the negatives' coverage at opts.MaxPathLength.
+func chooseWitness(g *graph.Graph, node graph.NodeID, cov *paths.Coverage, opts Options) ([]string, bool) {
 	switch opts.WitnessOrder {
 	case WitnessLongest:
-		uncovered := paths.UncoveredWords(g, node, negatives, opts.MaxPathLength)
+		uncovered := paths.UncoveredWordsWith(g, node, opts.MaxPathLength, cov)
 		if len(uncovered) == 0 {
 			return nil, false
 		}
@@ -256,7 +328,7 @@ func chooseWitness(g *graph.Graph, node graph.NodeID, negatives []graph.NodeID, 
 		}
 		return best, true
 	default:
-		return paths.SmallestUncovered(g, node, negatives, opts.MaxPathLength)
+		return paths.SmallestUncoveredWith(g, node, opts.MaxPathLength, cov)
 	}
 }
 

@@ -1,19 +1,25 @@
 package learn
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/automaton"
 	"repro/internal/graph"
+	"repro/internal/paths"
 	"repro/internal/regex"
 )
 
-// The map-based reference implementation of step 2: it copies the
-// partition map and materialises a fresh Quotient per candidate merge, and
-// checks each candidate with a map-keyed product search. It is the oracle
-// the dense fold in dense.go is pinned against.
+// The reference implementations of both steps. Step 1 checks positive by
+// positive in node order: a HasWord walk and a Covered call per validated
+// positive, a fresh negative coverage per chosen witness. It is the oracle the
+// per-distinct-word buildPTA is pinned against. Step 2 copies the partition
+// map and materialises a fresh Quotient per candidate merge, and checks
+// each candidate with a map-keyed product search. It is the oracle the
+// dense fold in dense.go is pinned against.
 
-// learnReference is Learn with generalizeReference as step 2.
+// learnReference is Learn with buildPTAReference as step 1 and
+// generalizeReference as step 2.
 func learnReference(g *graph.Graph, sample *Sample, opts Options) (*Result, error) {
 	if opts.MaxPathLength <= 0 {
 		opts.MaxPathLength = DefaultMaxPathLength
@@ -25,7 +31,7 @@ func learnReference(g *graph.Graph, sample *Sample, opts Options) (*Result, erro
 			Witnesses: map[graph.NodeID][]string{},
 		}, nil
 	}
-	pta, witnesses, err := buildPTA(g, sample, opts)
+	pta, witnesses, err := buildPTAReference(g, sample, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -34,6 +40,35 @@ func learnReference(g *graph.Graph, sample *Sample, opts Options) (*Result, erro
 	result.Automaton = nfa
 	result.Query = nfa.ToRegex()
 	return result, nil
+}
+
+// buildPTAReference is step 1 positive by positive, in node order: the
+// first positive whose validated word is not one of its paths, or is
+// covered, or that has no uncovered word, fails the sample.
+func buildPTAReference(g *graph.Graph, sample *Sample, opts Options) (*automaton.NFA, map[graph.NodeID][]string, error) {
+	witnesses := make(map[graph.NodeID][]string, len(sample.Positives))
+	var words [][]string
+	for _, node := range sample.PositiveNodes() {
+		word := sample.Positives[node]
+		if word == nil {
+			w, ok := chooseWitness(g, node, paths.NewCoverage(g, sample.Negatives, opts.MaxPathLength), opts)
+			if !ok {
+				return nil, nil, fmt.Errorf("%w: every path of positive %s (length <= %d) is covered by a negative example",
+					ErrInconsistent, node, opts.MaxPathLength)
+			}
+			word = w
+		} else {
+			if !paths.HasWord(g, node, word) {
+				return nil, nil, fmt.Errorf("%w: validated path %v is not a path of %s", ErrInconsistent, word, node)
+			}
+			if paths.Covered(g, word, sample.Negatives) {
+				return nil, nil, fmt.Errorf("%w: validated path %v of %s is covered by a negative example", ErrInconsistent, word, node)
+			}
+		}
+		witnesses[node] = word
+		words = append(words, word)
+	}
+	return automaton.FromWords(words), witnesses, nil
 }
 
 // generalizeReference folds the PTA in the order generalize documents:

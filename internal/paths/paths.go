@@ -11,6 +11,7 @@
 package paths
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -87,15 +88,24 @@ func HasWord(g *graph.Graph, start graph.NodeID, word []string) bool {
 	if !ok {
 		return false
 	}
-	current := []int32{si}
+	// Two stack buffers hold the end sets in turn, so a walk whose end sets
+	// stay small allocates nothing.
+	var bufA, bufB [16]int32
+	current, spare := append(bufA[:0], si), bufB[:0]
 	for _, label := range word {
 		li, ok := ix.LabelIndexOf(graph.Label(label))
 		if !ok {
 			return false
 		}
-		if current = step(ix, current, li); len(current) == 0 {
+		next := spare[:0]
+		for _, node := range current {
+			next = append(next, ix.Out(node, li)...)
+		}
+		if len(next) == 0 {
 			return false
 		}
+		slices.Sort(next)
+		current, spare = slices.Compact(next), current
 	}
 	return true
 }
@@ -238,12 +248,12 @@ func (c *Coverage) Covers(word []string) bool {
 	return ok && c.words[key]
 }
 
-// SmallestUncovered returns a shortest word of node start (with 0..maxLen
-// edges) that is not covered by any negative node. Ties are broken
-// lexicographically. ok=false means every word up to the bound is covered
-// (the node is uninformative at this bound).
-func SmallestUncovered(g *graph.Graph, start graph.NodeID, negatives []graph.NodeID, maxLen int) ([]string, bool) {
-	cov := NewCoverage(g, negatives, maxLen)
+// SmallestUncoveredWith returns a shortest word of node start (with
+// 0..maxLen edges) that cov does not cover; cov must be built at a bound of
+// at least maxLen. Ties are broken lexicographically. ok=false means every
+// word up to the bound is covered (the node is uninformative at this
+// bound). Callers choosing witnesses for many nodes share one cov.
+func SmallestUncoveredWith(g *graph.Graph, start graph.NodeID, maxLen int, cov *Coverage) ([]string, bool) {
 	for _, w := range Words(g, start, maxLen) {
 		if !cov.Covers(w) {
 			return w, true

@@ -118,7 +118,7 @@ func TestCoveredAndSmallestUncovered(t *testing.T) {
 	if !Covered(g, []string{"restaurant"}, negatives) {
 		t.Fatal("restaurant is a word of N5")
 	}
-	w, ok := SmallestUncovered(g, "N6", negatives, 3)
+	w, ok := smallestUncovered(g, "N6", negatives, 3)
 	if !ok {
 		t.Fatal("N6 must have an uncovered word")
 	}
@@ -130,10 +130,16 @@ func TestCoveredAndSmallestUncovered(t *testing.T) {
 	}
 	// With negatives N5 and N2, "bus" becomes covered (N2 has bus), so the
 	// smallest uncovered word of N6 should become "cinema".
-	w, ok = SmallestUncovered(g, "N6", []graph.NodeID{"N5", "N2"}, 3)
+	w, ok = smallestUncovered(g, "N6", []graph.NodeID{"N5", "N2"}, 3)
 	if !ok || WordKey(w) != "cinema" {
 		t.Fatalf("smallest uncovered of N6 with {N5,N2} = %v ok=%v", w, ok)
 	}
+}
+
+// smallestUncovered is SmallestUncoveredWith against a fresh coverage of
+// the negatives.
+func smallestUncovered(g *graph.Graph, start graph.NodeID, negatives []graph.NodeID, maxLen int) ([]string, bool) {
+	return SmallestUncoveredWith(g, start, maxLen, NewCoverage(g, negatives, maxLen))
 }
 
 func TestSmallestUncoveredAllCovered(t *testing.T) {
@@ -141,7 +147,7 @@ func TestSmallestUncoveredAllCovered(t *testing.T) {
 	g.MustAddEdge("a", "x", "b")
 	g.MustAddEdge("c", "x", "d")
 	// Every word of a (just "x") is covered by negative c.
-	if _, ok := SmallestUncovered(g, "a", []graph.NodeID{"c"}, 3); ok {
+	if _, ok := smallestUncovered(g, "a", []graph.NodeID{"c"}, 3); ok {
 		t.Fatal("all words of a are covered")
 	}
 }
@@ -328,7 +334,7 @@ func TestPropertySmallestUncoveredIsUncoveredAndMinimal(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			negatives = append(negatives, ids[r.Intn(len(ids))])
 		}
-		w, ok := SmallestUncovered(g, start, negatives, 3)
+		w, ok := smallestUncovered(g, start, negatives, 3)
 		if !ok {
 			return true
 		}
