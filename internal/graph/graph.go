@@ -46,11 +46,11 @@ type Graph struct {
 	edgeCount int
 	// attrs holds optional node attributes (kind, display name, ...).
 	attrs map[NodeID]map[string]string
-	// frozen makes the mutators panic; idx caches the dense view, built
-	// at most once (see indexed.go).
+	// frozen makes the mutators panic; idx publishes the dense view, which
+	// is built at most once, under idxMu (see indexed.go).
 	frozen atomic.Bool
 	idxMu  sync.Mutex
-	idx    *Indexed
+	idx    atomic.Pointer[Indexed]
 }
 
 // New returns an empty graph.

@@ -1,5 +1,7 @@
 package graph
 
+import "sync"
+
 // Indexed is an immutable, integer-indexed view of a Graph built for the
 // hot evaluation paths. Node IDs and labels are interned into dense int32
 // ranges and the adjacency is laid out as CSR-style flat arrays grouped by
@@ -8,8 +10,9 @@ package graph
 //
 // An Indexed view is built at most once per graph and cached on it (see
 // Graph.Indexed); building it freezes the graph, so the view can never go
-// stale. The view itself is never mutated after construction and is safe
-// for concurrent use.
+// stale. The view's arrays are never mutated after construction, so it is
+// safe for concurrent use, and facts derived from it alone are memoised on
+// it (see Derived).
 type Indexed struct {
 	// nodes[i] is the NodeID interned as i; sorted, so iterating indices
 	// yields nodes in the same order as Graph.Nodes.
@@ -30,6 +33,16 @@ type Indexed struct {
 	// predecessor set of a full frontier under l, which turns the first
 	// backward step of a product sweep into one word-parallel OR.
 	srcBits []uint64
+	// derived holds the values Derived memoises, one entry per key.
+	derivedMu sync.Mutex
+	derived   map[any]*derivedEntry
+}
+
+// derivedEntry is one key's value in the Derived memo; once makes the
+// first caller build it and every other caller wait for that build.
+type derivedEntry struct {
+	once  sync.Once
+	value any
 }
 
 // buildIndexed constructs the dense view of the graph.
@@ -39,6 +52,7 @@ func buildIndexed(g *Graph) *Indexed {
 		labels:   g.Alphabet(),
 		nodeIdx:  make(map[NodeID]int32, g.NumNodes()),
 		labelIdx: make(map[Label]int32, len(g.labels)),
+		derived:  make(map[any]*derivedEntry),
 	}
 	for i, id := range ix.nodes {
 		ix.nodeIdx[id] = int32(i)
@@ -84,15 +98,41 @@ func buildIndexed(g *Graph) *Indexed {
 // Indexed returns the dense integer-indexed view of the graph, building it
 // on first use. It freezes the graph (see Freeze), so the view is built
 // once and kept. Safe for concurrent callers once mutation has finished
-// (the same guarantee the rest of Graph's read API gives).
+// (the same guarantee the rest of Graph's read API gives). Once the view
+// exists a call is one atomic load; only the first build takes the lock.
 func (g *Graph) Indexed() *Indexed {
+	if ix := g.idx.Load(); ix != nil {
+		return ix
+	}
 	g.idxMu.Lock()
 	defer g.idxMu.Unlock()
-	if g.idx == nil {
-		g.Freeze()
-		g.idx = buildIndexed(g)
+	if ix := g.idx.Load(); ix != nil {
+		return ix
 	}
-	return g.idx
+	g.Freeze()
+	ix := buildIndexed(g)
+	g.idx.Store(ix)
+	return ix
+}
+
+// Derived returns the value memoised on the view under key, calling build
+// to compute it on the first request for that key. The view never changes,
+// so a value computed from the view and the key alone never goes stale,
+// and it lives as long as the view, which is as long as the graph.
+// Concurrent first requests for one key run build once: the others wait
+// for it. The key must be comparable; a package keys its values with an
+// unexported type, so no two packages share a key. Callers must not modify
+// the value.
+func (ix *Indexed) Derived(key any, build func() any) any {
+	ix.derivedMu.Lock()
+	e := ix.derived[key]
+	if e == nil {
+		e = &derivedEntry{}
+		ix.derived[key] = e
+	}
+	ix.derivedMu.Unlock()
+	e.once.Do(func() { e.value = build() })
+	return e.value
 }
 
 // NumNodes returns the number of interned nodes.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -147,7 +148,7 @@ func TestFrozenGraphRejectsMutation(t *testing.T) {
 func TestFreezeBuildsNoView(t *testing.T) {
 	g := indexedFixture(t)
 	g.Freeze()
-	if g.idx != nil {
+	if g.idx.Load() != nil {
 		t.Fatal("Freeze built the Indexed view")
 	}
 	if ix := g.Indexed(); ix.NumNodes() != g.NumNodes() {
@@ -155,25 +156,73 @@ func TestFreezeBuildsNoView(t *testing.T) {
 	}
 }
 
-// TestFreezeConcurrent freezes one graph and builds its view from several
-// goroutines at once: every caller must get the one shared view.
+// TestFreezeConcurrent releases 32 goroutines at once onto a graph whose
+// view is not built yet, half of them freezing it first: their first
+// Indexed calls race for the build, and every caller must get the one view
+// the graph then publishes. Run it under -race.
 func TestFreezeConcurrent(t *testing.T) {
 	g := indexedFixture(t)
-	views := make([]*Indexed, 8)
+	views := make([]*Indexed, 32)
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := range views {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			g.Freeze()
+			<-start
+			if i%2 == 0 {
+				g.Freeze()
+			}
 			views[i] = g.Indexed()
 		}()
 	}
+	close(start)
 	wg.Wait()
 	for i, ix := range views {
-		if ix != views[0] {
-			t.Fatalf("caller %d got another view", i)
+		if ix == nil || ix != g.idx.Load() {
+			t.Fatalf("caller %d got view %p, want the published %p", i, ix, g.idx.Load())
 		}
+	}
+}
+
+// TestDerivedBuildsOncePerKey asks for two keys from 16 goroutines at once:
+// each key's build runs once, every caller gets that key's value, and a
+// later request returns it without building.
+func TestDerivedBuildsOncePerKey(t *testing.T) {
+	type key struct{ k int }
+	ix := indexedFixture(t).Indexed()
+	var builds [2]atomic.Int32
+	got := make([]*int, 16)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			k := i % 2
+			got[i] = ix.Derived(key{k}, func() any {
+				builds[k].Add(1)
+				v := k
+				return &v
+			}).(*int)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for k := range builds {
+		if n := builds[k].Load(); n != 1 {
+			t.Fatalf("key %d was built %d times, want once", k, n)
+		}
+	}
+	for i, p := range got {
+		if p != got[i%2] || *p != i%2 {
+			t.Fatalf("caller %d got %p (%d), want key %d's one value %p", i, p, *p, i%2, got[i%2])
+		}
+	}
+	again := ix.Derived(key{0}, func() any { t.Fatal("a memoised key was rebuilt"); return nil })
+	if again.(*int) != got[0] {
+		t.Fatal("a later request returned another value")
 	}
 }
 

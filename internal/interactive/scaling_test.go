@@ -1,13 +1,16 @@
 package interactive
 
 import (
+	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/learn"
+	"repro/internal/paths"
 	"repro/internal/regex"
 	"repro/internal/user"
 )
@@ -42,14 +45,18 @@ func allocBytes(prepare func() func()) uint64 {
 
 // TestTurnScales compares one Machine step on transport 20x20 and 40x40,
 // for each strategy that ranks nodes by their uncovered count. The first
-// proposal counts every node, so it may grow with the graph, but no faster
-// than the graph (the ratio bound is 6 for 3.95x the nodes). Re-proposing
-// after a "not satisfied" reply finds the negatives unchanged, so the
-// counts come from the memo and must not grow with the graph at all.
-// Random is left out: its re-proposal measures the neighbourhood of
-// whichever node the seeded draw picks, not how a layer scales.
+// proposal on a graph counts every node's words, so it may grow with the
+// graph, but no faster than the graph (the ratio bound is 6 for 3.95x the
+// nodes); each of its runs gets a fresh graph, so it measures that count
+// and not the copy later sessions take. A second session on the graph
+// copies the counts, so it too grows with the graph, within the same
+// bound. Re-proposing after a "not satisfied" reply finds the negatives
+// unchanged, so the counts come from the memo and must not grow with the
+// graph at all. Random is left out: its re-proposal measures the
+// neighbourhood of whichever node the seeded draw picks, not how a layer
+// scales.
 func TestTurnScales(t *testing.T) {
-	small, large := scalingTransport(20), scalingTransport(40)
+	warm := map[int]*graph.Graph{20: scalingTransport(20), 40: scalingTransport(40)}
 	for _, strat := range []string{"informative", "hybrid", "disagreement"} {
 		reproposeBound := 1.5
 		if strat == "disagreement" {
@@ -69,14 +76,20 @@ func TestTurnScales(t *testing.T) {
 		cases := []struct {
 			name  string
 			bound float64
-			// prepare returns the step to measure on g.
-			prepare func(g *graph.Graph) func()
+			// prepare returns the step to measure on the side x side grid.
+			prepare func(side int) func()
 		}{
-			{"first-propose", 6, func(g *graph.Graph) func() {
+			{"first-propose", 6, func(side int) func() {
+				g := scalingTransport(side)
 				return func() { newMachine(g) }
 			}},
-			{"repropose-same-negatives", reproposeBound, func(g *graph.Graph) func() {
-				m := newMachine(g)
+			{"second-session", 6, func(side int) func() {
+				g := warm[side]
+				newMachine(g)
+				return func() { newMachine(g) }
+			}},
+			{"repropose-same-negatives", reproposeBound, func(side int) func() {
+				m := newMachine(warm[side])
 				if err := m.Answer(Answer{Decision: user.Positive}); err != nil {
 					t.Fatal(err)
 				}
@@ -91,13 +104,73 @@ func TestTurnScales(t *testing.T) {
 			}},
 		}
 		for _, c := range cases {
-			a := allocBytes(func() func() { return c.prepare(small) })
-			b := allocBytes(func() func() { return c.prepare(large) })
+			a := allocBytes(func() func() { return c.prepare(20) })
+			b := allocBytes(func() func() { return c.prepare(40) })
 			ratio := float64(b) / float64(a)
 			t.Logf("%s/%s: 20x20 %d B, 40x40 %d B, ratio %.2f", strat, c.name, a, b, ratio)
 			if ratio > c.bound {
 				t.Errorf("%s/%s allocates %.2fx more on 40x40 than on 20x20, want at most %.1fx", strat, c.name, ratio, c.bound)
 			}
+		}
+	}
+}
+
+// TestSecondSessionCopiesWordCounts is the check that the first question
+// is a fact about the graph: on a fresh transport 40x40 the first
+// NewMachine counts every node's words, and a second one on the same graph
+// copies those counts, so it allocates at most a tenth of the bytes.
+func TestSecondSessionCopiesWordCounts(t *testing.T) {
+	g := scalingTransport(40)
+	measure := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		NewMachine(g, Options{})
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc - before
+	}
+	first, second := measure(), measure()
+	t.Logf("NewMachine on transport 40x40: first %d B, second %d B (%.3f)", first, second, float64(second)/float64(first))
+	if second*10 > first {
+		t.Errorf("the second NewMachine allocates %d B, more than a tenth of the first's %d B", second, first)
+	}
+}
+
+// TestConcurrentFirstSessions starts 8 sessions at once on a fresh graph.
+// They must ask the same first question, and the word counts behind it
+// must be one vector, built once, which each session copies rather than
+// aliases.
+func TestConcurrentFirstSessions(t *testing.T) {
+	g := scalingTransport(20)
+	k := learn.DefaultMaxPathLength
+	machines := make([]*Machine, 8)
+	shared := make([][]int32, len(machines))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range machines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			machines[i] = NewMachine(g, Options{})
+			shared[i] = paths.WordCounts(g, k)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	q0, ok := machines[0].Next()
+	if !ok {
+		t.Fatal("the first session asks nothing")
+	}
+	for i, m := range machines {
+		if q, ok := m.Next(); !ok || !reflect.DeepEqual(q, q0) {
+			t.Fatalf("session %d asks %+v, session 0 %+v", i, q, q0)
+		}
+		if &shared[i][0] != &shared[0][0] {
+			t.Fatalf("session %d read another word-count vector: built more than once", i)
+		}
+		if &m.counts[0] == &shared[0][0] || !slices.Equal(m.counts, shared[0]) {
+			t.Fatalf("session %d's count memo must be a copy of the shared vector", i)
 		}
 	}
 }

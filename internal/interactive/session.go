@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/learn"
@@ -196,7 +197,9 @@ type Machine struct {
 	// counts is the Turn memo of each node's uncovered count against cov,
 	// by dense node index (-1: not yet counted). It is dropped together
 	// with cov, so a negative turn counts each open node once (prune fills
-	// it, propose reads it) and any other turn counts nothing anew.
+	// it, propose reads it) and any other turn counts nothing anew. Before
+	// the first negative it is a copy of paths.WordCounts, which the first
+	// session on the graph counts for all.
 	counts []int32
 
 	t *Transcript
@@ -212,12 +215,19 @@ func NewMachine(g *graph.Graph, opts Options) *Machine {
 	if cache == nil || cache.Graph() != g {
 		cache = rpq.NewCache(g)
 	}
+	// The view interns nodes in sorted order, so reading it in index order
+	// yields g.Nodes() without walking the node map and sorting it.
+	ix := g.Indexed()
+	open := make([]graph.NodeID, ix.NumNodes())
+	for i := range open {
+		open[i] = ix.NodeAt(int32(i))
+	}
 	m := &Machine{
 		g:      g,
 		opts:   opts.withDefaults(),
 		cache:  cache,
 		sample: learn.NewSample(),
-		open:   g.Nodes(),
+		open:   open,
 	}
 	m.t = &Transcript{Sample: m.sample, Strategy: m.opts.Strategy.Name(), Halt: HaltMaxReached}
 	m.propose()
@@ -408,11 +418,19 @@ func (m *Machine) turn() *Turn {
 // only when the negative set changed since the last probe.
 func (m *Machine) negCoverage() *paths.Coverage {
 	if m.cov == nil || m.covNegs != len(m.sample.Negatives) {
-		m.cov = paths.NewCoverage(m.g, m.sample.Negatives, m.opts.Learn.MaxPathLength)
+		k := m.opts.Learn.MaxPathLength
+		m.cov = paths.NewCoverage(m.g, m.sample.Negatives, k)
 		m.covNegs = len(m.sample.Negatives)
-		m.counts = make([]int32, m.g.Indexed().NumNodes())
-		for i := range m.counts {
-			m.counts[i] = -1
+		if m.covNegs == 0 {
+			// With no negative, a node's count is its number of words: a
+			// fact of the graph that every session on it shares. Turn
+			// writes into the memo, so the session keeps its own copy.
+			m.counts = slices.Clone(paths.WordCounts(m.g, k))
+		} else {
+			m.counts = make([]int32, m.g.Indexed().NumNodes())
+			for i := range m.counts {
+				m.counts[i] = -1
+			}
 		}
 	}
 	return m.cov

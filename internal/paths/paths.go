@@ -324,3 +324,28 @@ func CountUncoveredWith(g *graph.Graph, start graph.NodeID, maxLen int, cov *Cov
 	})
 	return count
 }
+
+// wordCountsKey keys WordCounts' vector in the Indexed view's memo.
+type wordCountsKey struct{ maxLen int }
+
+// WordCounts returns, by dense node index of g's Indexed view, each node's
+// number of distinct words with 0..maxLen edges: what CountUncoveredWith
+// returns against a coverage of no negatives, so the informativeness of
+// every node before the first negative label. It depends on the frozen
+// graph and maxLen alone, so it is counted once per (graph, maxLen), by the
+// first caller, and memoised on the view for every later one (see
+// graph.Indexed.Derived). Callers must not modify the vector.
+func WordCounts(g *graph.Graph, maxLen int) []int32 {
+	ix := g.Indexed()
+	return ix.Derived(wordCountsKey{maxLen}, func() any {
+		counts := make([]int32, ix.NumNodes())
+		if maxLen < 0 {
+			return counts
+		}
+		for i := range counts {
+			counts[i] = 1 // the empty word
+			forEachWord(ix, int32(i), maxLen, func(string, []int32) { counts[i]++ })
+		}
+		return counts
+	}).([]int32)
+}
