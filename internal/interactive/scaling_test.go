@@ -136,6 +136,30 @@ func TestSecondSessionCopiesWordCounts(t *testing.T) {
 	}
 }
 
+// TestRandomSessionCountsNoWords checks that only a strategy that reads
+// counts pays for the word-count vector: on a fresh transport 40x40 a
+// random NewMachine and its first Next allocate at most a tenth of the
+// bytes an informative first session allocates on another fresh 40x40.
+func TestRandomSessionCountsNoWords(t *testing.T) {
+	measure := func(strategy Strategy) uint64 {
+		g := scalingTransport(40)
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		m := NewMachine(g, Options{Strategy: strategy})
+		if _, ok := m.Next(); !ok {
+			t.Fatalf("%s: the first session asks nothing", strategy.Name())
+		}
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc - before
+	}
+	random, informative := measure(NewRandomStrategy(1)), measure(&InformativeStrategy{})
+	t.Logf("first session on transport 40x40: random %d B, informative %d B (%.3f)", random, informative, float64(random)/float64(informative))
+	if random*10 > informative {
+		t.Errorf("a random first session allocates %d B, more than a tenth of an informative one's %d B", random, informative)
+	}
+}
+
 // TestConcurrentFirstSessions starts 8 sessions at once on a fresh graph.
 // They must ask the same first question, and the word counts behind it
 // must be one vector, built once, which each session copies rather than

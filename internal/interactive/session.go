@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/learn"
@@ -198,8 +197,9 @@ type Machine struct {
 	// by dense node index (-1: not yet counted). It is dropped together
 	// with cov, so a negative turn counts each open node once (prune fills
 	// it, propose reads it) and any other turn counts nothing anew. Before
-	// the first negative it is a copy of paths.WordCounts, which the first
-	// session on the graph counts for all.
+	// the first negative its first read copies paths.WordCounts, which the
+	// first session on the graph counts for all; a strategy that reads no
+	// count (random) never builds that vector.
 	counts []int32
 
 	t *Transcript
@@ -403,13 +403,14 @@ func (m *Machine) turn() *Turn {
 	// negCoverage may drop the memo, so it runs before m.counts is read.
 	cov := m.negCoverage()
 	return &Turn{
-		Graph:      m.g,
-		K:          m.opts.Learn.MaxPathLength,
-		Open:       m.open,
-		Coverage:   cov,
-		Hypothesis: m.t.Final,
-		Cache:      m.cache,
-		counts:     m.counts,
+		Graph:       m.g,
+		K:           m.opts.Learn.MaxPathLength,
+		Open:        m.open,
+		Coverage:    cov,
+		Hypothesis:  m.t.Final,
+		Cache:       m.cache,
+		counts:      m.counts,
+		noNegatives: m.covNegs == 0,
 	}
 }
 
@@ -421,16 +422,9 @@ func (m *Machine) negCoverage() *paths.Coverage {
 		k := m.opts.Learn.MaxPathLength
 		m.cov = paths.NewCoverage(m.g, m.sample.Negatives, k)
 		m.covNegs = len(m.sample.Negatives)
-		if m.covNegs == 0 {
-			// With no negative, a node's count is its number of words: a
-			// fact of the graph that every session on it shares. Turn
-			// writes into the memo, so the session keeps its own copy.
-			m.counts = slices.Clone(paths.WordCounts(m.g, k))
-		} else {
-			m.counts = make([]int32, m.g.Indexed().NumNodes())
-			for i := range m.counts {
-				m.counts[i] = -1
-			}
+		m.counts = make([]int32, m.g.Indexed().NumNodes())
+		for i := range m.counts {
+			m.counts[i] = -1
 		}
 	}
 	return m.cov

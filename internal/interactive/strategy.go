@@ -34,6 +34,10 @@ type Turn struct {
 	// not yet counted. The Machine keeps it for as long as Coverage stays
 	// the same; nil means every call counts afresh.
 	counts []int32
+	// noNegatives reports that Coverage covers no word, so a node's count
+	// is its number of words: the first count read fills the whole memo
+	// from paths.WordCounts, which every session on the graph shares.
+	noNegatives bool
 }
 
 // uncovered returns the number of words of length at most K that node id
@@ -44,7 +48,12 @@ func (t *Turn) uncovered(id graph.NodeID) int {
 		return paths.CountUncoveredWith(t.Graph, id, t.K, t.Coverage)
 	}
 	if t.counts[i] < 0 {
-		t.counts[i] = int32(paths.CountUncoveredWith(t.Graph, id, t.K, t.Coverage))
+		if t.noNegatives {
+			// The memo is written to, so it holds a copy.
+			copy(t.counts, paths.WordCounts(t.Graph, t.K))
+		} else {
+			t.counts[i] = int32(paths.CountUncoveredWith(t.Graph, id, t.K, t.Coverage))
+		}
 	}
 	return int(t.counts[i])
 }

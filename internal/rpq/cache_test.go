@@ -3,10 +3,14 @@ package rpq
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/automaton"
+	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/regex"
 )
@@ -212,5 +216,45 @@ func TestSelectedJSON(t *testing.T) {
 				t.Fatalf("%s: SelectedJSON = %s (shared %v), want %s built once", q, b, &b[0] == &got[0][0], want)
 			}
 		}
+	}
+}
+
+// maxRetainedPerEngine bounds the heap one cached 60x60 cold-mix engine
+// keeps alive: the per-state reach rows (985 B each), the DFA and the
+// cache's bookkeeping.
+const maxRetainedPerEngine = 40 << 10
+
+// TestEngineCacheRetainedBytes fills an EngineCache with 1,024 distinct
+// eval-cold-grammar engines on transport 60x60, served the way a
+// truncated /evaluate serves them (count and the first 16 nodes), and
+// pins the heap the full cache retains per entry.
+func TestEngineCacheRetainedBytes(t *testing.T) {
+	g := dataset.Transport(dataset.TransportOptions{Rows: 60, Cols: 60, Seed: 1, FacilityRate: 0.3})
+	g.Indexed()
+	dfaMu.Lock()
+	dfaCache = make(map[string]*automaton.DFA) // count the entries' DFAs
+	dfaMu.Unlock()
+	c := NewCache(g)
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	rng := rand.New(rand.NewSource(1))
+	for c.Stats().Size < DefaultCacheCapacity {
+		e, err := c.GetText(coldGrammarQuery(rng), regex.Parse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(e.FirstSelected(16)) > e.NumSelected() {
+			t.Fatal("FirstSelected exceeds the answer")
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	perEntry := (int64(ms.HeapAlloc) - int64(before)) / DefaultCacheCapacity
+	runtime.KeepAlive(c)
+	t.Logf("%d bytes retained per cached engine", perEntry)
+	if perEntry > maxRetainedPerEngine {
+		t.Fatalf("%d bytes retained per cached 60x60 engine, budget %d", perEntry, maxRetainedPerEngine)
 	}
 }

@@ -4,21 +4,23 @@ import (
 	"math/bits"
 
 	"repro/internal/automaton"
-	"repro/internal/graph"
 	"repro/internal/rpq/index"
 )
 
 // The product sweep: a state-wise bitset backward fixpoint. It keeps one
-// node bitset per DFA state and a dirty frontier per state, and each
-// backward step is a word-parallel OR over the CSR in-edges. The first
-// step out of an accepting state (a full frontier) is one OR of the
-// label's source bitset (graph.Indexed.SourceBits). When an
-// index.Index is present and a DFA state carries a self-loop on a label
-// the index has closed, the label-star saturation collapses to ORing
-// precomputed closure rows (graph-diameter many BFS levels become one
-// jump). Either way the fixpoint is the exact set of configurations that
-// reach acceptance; the tests pin it, bit for bit, to a configuration-
-// queue BFS oracle.
+// node bitset per DFA state and a dirty frontier per state. Popping a
+// target state t runs one backward step per graph label gl that leads
+// into t: the predecessor set P = In_gl(frontier) is built once, into one
+// reusable row, and ORed word-parallel into every source state of
+// (t, gl). The first step out of an accepting state (a full frontier)
+// takes the label's source bitset (graph.Indexed.SourceBits) as P. When
+// an index.Index is present and a DFA state carries a self-loop on a
+// label the index has closed, the label-star saturation collapses to
+// ORing precomputed closure rows (graph-diameter many BFS levels become
+// one jump), and t is no source of its own generic step on that label.
+// Either way the fixpoint is the exact set of configurations that reach
+// acceptance; the tests pin it, bit for bit, to a configuration-queue BFS
+// oracle.
 
 // forEachConfigBit calls fn for every set bit index in ascending order.
 func forEachConfigBit(set []uint64, fn func(i int32)) {
@@ -30,104 +32,39 @@ func forEachConfigBit(set []uint64, fn func(i int32)) {
 	}
 }
 
-// sweep runs the backward fixpoint, fills selectedIDs and parks the
-// product-layout scatter in accFill.
+// jumpEdge is one closure-served self-loop of a DFA state: the state's
+// frontier is saturated along cl instead of by generic backward steps.
+// gl is the looping graph label, or -1 for a set closure over every label
+// the state loops on. sat holds the nodes whose closure row has already
+// been ORed: for a predecessor closure row(u) ⊆ row(v) whenever
+// u ∈ row(v), so a node absorbed by a jump never needs a jump of its own.
+type jumpEdge struct {
+	gl  int32
+	cl  *index.Closure
+	sat []uint64
+}
+
+// sweep runs the backward fixpoint into e.reach and counts the start-state
+// row into e.numSelected.
 func (e *Engine) sweep() {
 	n := e.ix.NumNodes()
 	S := e.numStates
-	total := n * S
-	if total == 0 {
-		e.accFill = func() []uint64 { return []uint64{} }
+	words := (n + 63) / 64
+	e.words = words
+	if words == 0 {
 		return
 	}
-	words := (n + 63) / 64
-	// One backing array for every per-sweep bitset; the sweep is short
-	// enough that allocation (and the GC scanning it induces) is a visible
-	// fraction of an indexed evaluation.
-	scratch := make([]uint64, (2*S+1)*words)
-	reach := scratch[:S*words]
-	dirty := scratch[S*words : 2*S*words]
-	frontier := scratch[2*S*words:]
+	// reach is kept as the engine's answer; dirty, frontier and the
+	// predecessor row p share one scratch array that dies with the sweep.
+	reach := make([]uint64, S*words)
+	scratch := make([]uint64, (S+2)*words)
+	dirty := scratch[:S*words]
+	frontier := scratch[S*words : (S+1)*words]
+	p := scratch[(S+1)*words:]
 
-	// The DFA's in-edges grouped by target state, one entry per (source
-	// state, graph label) transition pair. sat tracks, per self-loop edge
-	// with a closure, the nodes whose closure row has already been ORed:
-	// for a predecessor closure row(u) ⊆ row(v) whenever u ∈ row(v), so a
-	// node absorbed by a jump never needs a jump of its own.
-	type dfaInEdge struct {
-		src int
-		gl  int32
-		cl  *index.Closure // pred closure when src == target self-loop
-		sat []uint64
-	}
 	rev := e.dfa.Reverse()
 	numLabels := e.ix.NumLabels()
-	dfaIn := make([][]dfaInEdge, S)
-	for t := 0; t < S; t++ {
-		// With an index, gather the self-loop labels of t first: a state
-		// looping on several labels (an alternation star like (a+b)*)
-		// consumes the union reachability relation, and a single
-		// set-closure jump over that union replaces a cascade of per-label
-		// jumps that would otherwise alternate once per SCC of each
-		// single-label subgraph.
-		var setCl *index.Closure
-		if e.idx != nil {
-			var loopLabels []int32
-			for gl := 0; gl < numLabels; gl++ {
-				if e.dfaLabel[gl] < 0 {
-					continue
-				}
-				for _, q := range rev.Pred(automaton.State(t), e.dfaLabel[gl]) {
-					if int(q) == t {
-						loopLabels = append(loopLabels, int32(gl))
-					}
-				}
-			}
-			if len(loopLabels) > 1 {
-				setCl = e.idx.PredStarSet(loopLabels)
-			}
-		}
-		if setCl != nil {
-			dfaIn[t] = append(dfaIn[t], dfaInEdge{src: t, gl: -1, cl: setCl})
-		}
-		for gl := 0; gl < numLabels; gl++ {
-			if e.dfaLabel[gl] < 0 {
-				continue
-			}
-			for _, q := range rev.Pred(automaton.State(t), e.dfaLabel[gl]) {
-				if int(q) == t && setCl != nil {
-					continue // subsumed by the set-closure jump edge
-				}
-				edge := dfaInEdge{src: int(q), gl: int32(gl)}
-				if int(q) == t && e.idx != nil {
-					edge.cl = e.idx.PredStar(int32(gl))
-				}
-				dfaIn[t] = append(dfaIn[t], edge)
-			}
-		}
-	}
-
-	// One sat arena for every closure-jump edge, sized up front.
-	nSat := 0
-	for t := range dfaIn {
-		for ei := range dfaIn[t] {
-			if dfaIn[t][ei].cl != nil {
-				nSat++
-			}
-		}
-	}
-	if nSat > 0 {
-		arena := make([]uint64, nSat*words)
-		k := 0
-		for t := range dfaIn {
-			for ei := range dfaIn[t] {
-				if dfaIn[t][ei].cl != nil {
-					dfaIn[t][ei].sat = arena[k*words : (k+1)*words]
-					k++
-				}
-			}
-		}
-	}
+	jumps := e.jumpEdges(rev, words)
 
 	inQueue := make([]bool, S)
 	queue := make([]int, 0, S)
@@ -153,144 +90,186 @@ func (e *Engine) sweep() {
 		push(s)
 	}
 
-	var jumps uint64
+	var hits uint64
 	for len(queue) > 0 {
 		t := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		inQueue[t] = false
 		tDirty := dirty[t*words : (t+1)*words]
 		copy(frontier, tDirty)
-		for i := range tDirty {
-			tDirty[i] = 0
-		}
-		for ei := range dfaIn[t] {
-			edge := &dfaIn[t][ei]
-			s := edge.src
-			sRow := reach[s*words : (s+1)*words]
-			sDirty := dirty[s*words : (s+1)*words]
+		clear(tDirty)
+		full := fullFrontier(frontier, n)
+
+		setLoop := false
+		if jumps != nil {
+			tRow := reach[t*words : (t+1)*words]
 			grew := false
-			if edge.cl != nil {
+			for ji := range jumps[t] {
+				j := &jumps[t][ji]
+				setLoop = setLoop || j.gl < 0
 				// Self-loop saturation: OR the predecessor-closure row of
 				// every not-yet-saturated frontier node.
-				sat := edge.sat
+				sat := j.sat
 				forEachConfigBit(frontier, func(v int32) {
 					if sat[v>>6]&(1<<(uint(v)&63)) != 0 {
 						return
 					}
 					sat[v>>6] |= 1 << (uint(v) & 63)
-					span, lo := edge.cl.RowSpan(v)
+					span, lo := j.cl.RowSpan(v)
 					if span == nil {
 						return // closure of v is {v}: already in reach[t]
 					}
-					jumps++
-					for j, w := range span {
-						i := int(lo) + j
-						if nw := sRow[i] | w; nw != sRow[i] {
-							sDirty[i] |= nw ^ sRow[i]
-							sRow[i] = nw
+					hits++
+					for k, w := range span {
+						i := int(lo) + k
+						if nw := tRow[i] | w; nw != tRow[i] {
+							tDirty[i] |= nw ^ tRow[i]
+							tRow[i] = nw
 							grew = true
 						}
 						sat[i] |= w
 					}
 				})
-			} else if fullFrontier(frontier, n) {
-				// Full frontier (the first pop of an accepting seed): the
-				// predecessor set is exactly the nodes with an outgoing
-				// edge of the label, one word-parallel OR.
-				for i, w := range e.ix.SourceBits(edge.gl) {
-					if nw := sRow[i] | w; nw != sRow[i] {
+			}
+			if grew {
+				push(t)
+			}
+		}
+
+		for gl := 0; gl < numLabels; gl++ {
+			dl := e.dfaLabel[gl]
+			if dl < 0 {
+				continue
+			}
+			preds := rev.Pred(automaton.State(t), dl)
+			// A self-loop that a closure jump serves is not a source of
+			// the generic step.
+			skipSelf := jumps != nil && (setLoop || e.idx.PredStar(int32(gl)) != nil)
+			if !hasSource(preds, t, skipSelf) {
+				continue
+			}
+			// P = In_gl(frontier), restricted to its populated words
+			// [lo, hi).
+			var pw []uint64
+			lo, hi := 0, words
+			if full {
+				pw = e.ix.SourceBits(int32(gl))
+			} else {
+				lo, hi = words, 0
+				for wi, w := range frontier {
+					for w != 0 {
+						v := int32(wi<<6 + bits.TrailingZeros64(w))
+						w &= w - 1
+						for _, u := range e.ix.In(v, int32(gl)) {
+							ui := int(u >> 6)
+							p[ui] |= 1 << (uint(u) & 63)
+							lo = min(lo, ui)
+							hi = max(hi, ui+1)
+						}
+					}
+				}
+				if lo >= hi {
+					continue
+				}
+				pw = p
+			}
+			for _, q := range preds {
+				s := int(q)
+				if s == t && skipSelf {
+					continue
+				}
+				sRow := reach[s*words : (s+1)*words]
+				sDirty := dirty[s*words : (s+1)*words]
+				grew := false
+				for i := lo; i < hi; i++ {
+					if nw := sRow[i] | pw[i]; nw != sRow[i] {
 						sDirty[i] |= nw ^ sRow[i]
 						sRow[i] = nw
 						grew = true
 					}
 				}
-			} else {
-				// Generic backward step over one graph label.
-				forEachConfigBit(frontier, func(v int32) {
-					for _, u := range e.ix.In(v, edge.gl) {
-						wi, bit := u>>6, uint64(1)<<(uint(u)&63)
-						if sRow[wi]&bit == 0 {
-							sRow[wi] |= bit
-							sDirty[wi] |= bit
-							grew = true
-						}
-					}
-				})
+				if grew {
+					push(s)
+				}
 			}
-			if grew {
-				push(s)
+			if !full {
+				clear(p[lo:hi])
 			}
 		}
 	}
-	if jumps > 0 {
-		e.idx.AddHits(jumps)
+	if hits > 0 {
+		e.idx.AddHits(hits)
 	}
 
-	// Park the product-layout scatter for the first configuration probe
-	// (Witness, Selects, the forward searches): Selected is served off the
-	// start-state row below, so an /evaluate-only engine skips the scatter
-	// entirely. Node-word wi of any state lands in output words
-	// [wi*S, wi*S+S) — the config base 64*wi*S is word-aligned — so
-	// two-state DFAs (every `expr*.label` goal query) get a word-parallel
-	// bit interleave and the general case a tight per-bit loop.
-	e.accFill = func() []uint64 {
-		acc := make([]uint64, (total+63)/64)
-		if S == 2 {
-			r0 := reach[:words]
-			r1 := reach[words : 2*words]
-			for wi := 0; wi < words; wi++ {
-				w0, w1 := r0[wi], r1[wi]
-				if w0 == 0 && w1 == 0 {
-					continue
-				}
-				acc[2*wi] |= spreadBits2(uint32(w0)) | spreadBits2(uint32(w1))<<1
-				if 2*wi+1 < len(acc) {
-					acc[2*wi+1] |= spreadBits2(uint32(w0>>32)) | spreadBits2(uint32(w1>>32))<<1
-				}
-			}
-		} else {
-			for s := 0; s < S; s++ {
-				row := reach[s*words : (s+1)*words]
-				for wi, w := range row {
-					base := wi<<6*S + s
-					for w != 0 {
-						c := base + bits.TrailingZeros64(w)*S
-						w &= w - 1
-						acc[c>>6] |= 1 << (uint(c) & 63)
-					}
-				}
-			}
-		}
-		return acc
-	}
-
-	// Collect the answer straight off the start-state row. Node indices are
-	// interned in sorted NodeID order, so the ascending bit walk yields
-	// sorted IDs; the exact preallocation matters (the repeated growth of a
-	// several-thousand-entry NodeID slice otherwise dominates a
-	// sub-millisecond evaluation).
-	startRow := reach[int(e.start)*words : (int(e.start)+1)*words]
-	cnt := 0
-	for _, w := range startRow {
-		cnt += bits.OnesCount64(w)
-	}
-	if cnt > 0 {
-		e.selectedIDs = make([]graph.NodeID, 0, cnt)
-		forEachConfigBit(startRow, func(v int32) {
-			e.selectedIDs = append(e.selectedIDs, e.ix.NodeAt(v))
-		})
+	e.reach = reach
+	for _, w := range e.startRow() {
+		e.numSelected += bits.OnesCount64(w)
 	}
 }
 
-// spreadBits2 spaces the 32 bits of x one apart: bit i moves to bit 2i.
-func spreadBits2(x uint32) uint64 {
-	v := uint64(x)
-	v = (v | v<<16) & 0x0000ffff0000ffff
-	v = (v | v<<8) & 0x00ff00ff00ff00ff
-	v = (v | v<<4) & 0x0f0f0f0f0f0f0f0f
-	v = (v | v<<2) & 0x3333333333333333
-	v = (v | v<<1) & 0x5555555555555555
-	return v
+// jumpEdges returns, per DFA state, the closure jumps that serve its
+// self-loops, each with its own sat row; nil when the engine has no index.
+func (e *Engine) jumpEdges(rev *automaton.ReverseTransitions, words int) [][]jumpEdge {
+	if e.idx == nil {
+		return nil
+	}
+	S := e.numStates
+	numLabels := e.ix.NumLabels()
+	jumps := make([][]jumpEdge, S)
+	var loopLabels []int32
+	nSat := 0
+	for t := 0; t < S; t++ {
+		loopLabels = loopLabels[:0]
+		for gl := 0; gl < numLabels; gl++ {
+			if e.dfaLabel[gl] < 0 {
+				continue
+			}
+			for _, q := range rev.Pred(automaton.State(t), e.dfaLabel[gl]) {
+				if int(q) == t {
+					loopLabels = append(loopLabels, int32(gl))
+				}
+			}
+		}
+		// A state looping on several labels (an alternation star like
+		// (a+b)*) consumes the union reachability relation, and a single
+		// set-closure jump over that union replaces a cascade of
+		// per-label jumps that would otherwise alternate once per SCC of
+		// each single-label subgraph.
+		if len(loopLabels) > 1 {
+			if cl := e.idx.PredStarSet(loopLabels); cl != nil {
+				jumps[t] = append(jumps[t], jumpEdge{gl: -1, cl: cl})
+				nSat++
+				continue
+			}
+		}
+		for _, gl := range loopLabels {
+			if cl := e.idx.PredStar(gl); cl != nil {
+				jumps[t] = append(jumps[t], jumpEdge{gl: gl, cl: cl})
+				nSat++
+			}
+		}
+	}
+	// One sat arena for every jump, sized up front.
+	if nSat > 0 {
+		arena := make([]uint64, nSat*words)
+		for t := range jumps {
+			for ji := range jumps[t] {
+				jumps[t][ji].sat, arena = arena[:words:words], arena[words:]
+			}
+		}
+	}
+	return jumps
+}
+
+// hasSource reports whether preds names a source state of the generic
+// step into t: any state but t itself when skipSelf is set.
+func hasSource(preds []automaton.State, t int, skipSelf bool) bool {
+	for _, q := range preds {
+		if int(q) != t || !skipSelf {
+			return true
+		}
+	}
+	return false
 }
 
 // fullFrontier reports whether the frontier bitset contains all n nodes.

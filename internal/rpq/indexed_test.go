@@ -2,24 +2,25 @@ package rpq
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/automaton"
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/regex"
 	"repro/internal/rpq/index"
 )
 
-// accReachBytes serialises the engine's product-reachability bitset so two
+// accReachBytes serialises the engine's per-state reach rows so two
 // engines can be compared for exact fixpoint identity, not just identical
 // observable answers.
 func accReachBytes(e *Engine) []byte {
-	acc := e.accBits() // materialises the lazy product bitset
-	out := make([]byte, 0, len(acc)*8)
-	for _, w := range acc {
+	out := make([]byte, 0, len(e.reach)*8)
+	for _, w := range e.reach {
 		for b := 0; b < 8; b++ {
 			out = append(out, byte(w>>(8*uint(b))))
 		}
@@ -42,8 +43,17 @@ func assertEnginesIdenticalOn(t *testing.T, tag string, g *graph.Graph, q *regex
 	if !bytes.Equal(accReachBytes(oracle), accReachBytes(got)) {
 		t.Fatalf("%s: query %s: product bitsets differ", tag, q)
 	}
-	if o, n := oracle.Selected(), got.Selected(); !reflect.DeepEqual(o, n) {
-		t.Fatalf("%s: query %s: Selected() = %v, oracle = %v", tag, q, n, o)
+	o, n := oracle.Selected(), got.Selected()
+	if !reflect.DeepEqual(o, n) || got.NumSelected() != len(o) {
+		t.Fatalf("%s: query %s: Selected() = %v (NumSelected %d), oracle = %v", tag, q, n, got.NumSelected(), o)
+	}
+	if want, _ := json.Marshal(o); !bytes.Equal(got.SelectedJSON(), want) {
+		t.Fatalf("%s: query %s: SelectedJSON() = %s, oracle = %s", tag, q, got.SelectedJSON(), want)
+	}
+	for _, k := range []int{0, 1, len(o) / 2, len(o), len(o) + 1} {
+		if f, want := got.FirstSelected(k), o[:min(k, len(o))]; !reflect.DeepEqual(f, want) {
+			t.Fatalf("%s: query %s: FirstSelected(%d) = %v, oracle = %v", tag, q, k, f, want)
+		}
 	}
 	for _, node := range nodes {
 		if o, n := oracle.Selects(node), got.Selects(node); o != n {
@@ -96,14 +106,17 @@ func TestIndexedEquivalenceRandomized(t *testing.T) {
 // TestIndexedEquivalenceConstrainedIndexes re-runs the equivalence suite
 // with an index whose closures are suppressed, so every step runs the
 // generic backward OR or the source-bitset shortcut even though an index
-// is installed (TestIndexedEquivalenceRandomized covers the default index
-// and no index).
+// is installed, and with one that closes only the most frequent label, so
+// a state's other self-loops stay generic steps
+// (TestIndexedEquivalenceRandomized covers the default index and no
+// index).
 func TestIndexedEquivalenceConstrainedIndexes(t *testing.T) {
 	configs := []struct {
 		name string
 		opts index.Options
 	}{
 		{"no-closures", index.Options{MaxClosureBytes: -1, MaxClosureLabels: -1}},
+		{"one-label", index.Options{MaxClosureLabels: 1}},
 	}
 	for _, cfg := range configs {
 		rng := rand.New(rand.NewSource(17))
@@ -229,8 +242,8 @@ func TestNewWithDefaultWorkers(t *testing.T) {
 }
 
 // evalAllocBudget bounds the allocations of one uncached 60x60 evaluation
-// with the DFA memo warm: the measured count plus a margin of 4.
-const evalAllocBudget = 31 + 4
+// with the DFA memo warm: the measured count plus a margin of 2.
+const evalAllocBudget = 21 + 2
 
 func TestEvaluationAllocBudget(t *testing.T) {
 	g := dataset.Transport(dataset.TransportOptions{Rows: 60, Cols: 60, Seed: 1, FacilityRate: 0.3})
@@ -245,4 +258,137 @@ func TestEvaluationAllocBudget(t *testing.T) {
 	if allocs > evalAllocBudget {
 		t.Fatalf("%.0f allocations per uncached 60x60 evaluation, budget %d", allocs, evalAllocBudget)
 	}
+}
+
+// groupedTargets counts the (live target state, graph label) pairs of the
+// engine's DFA that two or more source states other than the target
+// itself reach: the pairs whose one backward step the sweep ORs into
+// several source rows, whatever closure serves the target's own loop. A
+// live state is one from which acceptance is reachable; the sink is
+// never popped.
+func groupedTargets(e *Engine) int {
+	rev := e.dfa.Reverse()
+	live := make([]bool, e.numStates)
+	var stack []int
+	for s := range live {
+		if e.accepting[s] {
+			live[s] = true
+			stack = append(stack, s)
+		}
+	}
+	for len(stack) > 0 {
+		t := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, dl := range e.dfaLabel {
+			if dl < 0 {
+				continue
+			}
+			for _, q := range rev.Pred(automaton.State(t), dl) {
+				if !live[q] {
+					live[q] = true
+					stack = append(stack, int(q))
+				}
+			}
+		}
+	}
+	n := 0
+	for t := range live {
+		if !live[t] {
+			continue
+		}
+		for _, dl := range e.dfaLabel {
+			if dl < 0 {
+				continue
+			}
+			others := 0
+			for _, q := range rev.Pred(automaton.State(t), dl) {
+				if int(q) != t {
+					others++
+				}
+			}
+			if others >= 2 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestGroupedStepIndexEquivalence pins the grouped backward step — one
+// In_gl(frontier) row per popped (state, label), ORed into every source
+// state — to the queue-sweep oracle, with and without the closure index:
+// reach bits, Selected, SelectedJSON, FirstSelected, and Selects and
+// Witness on sampled nodes. The hand-picked queries cover a nullable
+// query (whose start state accepts), the empty answer, and minimal DFAs
+// in which several source states reach one target on one label; the test
+// asserts that property of each of the latter, so a case cannot silently
+// stop covering the grouped step. The first 200 eval-cold-grammar queries
+// on transport 60x60 follow.
+func TestGroupedStepIndexEquivalence(t *testing.T) {
+	ab := dataset.Random(dataset.RandomOptions{Nodes: 120, AvgDegree: 2, Seed: 5, Alphabet: []string{"a", "b"}})
+	city := dataset.Transport(dataset.TransportOptions{Rows: 60, Cols: 60, Seed: 1, FacilityRate: 0.3})
+	cases := []struct {
+		g       *graph.Graph
+		query   string
+		grouped bool
+		empty   bool
+	}{
+		{ab, "(a+b)*.a.(a+b)", true, false},
+		{ab, "(a+b.a).b.b", true, false},
+		{ab, "(a+b)*", false, false},
+		{ab, "c.a", false, true},
+		{city, "(tram.bus)*.tram*.(tram+bus).cinema", true, false},
+		{city, "(bus+tram.bus).bus.cinema", true, false},
+		{city, "(tram+bus)*.tram*", false, false},
+		{city, "metro.cinema", false, true},
+	}
+	// The default index closes every label of both graphs; closing only
+	// the most frequent label, or none, leaves some self-loops to the
+	// generic step although an index is installed.
+	indexOpts := []struct {
+		name string
+		opts index.Options
+	}{
+		{"indexed", index.Options{}},
+		{"one-label index", index.Options{MaxClosureLabels: 1}},
+		{"no-closure index", index.Options{MaxClosureBytes: -1, MaxClosureLabels: -1}},
+	}
+	indexes := map[*graph.Graph][]*index.Index{}
+	for _, g := range []*graph.Graph{ab, city} {
+		for _, io := range indexOpts {
+			indexes[g] = append(indexes[g], index.Build(g.Indexed(), io.opts))
+		}
+	}
+	check := func(tag string, g *graph.Graph, q *regex.Expr, nodes []graph.NodeID) *Engine {
+		t.Helper()
+		oracle := queueOracle(g, q)
+		assertEnginesIdenticalOn(t, tag+" (plain)", g, q, oracle, New(g, q), nodes)
+		for i, io := range indexOpts {
+			assertEnginesIdenticalOn(t, tag+" ("+io.name+")", g, q, oracle, NewWith(g, q, Options{Index: indexes[g][i]}), nodes)
+		}
+		return oracle
+	}
+	for _, c := range cases {
+		q := regex.MustParse(c.query)
+		e := check(c.query, c.g, q, everyNth(c.g, 1+c.g.NumNodes()/120))
+		if c.grouped && groupedTargets(e) == 0 {
+			t.Errorf("%s: no live DFA target is reached from two source states on one label", c.query)
+		}
+		if nullable := e.accepting[e.start]; nullable != (c.query == "(a+b)*" || c.query == "(tram+bus)*.tram*") {
+			t.Errorf("%s: start state accepting = %v", c.query, nullable)
+		}
+		if got := e.NumSelected() == 0; got != c.empty {
+			t.Errorf("%s: empty answer = %v, want %v", c.query, got, c.empty)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	nodes := everyNth(city, 97)
+	grouped := 0
+	for i := 0; i < 200; i++ {
+		qs := coldGrammarQuery(rng)
+		if groupedTargets(check(fmt.Sprintf("cold query %d %s", i, qs), city, regex.MustParse(qs), nodes)) > 0 {
+			grouped++
+		}
+	}
+	t.Logf("%d of 200 eval-cold queries group two or more source states on one step", grouped)
 }

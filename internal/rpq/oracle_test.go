@@ -19,9 +19,10 @@ import (
 //   - computeReachabilityParallel, its level-synchronous sharded twin,
 //     whose workers claim configurations with an atomic bit-set.
 //
-// Both fill the packed configuration bitset node*numStates+state directly,
-// so an oracle engine answers Selects and Witness from bits that no part
-// of the fixpoint touched.
+// Both fill a packed configuration bitset node*numStates+state, which
+// useOracleBits transposes into the engine's per-state reach rows, so an
+// oracle engine answers Selected, Selects and Witness from bits that no
+// part of the fixpoint touched.
 
 // queueOracle returns the engine for the query whose product bitset comes
 // from the configuration-queue sweep.
@@ -39,11 +40,22 @@ func shardedOracle(g *graph.Graph, query *regex.Expr, workers int) *Engine {
 	return e
 }
 
-// useOracleBits installs acc as the engine's product bitset and derives the
-// answer set from it.
+// useOracleBits installs the packed configuration bitset acc as the
+// engine's per-state reach rows and counts the start-state row.
 func (e *Engine) useOracleBits(acc []uint64) {
-	e.accFill = func() []uint64 { return acc }
-	e.collectSelected(acc)
+	n, S := e.ix.NumNodes(), e.numStates
+	e.words = (n + 63) / 64
+	e.reach = make([]uint64, S*e.words)
+	for v := 0; v < n; v++ {
+		for s := 0; s < S; s++ {
+			if c := v*S + s; acc[c>>6]&(1<<(uint(c)&63)) != 0 {
+				e.reach[s*e.words+v>>6] |= 1 << (uint(v) & 63)
+				if s == int(e.start) {
+					e.numSelected++
+				}
+			}
+		}
+	}
 }
 
 // computeReachability marks every configuration (node, state) from which an
@@ -169,16 +181,4 @@ func (e *Engine) expandLevel(acc []uint64, part, out []int32, rev *automaton.Rev
 		}
 	}
 	return out
-}
-
-// collectSelected derives the sorted answer set from a product bitset:
-// node indices are interned in sorted NodeID order, so one ascending sweep
-// yields sorted IDs.
-func (e *Engine) collectSelected(acc []uint64) {
-	S := e.numStates
-	for i := 0; i < e.ix.NumNodes(); i++ {
-		if reachBit(acc, i*S+int(e.start)) {
-			e.selectedIDs = append(e.selectedIDs, e.ix.NodeAt(int32(i)))
-		}
-	}
 }

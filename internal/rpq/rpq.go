@@ -13,16 +13,20 @@
 // product sweep — a state-wise bitset fixpoint (indexed.go) — computes the
 // product reachability as one node bitset per DFA state. An optional
 // index.Index of label closures accelerates that fixpoint without
-// changing its result. Witness runs the only other product walk, a
-// forward BFS over the flat []uint64 bitset indexed by
-// node*numStates + state. Compiled DFAs are memoised by canonical query
-// string (see cache.go), so re-evaluating the same query on another graph
-// with the same alphabet pays only the product sweep.
+// changing its result. The engine keeps those rows and nothing else of
+// the sweep: the start-state row is the answer set, so Selected,
+// FirstSelected, SelectedJSON, Selects and SameSelection read that one
+// node bitset, and Witness, the only other product walk, is a forward
+// BFS that tests the other rows. Compiled DFAs are memoised by canonical
+// query string (see cache.go), so re-evaluating the same query on another
+// graph with the same alphabet pays only the product sweep.
 package rpq
 
 import (
 	"encoding/json"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/automaton"
@@ -33,8 +37,8 @@ import (
 
 // Engine evaluates one compiled query against one graph. It precomputes
 // the product reachability so that Selected, Selects and Witness are cheap.
-// An Engine is immutable after NewWith (apart from its lazily built
-// product bitset) and safe for concurrent use.
+// An Engine is immutable after NewWith (apart from its lazily built JSON
+// encoding) and safe for concurrent use.
 type Engine struct {
 	ix *graph.Indexed
 	// text is the query's canonical spelling, query.String().
@@ -49,18 +53,17 @@ type Engine struct {
 	// product walk skips).
 	dfaLabel  []int
 	accepting []bool
-	// acc is a bitset over configurations node*numStates+state: the bit is
-	// set iff an accepting configuration is reachable. The sweep parks a
-	// fill closure in accFill and accOnce materialises acc on the first
-	// configuration probe (Selects, Witness) — Selected is served off the
-	// per-state rows, so an /evaluate-only engine never pays the
-	// product-layout scatter.
-	acc     []uint64
-	accOnce sync.Once
-	accFill func() []uint64
-	// selectedIDs caches the sorted answer set.
-	selectedIDs []graph.NodeID
-	// selectedJSON is selectedIDs encoded as a JSON array, built through
+	// reach is the product reachability as one node bitset of words
+	// uint64s per DFA state, state after state: bit v of row s is set iff
+	// configuration (v, s) reaches acceptance. The start-state row is the
+	// answer set in Indexed (sorted NodeID) order, so Selected, Selects
+	// and SameSelection read that row and Witness reads the others;
+	// nothing else of the sweep is kept.
+	reach []uint64
+	words int
+	// numSelected is the popcount of the start-state row.
+	numSelected int
+	// selectedJSON is the answer set encoded as a JSON array, built through
 	// selectedOnce on the first SelectedJSON call. It lives and dies with
 	// the engine, so an EngineCache eviction drops it too.
 	selectedOnce sync.Once
@@ -100,20 +103,16 @@ func (e *Engine) cfg(node int32, state automaton.State) int {
 	return int(node)*e.numStates + int(state)
 }
 
-// reachBit reports whether configuration c of the product bitset acc can
-// reach acceptance.
-func reachBit(acc []uint64, c int) bool {
-	return acc[c>>6]&(1<<(uint(c)&63)) != 0
+// reaches reports whether configuration (node, state) can reach
+// acceptance.
+func (e *Engine) reaches(node int32, state automaton.State) bool {
+	return e.reach[int(state)*e.words+int(node>>6)]&(1<<(uint(node)&63)) != 0
 }
 
-// accBits returns the packed configuration bitset, materialising it on
-// first use.
-func (e *Engine) accBits() []uint64 {
-	e.accOnce.Do(func() {
-		e.acc = e.accFill()
-		e.accFill = nil // frees the captured sweep scratch
-	})
-	return e.acc
+// startRow returns the start state's reach row: the answer set as a node
+// bitset.
+func (e *Engine) startRow() []uint64 {
+	return e.reach[int(e.start)*e.words : (int(e.start)+1)*e.words]
 }
 
 // Options configures how an Engine evaluates.
@@ -183,39 +182,43 @@ func newEngine(g *graph.Graph, query *regex.Expr) *Engine {
 // when the engine was built.
 func (e *Engine) QueryString() string { return e.text }
 
-// Selects reports whether the query selects the node.
+// Selects reports whether the query selects the node: one bit of the
+// start-state row.
 func (e *Engine) Selects(node graph.NodeID) bool {
 	i, ok := e.ix.IndexOf(node)
-	if !ok {
-		return false
-	}
-	return reachBit(e.accBits(), e.cfg(i, e.start))
+	return ok && e.reaches(i, e.start)
 }
 
 // SameSelection reports whether both engines select exactly the same node
 // set. Both engines must evaluate over the same graph; the comparison is
-// linear in the answer size.
+// one pass over the start-state rows.
 func (e *Engine) SameSelection(other *Engine) bool {
-	if len(e.selectedIDs) != len(other.selectedIDs) {
-		return false
-	}
-	for i := range e.selectedIDs {
-		if e.selectedIDs[i] != other.selectedIDs[i] {
-			return false
-		}
-	}
-	return true
+	return e.numSelected == other.numSelected && slices.Equal(e.startRow(), other.startRow())
 }
 
 // Selected returns the sorted list of selected nodes.
-func (e *Engine) Selected() []graph.NodeID {
-	out := make([]graph.NodeID, len(e.selectedIDs))
-	copy(out, e.selectedIDs)
+func (e *Engine) Selected() []graph.NodeID { return e.FirstSelected(e.numSelected) }
+
+// FirstSelected returns the first k selected nodes in sorted order, or all
+// of them when k is at least NumSelected. The slice is never nil, so an
+// empty answer encodes as a JSON [].
+func (e *Engine) FirstSelected(k int) []graph.NodeID {
+	out := make([]graph.NodeID, max(0, min(k, e.numSelected)))
+	j := 0
+	for wi, w := range e.startRow() {
+		if j == len(out) {
+			break
+		}
+		for ; w != 0 && j < len(out); w &= w - 1 {
+			out[j] = e.ix.NodeAt(int32(wi<<6 + bits.TrailingZeros64(w)))
+			j++
+		}
+	}
 	return out
 }
 
 // NumSelected returns the size of the answer set without copying it.
-func (e *Engine) NumSelected() int { return len(e.selectedIDs) }
+func (e *Engine) NumSelected() int { return e.numSelected }
 
 // SelectedJSON returns the sorted answer set as a JSON array of strings,
 // byte for byte what encoding/json writes for Selected() (an empty set is
@@ -223,11 +226,7 @@ func (e *Engine) NumSelected() int { return len(e.selectedIDs) }
 // shared by every caller, who must not modify it.
 func (e *Engine) SelectedJSON() []byte {
 	e.selectedOnce.Do(func() {
-		ids := e.selectedIDs
-		if ids == nil {
-			ids = []graph.NodeID{}
-		}
-		e.selectedJSON, _ = json.Marshal(ids) // a []string cannot fail to encode
+		e.selectedJSON, _ = json.Marshal(e.Selected()) // a []string cannot fail to encode
 	})
 	return e.selectedJSON
 }
@@ -245,8 +244,7 @@ func (e *Engine) Witness(node graph.NodeID) ([]graph.Edge, bool) {
 	if !ok {
 		return nil, false
 	}
-	acc := e.accBits()
-	if !reachBit(acc, e.cfg(ni, e.start)) {
+	if !e.reaches(ni, e.start) {
 		return nil, false
 	}
 	if e.accepting[e.start] {
@@ -282,7 +280,7 @@ search:
 				// Only explore configurations that can still reach
 				// acceptance; this keeps the BFS linear in the useful
 				// product.
-				if !reachBit(acc, nc) {
+				if !e.reaches(v, next) {
 					continue
 				}
 				parent[nc] = int32(c) + 1

@@ -305,10 +305,11 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	// A truncated or witnessed answer is encoded per request; it never
 	// builds the memo, so a cold miss with a small limit pays only for the
 	// nodes it sends.
-	nodes := engine.Selected()
-	if req.Limit > 0 && count > req.Limit {
-		nodes = nodes[:req.Limit]
+	sent := count
+	if req.Limit > 0 && req.Limit < count {
+		sent = req.Limit
 	}
+	nodes := engine.FirstSelected(sent)
 	resp := EvaluateResult{
 		Query:      engine.QueryString(),
 		Count:      count,

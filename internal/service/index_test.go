@@ -1,6 +1,9 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
 	"slices"
 	"testing"
 	"time"
@@ -152,5 +155,56 @@ func TestIndexRebuiltAfterRecovery(t *testing.T) {
 	}
 	if len(e.Selected()) == 0 {
 		t.Fatal("indexed evaluation selected nothing after recovery")
+	}
+}
+
+// TestTruncatedEvaluateIndexAndNoIndex pins the truncated /evaluate answer
+// on an indexed and a no_index graph: limit 16 sends the full count and
+// exactly the first 16 nodes of the unlimited answer, a zero answer
+// still encodes "nodes":[], and the unlimited body, cold and warm, splices
+// in exactly encoding/json's encoding of the engine's Selected().
+func TestTruncatedEvaluateIndexAndNoIndex(t *testing.T) {
+	srv, ts := newTestServer(t)
+	for _, noIndex := range []bool{false, true} {
+		name := "indexed"
+		if noIndex {
+			name = "noindex"
+		}
+		g := dataset.Transport(dataset.TransportOptions{Rows: 30, Cols: 30, Seed: 1, FacilityRate: 0.3})
+		h, err := srv.Registry().RegisterForWith(TenantInfo{Name: DefaultTenant}, name, g, RegisterOptions{NoIndex: noIndex})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !noIndex {
+			waitIndexReady(t, h)
+		}
+		url := ts.URL + "/v1/graphs/" + name + "/evaluate"
+		for _, query := range []string{"(tram+bus)*.cinema", "tram*.bus.(museum+park)"} {
+			e := rpq.New(g, regex.MustParse(query))
+			if e.NumSelected() <= 16 {
+				t.Fatalf("%s: %s selects %d nodes, want a large answer", name, query, e.NumSelected())
+			}
+			var limited, full EvaluateResult
+			if code := do(t, http.MethodPost, url, EvaluateRequest{Query: query, Limit: 16}, &limited); code != http.StatusOK {
+				t.Fatalf("%s: limited %s answered %d", name, query, code)
+			}
+			wantNodes, _ := json.Marshal(e.Selected())
+			for _, pass := range []string{"cold", "warm"} {
+				code, body := doRaw(t, http.MethodPost, url, EvaluateRequest{Query: query})
+				if code != http.StatusOK || !bytes.Contains(body, append(append([]byte(`"nodes":`), wantNodes...), '}')) {
+					t.Fatalf("%s: %s unlimited body (%s) is not json.Marshal(Selected()): %s", name, query, pass, body)
+				}
+				if err := json.Unmarshal(body, &full); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if limited.Count != full.Count || full.Count != e.NumSelected() || !slices.Equal(limited.Nodes, full.Nodes[:16]) {
+				t.Fatalf("%s: %s limit 16 = count %d, %v; unlimited count %d, first 16 %v", name, query, limited.Count, limited.Nodes, full.Count, full.Nodes[:16])
+			}
+		}
+		code, body := doRaw(t, http.MethodPost, url, EvaluateRequest{Query: "metro.cinema", Limit: 16})
+		if code != http.StatusOK || !bytes.Contains(body, []byte(`"count":0,`)) || !bytes.Contains(body, []byte(`"nodes":[]`)) {
+			t.Fatalf("%s: a zero answer must encode \"nodes\":[]: code %d, %s", name, code, body)
+		}
 	}
 }
