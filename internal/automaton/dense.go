@@ -6,6 +6,8 @@ package automaton
 // label index (no string hashing on the hot path) together with a
 // precomputed reverse table for backward product reachability.
 
+import "slices"
+
 // LabelIndex returns the dense index of a label in the DFA alphabet.
 func (d *DFA) LabelIndex(label string) (int, bool) {
 	i, ok := d.labelIndex[label]
@@ -19,15 +21,7 @@ func (d *DFA) NextByIndex(from State, labelIdx int) State {
 }
 
 // AcceptingMask returns a dense accepting-state mask indexed by State.
-func (d *DFA) AcceptingMask() []bool {
-	mask := make([]bool, d.numStates)
-	for s := range d.accepting {
-		if int(s) < d.numStates {
-			mask[s] = true
-		}
-	}
-	return mask
-}
+func (d *DFA) AcceptingMask() []bool { return slices.Clone(d.accepting) }
 
 // ReverseTransitions is the reverse of a DFA's transition table in CSR
 // layout: for a (state, label) pair it lists every state whose successor

@@ -1,10 +1,10 @@
 // Package automaton implements the finite-automaton toolkit that backs GPS:
 // Thompson construction from path regular expressions, prefix-tree
 // acceptors over witness paths, subset-construction determinisation,
-// Hopcroft minimisation, boolean operations, language emptiness,
-// containment and equivalence, state-merging quotients (used by the
-// learner's generalisation step) and state-elimination conversion back to
-// a regular expression.
+// minimisation by Moore's partition refinement, boolean operations,
+// language emptiness, containment and equivalence, state-merging quotients
+// (used by the learner's generalisation step) and state-elimination
+// conversion back to a regular expression.
 //
 // Words are sequences of edge labels ([]string); the alphabet is the finite
 // set of labels appearing in the graph or the expression.
@@ -118,31 +118,6 @@ func (n *NFA) Labels() []string {
 		out = append(out, l)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// EpsilonClosure returns the ε-closure of the given set of states.
-func (n *NFA) EpsilonClosure(states []State) []State {
-	seen := make(map[State]bool, len(states))
-	stack := append([]State(nil), states...)
-	for _, s := range states {
-		seen[s] = true
-	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, next := range n.trans[s][Epsilon] {
-			if !seen[next] {
-				seen[next] = true
-				stack = append(stack, next)
-			}
-		}
-	}
-	out := make([]State, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

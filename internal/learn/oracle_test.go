@@ -149,23 +149,22 @@ func selectsAnyNegative(g *graph.Graph, n *automaton.NFA, negatives []graph.Node
 		}
 		return false
 	}
-	startClosure := n.EpsilonClosure([]automaton.State{n.Start()})
 	for _, neg := range negatives {
 		if !g.HasNode(neg) {
 			continue
 		}
-		if push(startClosure, neg) {
+		if push([]automaton.State{n.Start()}, neg) {
 			return true
 		}
 	}
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
+		// An ε-move stays on the node.
+		if push(n.Successors(cur.state, automaton.Epsilon), cur.node) {
+			return true
+		}
 		for _, e := range g.Out(cur.node) {
-			succ := n.Successors(cur.state, string(e.Label))
-			if len(succ) == 0 {
-				continue
-			}
-			if push(n.EpsilonClosure(succ), e.To) {
+			if push(n.Successors(cur.state, string(e.Label)), e.To) {
 				return true
 			}
 		}

@@ -23,13 +23,22 @@ const dfaCacheCap = 4096
 
 var (
 	dfaMu    sync.Mutex
-	dfaCache = make(map[string]*automaton.DFA)
+	dfaCache = make(map[string]*compiledQuery)
 )
 
-// compiledDFA returns the minimal complete DFA of the query over the given
-// alphabet, memoised by (canonical query string text, alphabet). The
-// returned DFA is shared and must be treated as immutable.
-func compiledDFA(text string, query *regex.Expr, alphabet []string) *automaton.DFA {
+// compiledQuery is a query's minimal complete DFA together with the tables
+// every sweep reads from it, built once per compilation. It is shared
+// across engines and request goroutines and is immutable.
+type compiledQuery struct {
+	dfa *automaton.DFA
+	// rev is the DFA's reverse transition table.
+	rev       *automaton.ReverseTransitions
+	accepting []bool
+}
+
+// compiledDFA returns the compiled minimal complete DFA of the query over
+// the given alphabet, memoised by (canonical query string text, alphabet).
+func compiledDFA(text string, query *regex.Expr, alphabet []string) *compiledQuery {
 	var sb strings.Builder
 	sb.WriteString(text)
 	for _, l := range alphabet {
@@ -38,19 +47,20 @@ func compiledDFA(text string, query *regex.Expr, alphabet []string) *automaton.D
 	}
 	key := sb.String()
 	dfaMu.Lock()
-	if d, ok := dfaCache[key]; ok {
+	if c, ok := dfaCache[key]; ok {
 		dfaMu.Unlock()
-		return d
+		return c
 	}
 	dfaMu.Unlock()
 	d := automaton.FromRegex(query).Determinize(alphabet).Minimize()
+	c := &compiledQuery{dfa: d, rev: d.Reverse(), accepting: d.AcceptingMask()}
 	dfaMu.Lock()
 	if len(dfaCache) >= dfaCacheCap {
-		dfaCache = make(map[string]*automaton.DFA)
+		dfaCache = make(map[string]*compiledQuery)
 	}
-	dfaCache[key] = d
+	dfaCache[key] = c
 	dfaMu.Unlock()
-	return d
+	return c
 }
 
 // EngineCache memoises fully evaluated engines for one graph, keyed by the

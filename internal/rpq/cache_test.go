@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/automaton"
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/regex"
@@ -54,6 +53,33 @@ func TestEngineCacheConcurrentGets(t *testing.T) {
 	if size := c.Stats().Size; size != len(queries) {
 		t.Fatalf("cache holds %d entries, want %d", size, len(queries))
 	}
+}
+
+// TestCompiledQuerySharedAcrossGoroutines builds engines for the same
+// queries from several goroutines at once, so their sweeps read one
+// memoised compilation's reverse table and accepting mask together.
+func TestCompiledQuerySharedAcrossGoroutines(t *testing.T) {
+	g := figure1(t)
+	queries := []string{"(tram+bus)*.cinema", "bus*.restaurant", "tram.bus*"}
+	want := make([][]graph.NodeID, len(queries))
+	for i, q := range queries {
+		want[i] = queueOracle(g, regex.MustParse(q)).Selected()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				k := (w + i) % len(queries)
+				if got := New(g, regex.MustParse(queries[k])).Selected(); !reflect.DeepEqual(got, want[k]) {
+					t.Errorf("%s: Selected() = %v, oracle %v", queries[k], got, want[k])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestEngineCacheLRUEviction(t *testing.T) {
@@ -220,8 +246,8 @@ func TestSelectedJSON(t *testing.T) {
 }
 
 // maxRetainedPerEngine bounds the heap one cached 60x60 cold-mix engine
-// keeps alive: the per-state reach rows (985 B each), the DFA and the
-// cache's bookkeeping.
+// keeps alive: the per-state reach rows (985 B each), the compiled query
+// (DFA, reverse table, accepting mask) and the cache's bookkeeping.
 const maxRetainedPerEngine = 40 << 10
 
 // TestEngineCacheRetainedBytes fills an EngineCache with 1,024 distinct
@@ -232,7 +258,7 @@ func TestEngineCacheRetainedBytes(t *testing.T) {
 	g := dataset.Transport(dataset.TransportOptions{Rows: 60, Cols: 60, Seed: 1, FacilityRate: 0.3})
 	g.Indexed()
 	dfaMu.Lock()
-	dfaCache = make(map[string]*automaton.DFA) // count the entries' DFAs
+	dfaCache = make(map[string]*compiledQuery) // count the entries' compiled queries
 	dfaMu.Unlock()
 	c := NewCache(g)
 	var ms runtime.MemStats

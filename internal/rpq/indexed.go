@@ -62,7 +62,7 @@ func (e *Engine) sweep() {
 	frontier := scratch[S*words : (S+1)*words]
 	p := scratch[(S+1)*words:]
 
-	rev := e.dfa.Reverse()
+	rev := e.rev
 	numLabels := e.ix.NumLabels()
 	jumps := e.jumpEdges(rev, words)
 

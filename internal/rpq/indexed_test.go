@@ -87,11 +87,78 @@ func assertMatchesOracles(t *testing.T, tag string, g *graph.Graph, q *regex.Exp
 	assertEnginesIdenticalOn(t, fmt.Sprintf("%s (sharded oracle, %d workers)", tag, workers), g, q, oracle, shardedOracle(g, q, workers), nodes)
 }
 
+// randomChainGraph builds a path n00 -> n01 -> ... over up to six labels
+// (all six half the time), sometimes with one back edge, and returns it
+// with the word the path spells. A run of one label under a star before a
+// concatenation puts a non-accepting DFA state with a self-loop on a path
+// that exists; with more labels than the default index closes, some of
+// those loops stay generic backward steps.
+func randomChainGraph(rng *rand.Rand) (*graph.Graph, []string) {
+	g := graph.New()
+	n := 3 + rng.Intn(18)
+	labels := []string{"a", "b", "c", "d", "e", "f"}
+	if rng.Intn(2) == 0 {
+		labels = labels[:1+rng.Intn(6)]
+	}
+	node := func(i int) graph.NodeID { return graph.NodeID(fmt.Sprintf("n%02d", i)) }
+	for i := 0; i < n; i++ {
+		g.MustAddNode(node(i))
+	}
+	word := make([]string, n-1)
+	l := labels[rng.Intn(len(labels))]
+	for i := range word {
+		if rng.Intn(3) != 0 {
+			l = labels[rng.Intn(len(labels))]
+		}
+		word[i] = l
+		g.MustAddEdge(node(i), graph.Label(l), node(i+1))
+	}
+	if rng.Intn(4) == 0 {
+		to := rng.Intn(n - 1)
+		g.MustAddEdge(node(to+1+rng.Intn(n-1-to)), graph.Label(labels[rng.Intn(len(labels))]), node(to))
+	}
+	return g, word
+}
+
+// randomStarConcatQuery returns a star before a concatenation, s*.t,
+// (s+t)*.u.v or s*.t*.u, whose labels mostly follow consecutive edges of
+// the chain word, so the star's loop lies on a path that exists. Half the
+// time s is the word's rarest label, which an index closing only the
+// most frequent labels leaves without a closure.
+func randomStarConcatQuery(rng *rand.Rand, word []string) string {
+	at := func(i int) string { return word[min(i, len(word)-1)] }
+	i := rng.Intn(len(word))
+	if rng.Intn(2) == 0 {
+		count := map[string]int{}
+		for _, l := range word {
+			count[l]++
+		}
+		var rarest []int
+		for j, l := range word {
+			if len(rarest) == 0 || count[l] < count[word[rarest[0]]] {
+				rarest = rarest[:0]
+			}
+			if len(rarest) == 0 || count[l] == count[word[rarest[0]]] {
+				rarest = append(rarest, j)
+			}
+		}
+		i = rarest[rng.Intn(len(rarest))]
+	}
+	switch rng.Intn(3) {
+	case 0:
+		return at(i) + "*." + at(i+1)
+	case 1:
+		return "(" + at(i) + "+" + word[rng.Intn(len(word))] + ")*." + at(i+1) + "." + at(i+2)
+	}
+	return at(i) + "*." + at(i+1) + "*." + at(i+2)
+}
+
 // TestIndexedEquivalenceRandomized is the sweep-vs-oracle suite the engine
-// is gated on: 150 seeded random graph/query pairs, each evaluated by the
-// queue-sweep oracle, the sharded oracle, and the fixpoint without an
-// index, with the default index and through the cache, asserting
-// byte-identical product bitsets and identical answers everywhere.
+// is gated on: 150 seeded random graph/query pairs and 100 star-before-
+// concatenation queries on chain graphs, each evaluated by the queue-sweep
+// oracle, the sharded oracle, and the fixpoint without an index, with the
+// default index and through the cache, asserting byte-identical product
+// bitsets and identical answers everywhere.
 func TestIndexedEquivalenceRandomized(t *testing.T) {
 	const cases = 150
 	rng := rand.New(rand.NewSource(99))
@@ -101,13 +168,21 @@ func TestIndexedEquivalenceRandomized(t *testing.T) {
 		idx := index.Build(g.Indexed(), index.Options{})
 		assertMatchesOracles(t, fmt.Sprintf("case %d", i), g, q, idx, 1+i%4, g.Nodes())
 	}
+	rng = rand.New(rand.NewSource(7))
+	for i := 0; i < 100; i++ {
+		g, word := randomChainGraph(rng)
+		q := regex.MustParse(randomStarConcatQuery(rng, word))
+		idx := index.Build(g.Indexed(), index.Options{})
+		assertMatchesOracles(t, fmt.Sprintf("chain case %d", i), g, q, idx, 1+i%4, g.Nodes())
+	}
 }
 
-// TestIndexedEquivalenceConstrainedIndexes re-runs the equivalence suite
-// with an index whose closures are suppressed, so every step runs the
-// generic backward OR or the source-bitset shortcut even though an index
-// is installed, and with one that closes only the most frequent label, so
-// a state's other self-loops stay generic steps
+// TestIndexedEquivalenceConstrainedIndexes re-runs the equivalence suite,
+// random graphs and the chain graphs with star-before-concatenation
+// queries, with an index whose closures are suppressed, so every step runs
+// the generic backward OR or the source-bitset shortcut even though an
+// index is installed, and with one that closes only the most frequent
+// label, so a state's other self-loops stay generic steps
 // (TestIndexedEquivalenceRandomized covers the default index and no
 // index).
 func TestIndexedEquivalenceConstrainedIndexes(t *testing.T) {
@@ -127,6 +202,14 @@ func TestIndexedEquivalenceConstrainedIndexes(t *testing.T) {
 			oracle := queueOracle(g, q)
 			indexed := NewWith(g, q, Options{Index: idx})
 			assertEnginesIdentical(t, fmt.Sprintf("case %d (%s)", i, cfg.name), g, q, oracle, indexed)
+		}
+		rng = rand.New(rand.NewSource(23))
+		for i := 0; i < 50; i++ {
+			g, word := randomChainGraph(rng)
+			q := regex.MustParse(randomStarConcatQuery(rng, word))
+			idx := index.Build(g.Indexed(), cfg.opts)
+			indexed := NewWith(g, q, Options{Index: idx})
+			assertEnginesIdentical(t, fmt.Sprintf("chain case %d (%s)", i, cfg.name), g, q, queueOracle(g, q), indexed)
 		}
 	}
 }
@@ -243,7 +326,7 @@ func TestNewWithDefaultWorkers(t *testing.T) {
 
 // evalAllocBudget bounds the allocations of one uncached 60x60 evaluation
 // with the DFA memo warm: the measured count plus a margin of 2.
-const evalAllocBudget = 21 + 2
+const evalAllocBudget = 16 + 2
 
 func TestEvaluationAllocBudget(t *testing.T) {
 	g := dataset.Transport(dataset.TransportOptions{Rows: 60, Cols: 60, Seed: 1, FacilityRate: 0.3})
@@ -267,7 +350,7 @@ func TestEvaluationAllocBudget(t *testing.T) {
 // live state is one from which acceptance is reachable; the sink is
 // never popped.
 func groupedTargets(e *Engine) int {
-	rev := e.dfa.Reverse()
+	rev := e.rev
 	live := make([]bool, e.numStates)
 	var stack []int
 	for s := range live {

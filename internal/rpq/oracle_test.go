@@ -79,7 +79,7 @@ func (e *Engine) computeReachability() []uint64 {
 			queue = append(queue, int32(c))
 		}
 	}
-	rev := e.dfa.Reverse()
+	rev := e.rev
 	numLabels := e.ix.NumLabels()
 	for head := 0; head < len(queue); head++ {
 		c := int(queue[head])
@@ -125,7 +125,7 @@ func (e *Engine) computeReachabilityParallel(workers int) []uint64 {
 			frontier = append(frontier, int32(c))
 		}
 	}
-	rev := e.dfa.Reverse()
+	rev := e.rev
 	next := make([][]int32, workers)
 	for len(frontier) > 0 {
 		chunk := (len(frontier) + workers - 1) / workers

@@ -44,6 +44,9 @@ type Engine struct {
 	// text is the query's canonical spelling, query.String().
 	text string
 	dfa  *automaton.DFA
+	// rev is the DFA's reverse transition table, compiled with the DFA
+	// and shared through the DFA memo.
+	rev *automaton.ReverseTransitions
 
 	numStates int
 	start     automaton.State
@@ -51,7 +54,8 @@ type Engine struct {
 	// practice: the DFA alphabet is built as a superset of the graph
 	// alphabet; -1 marks a label with no DFA transition, which every
 	// product walk skips).
-	dfaLabel  []int
+	dfaLabel []int
+	// accepting is the DFA's accepting-state mask, shared like rev.
 	accepting []bool
 	// reach is the product reachability as one node bitset of words
 	// uint64s per DFA state, state after state: bit v of row s is set iff
@@ -155,14 +159,16 @@ func newEngine(g *graph.Graph, query *regex.Expr) *Engine {
 		alphabet[l] = string(ix.LabelAt(int32(l)))
 	}
 	text := query.String()
-	dfa := compiledDFA(text, query, alphabet)
+	c := compiledDFA(text, query, alphabet)
+	dfa := c.dfa
 	e := &Engine{
 		ix:        ix,
 		text:      text,
 		dfa:       dfa,
+		rev:       c.rev,
 		numStates: dfa.NumStates(),
 		start:     dfa.Start(),
-		accepting: dfa.AcceptingMask(),
+		accepting: c.accepting,
 	}
 	e.dfaLabel = make([]int, ix.NumLabels())
 	for gl := 0; gl < ix.NumLabels(); gl++ {
