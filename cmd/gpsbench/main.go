@@ -11,11 +11,8 @@
 //	gpsbench -exp f1,e2   # run a subset
 //	gpsbench -full        # full-size graphs (minutes)
 //	gpsbench -list        # list experiment identifiers
-//	gpsbench -rpqbench    # RPQ micro-benchmarks -> BENCH_rpq.json
-//	gpsbench -rpqgate BENCH_rpq.json    # same-machine cached ratio gate
 //	gpsbench -indexbench  # indexed vs unindexed /evaluate -> BENCH_index.json
 //	gpsbench -indexgate BENCH_index.json  # indexed speedup ratio gate
-//	gpsbench -benchcmp BENCH_rpq.json   # allocs/op gate vs BENCH_baseline.json
 //	gpsbench -loadbench -load-gpsd ./gpsd  # multi-tenant fairness load -> BENCH_load.json
 //	gpsbench -loadgate BENCH_load.json     # fairness gate over a load summary
 //	gpsbench -chaosbench -chaos-gpsd ./gpsd  # crash-anywhere chaos vs oracle
@@ -39,8 +36,6 @@ func main() {
 		full       = flag.Bool("full", false, "run the full-size configuration instead of the quick one")
 		seed       = flag.Int64("seed", 1, "seed for all pseudo-random choices")
 		list       = flag.Bool("list", false, "list the available experiments and exit")
-		rpqBench   = flag.Bool("rpqbench", false, "run the RPQ evaluation micro-benchmarks and write a JSON summary")
-		rpqOut     = flag.String("rpqbench-out", "BENCH_rpq.json", "output path of the -rpqbench JSON summary")
 		chaosBench = flag.Bool("chaosbench", false, "run the crash-anywhere chaos harness: torture a real gpsd subprocess with SIGKILLs and in-compaction crashes, then prove equivalence against a never-killed in-process oracle")
 		chaosGpsd  = flag.String("chaos-gpsd", "", "path to the gpsd binary to torture (required with -chaosbench)")
 		chaosKills = flag.Int("chaos-kills", 30, "number of hard kills the chaos run inflicts before driving sessions to completion")
@@ -69,11 +64,6 @@ func main() {
 		loadGate   = flag.String("loadgate", "", "check this -loadbench summary and fail if the polite admission-error rate or p99 ratio breaches the fairness gate")
 		loadRate   = flag.Float64("loadgate-max-error-rate", 0.01, "maximum polite-tenant admission-error rate for -loadgate")
 		loadRatio  = flag.Float64("loadgate-max-p99-ratio", 2, "maximum contended/baseline p99 ratio for -loadgate")
-		benchCmp   = flag.String("benchcmp", "", "compare this -rpqbench summary against -benchcmp-base and fail on an allocs/op regression (ns/op is informational)")
-		benchBase  = flag.String("benchcmp-base", "BENCH_baseline.json", "baseline summary for -benchcmp")
-		benchTol   = flag.Float64("benchcmp-threshold", 0.25, "allowed regression for -benchcmp (0.25 = 25%)")
-		rpqGate    = flag.String("rpqgate", "", "check this -rpqbench summary's same-machine ratio and fail if the cached speedup is below its floor")
-		rpqCMin    = flag.Float64("rpqgate-cached-min", 1.8, "minimum cached/uncached evaluation speedup for -rpqgate")
 		indexBench = flag.Bool("indexbench", false, "measure /evaluate with and without the precomputed reachability index on the large transport graph and write a JSON summary")
 		indexOut   = flag.String("indexbench-out", "BENCH_index.json", "output path of the -indexbench JSON summary")
 		indexGate  = flag.String("indexgate", "", "check this -indexbench summary and fail if the indexed-vs-unindexed median speedup is below -indexgate-min")
@@ -81,21 +71,9 @@ func main() {
 	)
 	flag.Parse()
 
-	if *benchCmp != "" || *loadGate != "" || *rpqGate != "" || *indexGate != "" {
-		if *benchCmp != "" {
-			if err := runBenchCompare(*benchBase, *benchCmp, *benchTol); err != nil {
-				fmt.Fprintf(os.Stderr, "gpsbench: %v\n", err)
-				os.Exit(1)
-			}
-		}
+	if *loadGate != "" || *indexGate != "" {
 		if *loadGate != "" {
 			if err := runLoadGate(*loadGate, *loadRate, *loadRatio); err != nil {
-				fmt.Fprintf(os.Stderr, "gpsbench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *rpqGate != "" {
-			if err := runRPQGate(*rpqGate, *rpqCMin); err != nil {
 				fmt.Fprintf(os.Stderr, "gpsbench: %v\n", err)
 				os.Exit(1)
 			}
@@ -180,14 +158,6 @@ func main() {
 
 	if *indexBench {
 		if err := runIndexBench(*indexOut, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "gpsbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *rpqBench {
-		if err := runRPQBench(*rpqOut, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "gpsbench: %v\n", err)
 			os.Exit(1)
 		}

@@ -1,8 +1,8 @@
 package main
 
-// Bench trend history: every -rpqbench, -indexbench and -loadbench run
-// appends its summary, timestamped, to a .jsonl file next to
-// the .json output (BENCH_rpq.json -> BENCH_rpq.jsonl). The .json file stays a
+// Bench trend history: every -indexbench and -loadbench run appends its
+// summary, timestamped, to a .jsonl file next to the .json output
+// (BENCH_index.json -> BENCH_index.jsonl). The .json file stays a
 // latest-run-only artifact for the gates; the .jsonl file accumulates one
 // row per run, so a sequence of CI runs (or local runs on one machine)
 // yields a comparable time series. The gates print the trend of their
@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 )
@@ -27,7 +26,7 @@ type benchHistoryRow struct {
 }
 
 // historyPath derives the .jsonl history path from a summary output path:
-// BENCH_rpq.json -> BENCH_rpq.jsonl.
+// BENCH_index.json -> BENCH_index.jsonl.
 func historyPath(outPath string) string {
 	return strings.TrimSuffix(outPath, filepath.Ext(outPath)) + ".jsonl"
 }
@@ -88,7 +87,7 @@ func readBenchHistory(outPath string) []benchHistoryRow {
 
 // printTrend reports how the headline metric moved between the two most
 // recent history rows of outPath. extract pulls the metric out of one
-// summary; lowerIsBetter flips the improvement arrow for ns/op-style
+// summary; lowerIsBetter flips the improvement arrow for latency-style
 // metrics. With fewer than two usable rows there is no trend yet, which
 // is stated rather than silently omitted.
 func printTrend(outPath, metric, unit string, lowerIsBetter bool, extract func(json.RawMessage) (float64, bool)) {
@@ -126,25 +125,6 @@ func printTrend(outPath, metric, unit string, lowerIsBetter bool, extract func(j
 	}
 	fmt.Printf("trend: %s %.2f%s -> %.2f%s (%+.1f%%, %s) vs previous run %s (%d runs in %s)\n",
 		metric, prev.val, unit, cur.val, unit, deltaPct, direction, prev.ts, len(pts), hp)
-}
-
-// medianNsFromSummary pulls the median ns/op across all benchmarks out of
-// an rpqbench summary — the same aggregate -benchcmp gates on.
-func medianNsFromSummary(raw json.RawMessage) (float64, bool) {
-	var summary rpqBenchSummary
-	if err := json.Unmarshal(raw, &summary); err != nil || len(summary.Results) == 0 {
-		return 0, false
-	}
-	ns := make([]float64, 0, len(summary.Results))
-	for _, r := range summary.Results {
-		ns = append(ns, r.NsPerOp)
-	}
-	sort.Float64s(ns)
-	median := ns[len(ns)/2]
-	if len(ns)%2 == 0 {
-		median = (ns[len(ns)/2-1] + ns[len(ns)/2]) / 2
-	}
-	return median, true
 }
 
 // floatFieldFromSummary extracts one top-level numeric field (e.g.

@@ -9,6 +9,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -82,10 +84,11 @@ func main() {
 	fmt.Printf("auto-chosen witnesses:   %s\n", witnessSummary(withoutVal))
 }
 
+// witnessSummary lists the witness of each positive node, in node order.
 func witnessSummary(res *learn.Result) string {
 	var parts []string
-	for node, w := range res.Witnesses {
-		parts = append(parts, fmt.Sprintf("%s=%s", node, strings.Join(w, ".")))
+	for _, node := range slices.Sorted(maps.Keys(res.Witnesses)) {
+		parts = append(parts, fmt.Sprintf("%s=%s", node, strings.Join(res.Witnesses[node], ".")))
 	}
 	return strings.Join(parts, "  ")
 }

@@ -1,8 +1,8 @@
 // Package experiment is the harness that regenerates every figure-level
 // artefact of the paper and the companion-style quantitative evaluation.
 // Each experiment returns a stats.Table of one series; cmd/gpsbench prints
-// them (README "Running") and bench_test.go wraps them in testing.B
-// benchmarks.
+// them (README "Running") and TestGolden pins the quick-configuration
+// tables in testdata/golden/tables.txt.
 package experiment
 
 import (
@@ -14,7 +14,7 @@ import (
 // Config controls the scale of the experiments.
 type Config struct {
 	// Quick shrinks graph sizes and repetition counts so that the whole
-	// suite runs in seconds (used by `go test` and `go test -bench` runs);
+	// suite runs in seconds (used by `go test`);
 	// the full setting is used by `gpsbench -full`.
 	Quick bool
 	// Seed drives every pseudo-random choice, making runs reproducible.

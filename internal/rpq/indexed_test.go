@@ -324,22 +324,59 @@ func TestNewWithDefaultWorkers(t *testing.T) {
 	}
 }
 
-// evalAllocBudget bounds the allocations of one uncached 60x60 evaluation
-// with the DFA memo warm: the measured count plus a margin of 2.
-const evalAllocBudget = 16 + 2
+// raceEnabled reports a -race build (race_test.go sets it).
+var raceEnabled bool
 
+// TestEvaluationAllocBudget bounds the allocations of the evaluation
+// paths a query takes, each at its measured count plus a margin. The
+// cache hit has no margin, so that one more allocation per call fails
+// it; one more per Witness call adds one per selected node.
 func TestEvaluationAllocBudget(t *testing.T) {
-	g := dataset.Transport(dataset.TransportOptions{Rows: 60, Cols: 60, Seed: 1, FacilityRate: 0.3})
 	q := regex.MustParse("(tram+bus)*.cinema")
-	New(g, q) // warms the DFA memo and the graph's Indexed view
-	allocs := testing.AllocsPerRun(20, func() {
-		if New(g, q).NumSelected() == 0 {
-			t.Fatal("no node selected")
+	large := dataset.Transport(dataset.TransportOptions{Rows: 60, Cols: 60, Seed: 1, FacilityRate: 0.3})
+	small := dataset.Transport(dataset.TransportOptions{Rows: 10, Cols: 10, Seed: 1, FacilityRate: 0.4})
+	New(large, q) // warms the DFA memo and the graph's Indexed view
+	cache := NewCache(small)
+	engine := cache.Get(q)
+	selected := engine.Selected()
+	cases := []struct {
+		name   string
+		budget float64
+		pooled bool // its scratch comes from a sync.Pool
+		run    func()
+	}{
+		// One uncached 60x60 evaluation with the DFA memo warm.
+		{"uncached 60x60", 16 + 2, false, func() {
+			if New(large, q).NumSelected() == 0 {
+				t.Fatal("no node selected")
+			}
+		}},
+		// A warm cache hit that copies out the 10x10 answer set.
+		{"cached 10x10", 7, false, func() {
+			if len(cache.Get(q).Selected()) == 0 {
+				t.Fatal("no node selected")
+			}
+		}},
+		// One witness per selected 10x10 node: one allocation each, the
+		// returned path.
+		{"witness every selected 10x10 node", float64(len(selected)) + 2, true, func() {
+			for _, n := range selected {
+				if _, ok := engine.Witness(n); !ok {
+					t.Fatalf("no witness for selected node %s", n)
+				}
+			}
+		}},
+	}
+	for _, c := range cases {
+		if c.pooled && raceEnabled {
+			t.Logf("%s: not counted, the race detector drops sync.Pool entries", c.name)
+			continue
 		}
-	})
-	t.Logf("%.0f allocations per evaluation", allocs)
-	if allocs > evalAllocBudget {
-		t.Fatalf("%.0f allocations per uncached 60x60 evaluation, budget %d", allocs, evalAllocBudget)
+		allocs := testing.AllocsPerRun(20, c.run)
+		t.Logf("%s: %.0f allocations per call (budget %.0f)", c.name, allocs, c.budget)
+		if allocs > c.budget {
+			t.Errorf("%s: %.0f allocations per call, budget %.0f", c.name, allocs, c.budget)
+		}
 	}
 }
 
